@@ -16,6 +16,13 @@ Typical use::
 
 Running the same ops with no active tape performs plain forward
 computation (inference mode).
+
+Besides the elementwise and linear-algebra primitives there are fused
+ops with hand-written backwards, one tape entry each: `linear` (x W^T + b),
+`lstm_cell` (one LSTM step), `pair_softmax` (softmax over adjacent column
+pairs, the packed bit-distribution layout) and `sum_squares`. Each gives
+the same forward values, bit for bit, as the chain of primitives it
+replaces.
 """
 
 from __future__ import annotations
@@ -74,8 +81,11 @@ class Tensor:
 
     def accumulate_grad(self, g: np.ndarray) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # a copy, never an alias: ops such as add hand one array to
+            # several operands, and later accumulations write in place
+            self.grad = np.array(g, dtype=np.float64, order="C")
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -102,7 +112,8 @@ class Tape:
 
     def __exit__(self, exc_type, exc, tb) -> None:
         stack = _tape_stack()
-        assert stack and stack[-1] is self
+        if not stack or stack[-1] is not self:
+            raise RuntimeError("tapes must be exited in the reverse order they were entered")
         stack.pop()
 
     def __len__(self) -> int:
@@ -230,12 +241,46 @@ def add_bias(m: Tensor, v: Tensor) -> Tensor:
     return out
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x W^T + b for x of shape (B, in), W (out, in) and b (out,), as one op.
+
+    Values and gradients equal, bit for bit, those of
+    add_bias(matmul(x, transpose(w)), b).
+    """
+    if (x.data.ndim != 2 or w.data.ndim != 2 or b.data.ndim != 1
+            or x.shape[1] != w.shape[1] or b.shape[0] != w.shape[0]):
+        raise ShapeError(f"linear: got input {x.shape}, weight {w.shape} and bias {b.shape}")
+    # a C-ordered copy of W^T, as transpose() makes, so BLAS takes the same path
+    wt = np.ascontiguousarray(w.data.T)
+    out = Tensor(x.data @ wt + b.data[np.newaxis, :],
+                 x.requires_grad or w.requires_grad or b.requires_grad)
+
+    def backward():
+        g = out.grad
+        if g is None:
+            return
+        if b.requires_grad:
+            b.accumulate_grad(g.sum(axis=0))
+        if x.requires_grad:
+            x.accumulate_grad(g @ wt.T)
+        if w.requires_grad:
+            w.accumulate_grad((x.data.T @ g).T)
+
+    _maybe_record(out, backward)
+    return out
+
+
+def _sigmoid(x: np.ndarray) -> np.ndarray:
+    """Logistic function without overflow: exp is only taken of values <= 0.
+
+    Equal bit for bit to the piecewise form 1/(1+e^-|x|) for x >= 0 and
+    e^-|x|/(1+e^-|x|) otherwise, without computing both branches.
+    """
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+
+
 def sigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    # piecewise form avoids overflow in exp for large |x|
-    s = np.where(x >= 0, 1.0 / (1.0 + np.exp(-np.abs(x))),
-                 np.exp(-np.abs(x)) / (1.0 + np.exp(-np.abs(x))))
-    out = Tensor(s, a.requires_grad)
+    out = Tensor(_sigmoid(a.data), a.requires_grad)
 
     def backward():
         if out.grad is not None and a.requires_grad:
@@ -243,6 +288,60 @@ def sigmoid(a: Tensor) -> Tensor:
 
     _maybe_record(out, backward)
     return out
+
+
+def lstm_cell(xw: Tensor, h_prev: Tensor, w_h: Tensor, bias: Tensor,
+              c_prev: Tensor) -> tuple[Tensor, Tensor]:
+    """One LSTM step, from the input product xw = x W_x^T, as one op.
+
+    gates = (xw + h_prev W_h^T) + bias holds the (input, forget, candidate,
+    output) pre-activations side by side, n = h_prev.shape[1] columns each;
+    c = f c_prev + i g and h = o tanh(c). Forward values equal, bit for bit,
+    those of the same cell composed from matmul, add, sigmoid, tanh and mul.
+    The op records one tape entry, whose backward reads the gradients that
+    reached both h and c.
+    """
+    n = h_prev.shape[1] if h_prev.data.ndim == 2 else 0
+    if (n == 0 or xw.data.ndim != 2 or xw.shape != (h_prev.shape[0], 4 * n)
+            or w_h.shape != (4 * n, n) or bias.shape != (4 * n,) or c_prev.shape != h_prev.shape):
+        raise ShapeError(f"lstm_cell: got xw {xw.shape}, h_prev {h_prev.shape}, "
+                         f"w_h {w_h.shape}, bias {bias.shape} and c_prev {c_prev.shape}")
+    wt = np.ascontiguousarray(w_h.data.T)
+    gates = (xw.data + h_prev.data @ wt) + bias.data[np.newaxis, :]
+    act = _sigmoid(gates)
+    i, f, o = act[:, :n], act[:, n:2 * n], act[:, 3 * n:]
+    g = np.tanh(gates[:, 2 * n:3 * n])
+    c_data = f * c_prev.data + i * g
+    tc = np.tanh(c_data)
+    needs_grad = any(t.requires_grad for t in (xw, h_prev, w_h, bias, c_prev))
+    c = Tensor(c_data, needs_grad)
+    h = Tensor(o * tc, needs_grad)
+
+    def backward():
+        if h.grad is None and c.grad is None:
+            return
+        dh = h.grad if h.grad is not None else np.zeros_like(h.data)
+        dc = (dh * o) * (1.0 - tc * tc)
+        if c.grad is not None:
+            dc = c.grad + dc
+        dgates = np.empty_like(gates)
+        dgates[:, :n] = (dc * g) * i * (1.0 - i)
+        dgates[:, n:2 * n] = (dc * c_prev.data) * f * (1.0 - f)
+        dgates[:, 2 * n:3 * n] = (dc * i) * (1.0 - g * g)
+        dgates[:, 3 * n:] = (dh * tc) * o * (1.0 - o)
+        if c_prev.requires_grad:
+            c_prev.accumulate_grad(dc * f)
+        if bias.requires_grad:
+            bias.accumulate_grad(dgates.sum(axis=0))
+        if xw.requires_grad:
+            xw.accumulate_grad(dgates)
+        if h_prev.requires_grad:
+            h_prev.accumulate_grad(dgates @ wt.T)
+        if w_h.requires_grad:
+            w_h.accumulate_grad((h_prev.data.T @ dgates).T)
+
+    _maybe_record(h, backward)
+    return h, c
 
 
 def tanh(a: Tensor) -> Tensor:
@@ -323,6 +422,31 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
+def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
+    """Sum of the squared elements of every tensor, as one scalar op.
+
+    Sums tensor by tensor in list order, so the value and gradients equal,
+    bit for bit, those of add(...add(sum_(square(t0)), sum_(square(t1)))...).
+    """
+    if not tensors:
+        raise ShapeError("sum_squares needs at least one tensor")
+    total = (tensors[0].data * tensors[0].data).sum()
+    for t in tensors[1:]:
+        total = total + (t.data * t.data).sum()
+    out = Tensor(total, any(t.requires_grad for t in tensors))
+
+    def backward():
+        if out.grad is None:
+            return
+        g2 = out.grad.item() * 2.0
+        for t in tensors:
+            if t.requires_grad:
+                t.accumulate_grad(g2 * t.data)
+
+    _maybe_record(out, backward)
+    return out
+
+
 def sum_(a: Tensor) -> Tensor:
     """Sum of all elements, as a scalar (rank-0) tensor."""
     out = Tensor(a.data.sum(), a.requires_grad)
@@ -358,24 +482,47 @@ def softmax(a: Tensor) -> Tensor:
     return out
 
 
-def softmax2(a: Tensor) -> Tensor:
-    """softmax restricted to trailing pairs (bit distributions)."""
-    if a.shape[-1] != 2:
-        raise ShapeError(f"softmax2 needs trailing extent 2, got {a.shape}")
-    return softmax(a)
+def pair_softmax(a: Tensor) -> Tensor:
+    """softmax over each column pair (2i, 2i+1) of a (B, 2L) matrix.
+
+    This is the packed bit-distribution layout: column 2i holds P(bit i = 0)
+    and column 2i+1 P(bit i = 1). Values and gradients equal, bit for bit,
+    those of softmax applied to every (B, 2) slice on its own.
+    """
+    if a.data.ndim != 2 or a.shape[1] == 0 or a.shape[1] % 2:
+        raise ShapeError(f"pair_softmax needs a (B, 2L) matrix, got {a.shape}")
+    x = a.data.reshape(a.shape[0], -1, 2)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    s = e / e.sum(axis=-1, keepdims=True)
+    out = Tensor(s.reshape(a.shape), a.requires_grad)
+
+    def backward():
+        if out.grad is None or not a.requires_grad:
+            return
+        g = out.grad.reshape(s.shape)
+        dot = (g * s).sum(axis=-1, keepdims=True)
+        a.accumulate_grad((s * (g - dot)).reshape(a.shape))
+
+    _maybe_record(out, backward)
+    return out
 
 
-def cross_entropy(target: Tensor, pred: Tensor) -> Tensor:
-    """-sum(target * ln(pred)), summed over every entry (all rows).
+def cross_entropy(target: Tensor, pred: Tensor, weights: np.ndarray | None = None) -> Tensor:
+    """-sum(weights * target * ln(pred)), summed over every entry (all rows).
 
-    pred is floored at LOG_EPS before the log. Gradients flow to both
-    arguments when they require them.
+    weights, when given, holds one factor per column (trailing axis). pred
+    is floored at LOG_EPS before the log. Gradients flow to both arguments
+    when they require them.
     """
     if target.shape != pred.shape:
         raise ShapeError(f"cross_entropy: support shapes {target.shape} and {pred.shape} differ")
+    if weights is not None and np.shape(weights) != target.shape[-1:]:
+        raise ShapeError(f"cross_entropy: weights {np.shape(weights)} do not match "
+                         f"support shape {target.shape}")
     clamped = np.maximum(pred.data, LOG_EPS)
     log_p = np.log(clamped)
-    out = Tensor(-(target.data * log_p).sum(), target.requires_grad or pred.requires_grad)
+    t = target.data if weights is None else target.data * weights
+    out = Tensor(-(t * log_p).sum(), target.requires_grad or pred.requires_grad)
 
     def backward():
         if out.grad is None:
@@ -383,9 +530,9 @@ def cross_entropy(target: Tensor, pred: Tensor) -> Tensor:
         g = out.grad.item()
         if pred.requires_grad:
             active = pred.data >= LOG_EPS  # floored entries carry no gradient
-            pred.accumulate_grad(g * np.where(active, -target.data / clamped, 0.0))
+            pred.accumulate_grad(g * np.where(active, -t / clamped, 0.0))
         if target.requires_grad:
-            target.accumulate_grad(g * -log_p)
+            target.accumulate_grad(g * -(log_p if weights is None else weights * log_p))
 
     _maybe_record(out, backward)
     return out

@@ -4,8 +4,10 @@ total = alpha * H(l, l') + beta * sum_i mu^i H(p_i, q_i)
         - gamma * sum_i (q_i(0)^2 + q_i(1)^2) + delta * L2(W)
 
 The bias term enters negated because it is a reward: it peaks when every
-bit distribution commits to 0 or 1. All batch inputs are rank-2; every
-term except the L2 penalty is averaged over the batch.
+bit distribution commits to 0 or 1. All batch inputs are rank-2, and bit
+distributions p and q are packed (B, 2L) tensors whose columns (2i, 2i+1)
+belong to bit i (see networks). Every term except the L2 penalty is
+averaged over the batch.
 """
 
 from __future__ import annotations
@@ -13,7 +15,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .autodiff import ShapeError, Tensor, add, cross_entropy, scale, square, sum_
+import numpy as np
+
+from .autodiff import ShapeError, Tensor, add, cross_entropy, scale, sum_squares
 from .nn import ParameterSet
 
 
@@ -58,49 +62,34 @@ class LossReport:
     term_l2: float
 
 
-def _check_bit_lists(p: list[Tensor], q: list[Tensor]) -> int:
-    if len(p) != len(q):
-        raise ShapeError(f"bit sequence lengths differ: {len(p)} vs {len(q)}")
-    batch = p[0].shape[0]
-    for t in (*p, *q):
-        if t.data.ndim != 2 or t.shape != (batch, 2):
-            raise ShapeError(f"expected ({batch}, 2) bit distributions, got {t.shape}")
-    return batch
+def _check_bits(p: Tensor, q: Tensor) -> tuple[int, int]:
+    """Batch size and string length of two packed (B, 2L) bit tensors."""
+    if p.data.ndim != 2 or p.shape != q.shape or p.shape[1] % 2:
+        raise ShapeError(f"expected two equal (B, 2L) bit distributions, "
+                         f"got {p.shape} and {q.shape}")
+    return p.shape[0], p.shape[1] // 2
 
 
-def bias_regularizer(q: list[Tensor]) -> Tensor:
+def bias_regularizer(q: Tensor) -> Tensor:
     """sum_i (q_i(0)^2 + q_i(1)^2), averaged over the batch.
 
     Per bit the value lives in [0.5, 1]: 0.5 at the uniform pair, 1 at a
     fully biased pair.
     """
-    batch = q[0].shape[0]
-    total = sum_(square(q[0]))
-    for qi in q[1:]:
-        total = add(total, sum_(square(qi)))
-    return scale(total, 1.0 / batch)
+    return scale(sum_squares([q]), 1.0 / q.shape[0])
 
 
-def structured_string_loss(p: list[Tensor], q: list[Tensor], mu: float,
-                           order: str = "pq") -> Tensor:
+def structured_string_loss(p: Tensor, q: Tensor, mu: float, order: str = "pq") -> Tensor:
     """sum_i mu^i H(p_i, q_i), i starting at 1, averaged over the batch."""
-    batch = _check_bit_lists(p, q)
-    total = None
-    for i, (pi, qi) in enumerate(zip(p, q), start=1):
-        ce = cross_entropy(pi, qi) if order == "pq" else cross_entropy(qi, pi)
-        term = scale(ce, mu ** i)
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / batch)
+    batch, length = _check_bits(p, q)
+    weights = np.repeat([mu ** i for i in range(1, length + 1)], 2)
+    ce = cross_entropy(p, q, weights) if order == "pq" else cross_entropy(q, p, weights)
+    return scale(ce, 1.0 / batch)
 
 
-def string_target_loss(target_bits: list[Tensor], p: list[Tensor], mu: float) -> Tensor:
+def string_target_loss(target_bits: Tensor, p: Tensor, mu: float) -> Tensor:
     """Structured loss against fixed one-hot bit targets (random-embedding mode)."""
-    batch = _check_bit_lists(target_bits, p)
-    total = None
-    for i, (ti, pi) in enumerate(zip(target_bits, p), start=1):
-        term = scale(cross_entropy(ti, pi), mu ** i)
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / batch)
+    return structured_string_loss(target_bits, p, mu, "pq")
 
 
 def class_loss(labels: Tensor, predicted: Tensor) -> Tensor:
@@ -115,13 +104,10 @@ def l2_penalty(params: ParameterSet) -> Tensor:
     trainable = params.trainable()
     if not trainable:
         return Tensor(0.0)
-    total = sum_(square(trainable[0][1]))
-    for _, t in trainable[1:]:
-        total = add(total, sum_(square(t)))
-    return total
+    return sum_squares([t for _, t in trainable])
 
 
-def total_loss(labels: Tensor, predicted: Tensor, p: list[Tensor], q: list[Tensor],
+def total_loss(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
                params: ParameterSet, hp: HyperParams,
                gamma: float | None = None) -> tuple[Tensor, LossReport]:
     """Combined objective; gamma may be overridden for scheduled decay.

@@ -1,9 +1,9 @@
 """The class-to-string encoder, string decoder, and LSTM string classifier.
 
-Bit distributions travel as lists of L tensors, one (B, 2) row-stochastic
-pair per string position; column 0 is P(bit=0). A single example's
-distribution sequence is the (L, 2) numpy array stacked from a batch of
-one, which is what string_of and the lookup table consume.
+A batch of bit distributions travels as one (B, 2L) tensor: columns
+(2i, 2i+1) hold P(bit i = 0) and P(bit i = 1), and each pair sums to one.
+A single example's distribution sequence is its row reshaped to (L, 2),
+which is what string_of and the lookup table consume.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, concat, softmax, softmax2, tanh
+from .autodiff import ShapeError, Tensor, concat, pair_softmax, softmax, tanh
 from .nn import Linear, LstmCell, ParameterSet
 
 LOOKUP_VERSION = 1
@@ -26,6 +26,11 @@ class CollisionError(ValueError):
         self.pairs = pairs
         listing = "; ".join(f"classes {a} and {b}" for a, b in pairs)
         super().__init__(f"string encoding is not one-to-one: {listing}")
+
+
+def hard_bits(dist: np.ndarray) -> np.ndarray:
+    """Per-bit argmax of (B, 2L) distributions as a (B, L) 0/1 matrix; ties go to 0."""
+    return (dist[:, 1::2] > dist[:, 0::2]).astype(np.int64)
 
 
 def string_of(dist: np.ndarray) -> str:
@@ -94,7 +99,10 @@ def lookup_predict(table: StringLookupTable, p: np.ndarray) -> int | None:
 
 
 class Class2StrNet:
-    """One-hot class label -> per-bit distributions q via a shared trunk."""
+    """One-hot class label -> (B, 2L) bit distributions q via a shared trunk.
+
+    The L per-bit heads are one stacked Linear, "heads", of 2L outputs.
+    """
 
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
                  rng: np.random.Generator, hidden_dim: int | None = None,
@@ -103,28 +111,26 @@ class Class2StrNet:
         self.string_length = string_length
         self.hidden_dim = hidden_dim if hidden_dim is not None else max(500, 2 * num_classes)
         self.trunk = Linear(params, f"{prefix}.trunk", num_classes, self.hidden_dim, rng)
-        self.heads = [Linear(params, f"{prefix}.head{i}", self.hidden_dim, 2, rng)
-                      for i in range(string_length)]
+        self.heads = Linear(params, f"{prefix}.heads", self.hidden_dim, 2 * string_length, rng,
+                            blocks=string_length)
 
-    def forward(self, labels: Tensor) -> list[Tensor]:
+    def forward(self, labels: Tensor) -> Tensor:
         if labels.data.ndim != 2 or labels.shape[1] != self.num_classes:
             raise ShapeError(f"expected (B, {self.num_classes}) labels, got {labels.shape}")
-        z = tanh(self.trunk(labels))
-        return [softmax2(head(z)) for head in self.heads]
+        return pair_softmax(self.heads(tanh(self.trunk(labels))))
 
     def encode(self, class_id: int) -> np.ndarray:
         """Soft (L, 2) distribution sequence for one class, no grad recording."""
         onehot = np.zeros((1, self.num_classes))
         onehot[0, class_id] = 1.0
-        q = self.forward(Tensor(onehot))
-        return np.vstack([qi.data[0] for qi in q])
+        return self.forward(Tensor(onehot)).data.reshape(self.string_length, 2)
 
     def tensors(self):
-        return self.trunk.tensors() + [t for h in self.heads for t in h.tensors()]
+        return self.trunk.tensors() + self.heads.tensors()
 
 
 class Str2ClassNet:
-    """Per-bit distributions -> class distribution, via the flattened 2L vector."""
+    """(B, 2L) bit distributions -> class distribution."""
 
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
                  rng: np.random.Generator, hidden_dim: int | None = None,
@@ -135,22 +141,23 @@ class Str2ClassNet:
         self.fc1 = Linear(params, f"{prefix}.fc1", 2 * string_length, self.hidden_dim, rng)
         self.fc2 = Linear(params, f"{prefix}.fc2", self.hidden_dim, num_classes, rng)
 
-    def forward(self, q: list[Tensor]) -> Tensor:
-        if len(q) != self.string_length:
-            raise ShapeError(f"expected {self.string_length} bit distributions, got {len(q)}")
-        flat = concat(q, axis=1)
-        return softmax(self.fc2(tanh(self.fc1(flat))))
+    def forward(self, q: Tensor) -> Tensor:
+        if q.data.ndim != 2 or q.shape[1] != 2 * self.string_length:
+            raise ShapeError(f"expected (B, {2 * self.string_length}) bit distributions, "
+                             f"got {q.shape}")
+        return softmax(self.fc2(tanh(self.fc1(q))))
 
     def tensors(self):
         return self.fc1.tensors() + self.fc2.tensors()
 
 
 class LhClassifierNet:
-    """Feature vector -> per-bit distributions p through an LSTM unrolled L steps.
+    """Feature vector -> (B, 2L) bit distributions p through an LSTM unrolled L steps.
 
-    The projected feature vector is the input at every timestep; the
-    dependence of later bits on earlier ones lives in the recurrent state.
-    A single output head is shared across timesteps.
+    The projected feature vector is the input at every timestep, so layer
+    0's input product is computed once per forward; the dependence of later
+    bits on earlier ones lives in the recurrent state. A single output head
+    is shared across timesteps.
     """
 
     def __init__(self, params: ParameterSet, feature_dim: int, hidden_dim: int,
@@ -167,26 +174,24 @@ class LhClassifierNet:
                       for l in range(num_layers)]
         self.head = Linear(params, f"{prefix}.head", hidden_dim, 2, rng)
 
-    def forward(self, features: Tensor) -> list[Tensor]:
+    def forward(self, features: Tensor) -> Tensor:
         if features.data.ndim != 2 or features.shape[1] != self.feature_dim:
             raise ShapeError(f"expected (B, {self.feature_dim}) features, got {features.shape}")
         batch = features.shape[0]
-        x = self.projection(features)
+        xw = self.cells[0].input_product(self.projection(features))
         h = [Tensor(np.zeros((batch, self.hidden_dim))) for _ in self.cells]
         c = [Tensor(np.zeros((batch, self.hidden_dim))) for _ in self.cells]
-        outputs = []
+        logits = []
         for _ in range(self.string_length):
-            inp = x
             for layer, cell in enumerate(self.cells):
+                inp = xw if layer == 0 else cell.input_product(h[layer - 1])
                 h[layer], c[layer] = cell.step(inp, h[layer], c[layer])
-                inp = h[layer]
-            outputs.append(softmax2(self.head(inp)))
-        return outputs
+            logits.append(self.head(h[-1]))
+        return pair_softmax(concat(logits, axis=1))
 
     def predict_bits(self, features: np.ndarray) -> np.ndarray:
         """Hard (N, L) bit matrix for a feature batch, no grad recording."""
-        p = self.forward(Tensor(np.atleast_2d(features)))
-        return np.stack([(pi.data[:, 1] > pi.data[:, 0]).astype(np.int64) for pi in p], axis=1)
+        return hard_bits(self.forward(Tensor(np.atleast_2d(features))).data)
 
     def tensors(self):
         out = self.projection.tensors()

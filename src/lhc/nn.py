@@ -4,6 +4,10 @@ Layers register their tensors into a ParameterSet under dotted names
 ("extractor.0.weight"). Frozen names are excluded from Adam updates and
 from the L2 penalty, which is how the phase-2 protocol keeps the feature
 extractor bitwise untouched.
+
+Linear and LstmCell each run as one fused autodiff op per call. Adam keeps
+every trainable tensor in one flat buffer, so a step is a fixed handful of
+numpy calls whatever the number of tensors.
 """
 
 from __future__ import annotations
@@ -14,11 +18,13 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import (Tensor, add, add_bias, matmul, mul, reshape, sigmoid,
-                       slice_, tanh, transpose)
+from .autodiff import Tensor, linear, lstm_cell, matmul, transpose
 
 CHECKPOINT_MAGIC = b"LHC1"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# Version 1 stored Class2Str's bit heads as L separate "class2str.head{i}"
+# layers; version 2 stores them as one stacked "class2str.heads" layer.
+READABLE_VERSIONS = (1, 2)
 
 
 class MissingGradientError(RuntimeError):
@@ -97,19 +103,28 @@ class ParameterSet:
 
 
 class Linear:
-    """y = x W^T + b with W of shape (out, in)."""
+    """y = x W^T + b with W of shape (out, in).
+
+    With blocks > 1 the layer is that many independent heads stacked along
+    the output: W is the vstack of `blocks` Xavier draws of (out / blocks, in),
+    made one after the other from rng.
+    """
 
     def __init__(self, params: ParameterSet, name: str, in_dim: int, out_dim: int,
-                 rng: np.random.Generator):
+                 rng: np.random.Generator, blocks: int = 1):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError(f"Linear dims must be positive, got {in_dim}->{out_dim}")
+        if blocks <= 0 or out_dim % blocks:
+            raise ValueError(f"{out_dim} outputs do not split into {blocks} blocks")
         self.in_dim = in_dim
         self.out_dim = out_dim
-        self.weight = params.add(f"{name}.weight", xavier_uniform(rng, out_dim, in_dim))
+        weight = np.vstack([xavier_uniform(rng, out_dim // blocks, in_dim)
+                            for _ in range(blocks)])
+        self.weight = params.add(f"{name}.weight", weight)
         self.bias = params.add(f"{name}.bias", np.zeros(out_dim))
 
     def __call__(self, x: Tensor) -> Tensor:
-        return add_bias(matmul(x, transpose(self.weight)), self.bias)
+        return linear(x, self.weight, self.bias)
 
     def tensors(self) -> list[Tensor]:
         return [self.weight, self.bias]
@@ -134,33 +149,30 @@ class LstmCell:
         bias[hidden_dim:2 * hidden_dim] = 1.0
         self.bias = params.add(f"{name}.bias", bias)
 
-    def step(self, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        h = self.hidden_dim
-        gates = add_bias(add(matmul(x, transpose(self.w_x)),
-                             matmul(h_prev, transpose(self.w_h))), self.bias)
-        i = sigmoid(slice_(gates, 1, 0, h))
-        f = sigmoid(slice_(gates, 1, h, 2 * h))
-        g = tanh(slice_(gates, 1, 2 * h, 3 * h))
-        o = sigmoid(slice_(gates, 1, 3 * h, 4 * h))
-        c = add(mul(f, c_prev), mul(i, g))
-        return mul(o, tanh(c)), c
+    def input_product(self, x: Tensor) -> Tensor:
+        """x W_x^T for a (B, in) batch: the input half of the gate pre-activations.
+
+        A caller feeding the same x at every step computes it once.
+        """
+        return matmul(x, transpose(self.w_x))
+
+    def step(self, xw: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
+        """One step from xw = input_product(x); returns (h, c)."""
+        return lstm_cell(xw, h_prev, self.w_h, self.bias, c_prev)
 
     def tensors(self) -> list[Tensor]:
         return [self.w_x, self.w_h, self.bias]
 
 
-def lstm_step(cell: LstmCell, x: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One recurrence step; accepts single vectors or row batches."""
-    if x.data.ndim == 1:
-        h, c = cell.step(reshape(x, (1, x.shape[0])),
-                         reshape(h_prev, (1, h_prev.shape[0])),
-                         reshape(c_prev, (1, c_prev.shape[0])))
-        return reshape(h, (cell.hidden_dim,)), reshape(c, (cell.hidden_dim,))
-    return cell.step(x, h_prev, c_prev)
-
-
 class Adam:
-    """Adam with bias correction; frozen parameters are never touched."""
+    """Adam with bias correction; frozen parameters are never touched.
+
+    The parameters trainable at construction are moved into one flat
+    buffer, and each tensor's data becomes a view of its stretch of it, so
+    a step updates them all with one pass of elementwise numpy calls. The
+    arithmetic is elementwise, so the result equals, bit for bit, the same
+    update applied tensor by tensor.
+    """
 
     def __init__(self, params: ParameterSet, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -170,27 +182,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._trainable = params.trainable()
+        self._flat = np.concatenate([t.data.ravel() for _, t in self._trainable]
+                                    or [np.zeros(0)])
+        offset = 0
+        for _, t in self._trainable:
+            t.data = self._flat[offset:offset + t.data.size].reshape(t.data.shape)
+            offset += t.data.size
+        self._m = np.zeros_like(self._flat)
+        self._v = np.zeros_like(self._flat)
 
     def step(self) -> None:
         self.t += 1
-        for name, p in self.params.trainable():
+        for name, p in self._trainable:
             if p.grad is None:
                 raise MissingGradientError(f"no gradient for trainable parameter {name!r}")
-            g = p.grad
-            m = self._m.get(name)
-            if m is None:
-                m = self._m[name] = np.zeros_like(p.data)
-                self._v[name] = np.zeros_like(p.data)
-            v = self._v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            m_hat = m / (1.0 - self.beta1 ** self.t)
-            v_hat = v / (1.0 - self.beta2 ** self.t)
-            p.data -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        g = np.concatenate([p.grad.ravel() for _, p in self._trainable] or [np.zeros(0)])
+        m, v = self._m, self._v
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * (g * g)
+        m_hat = m / (1.0 - self.beta1 ** self.t)
+        v_hat = v / (1.0 - self.beta2 ** self.t)
+        self._flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
 
     def zero_grad(self) -> None:
         self.params.zero_grad()
@@ -246,7 +261,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict]:
         manifest = json.loads(raw[8:manifest_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
-    if manifest.get("format_version") != CHECKPOINT_VERSION:
+    if manifest.get("format_version") not in READABLE_VERSIONS:
         raise CheckpointError(f"{path}: unsupported format version {manifest.get('format_version')}")
 
     payload = raw[manifest_end:]

@@ -17,7 +17,8 @@ from .data import BatchIterator, LabeledDataset, one_hot
 from .losses import (HyperParams, class_loss, l2_penalty, string_target_loss,
                      total_loss, structured_string_loss, bias_regularizer)
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
-                       Str2ClassNet, StringLookupTable, freeze_lookup, string_of)
+                       Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
+                       string_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
                  save_checkpoint)
 
@@ -27,6 +28,10 @@ CSV_COLUMNS = ["epoch", "term_class", "term_string", "term_bias", "term_l2",
 
 class TrainingDivergence(RuntimeError):
     """Loss became non-finite."""
+
+
+class FrozenExtractorChanged(RuntimeError):
+    """Phase 2 altered the bytes of the extractor it was meant to keep frozen."""
 
 
 @dataclass
@@ -396,9 +401,7 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
             b = f_np.shape[0]
             seen += b
             # running accuracy: predicted string matches the current encoding
-            p_bits = np.stack([(pi.data[:, 1] > pi.data[:, 0]) for pi in p], axis=1)
-            q_bits = np.stack([(qi.data[:, 1] > qi.data[:, 0]) for qi in q], axis=1)
-            correct += int((p_bits == q_bits).all(axis=1).sum())
+            correct += int((hard_bits(p.data) == hard_bits(q.data)).all(axis=1).sum())
             for key, val in (("term_class", rep.term_class), ("term_string", rep.term_string),
                              ("term_bias", rep.term_bias), ("term_l2", rep.term_l2),
                              ("total", rep.total)):
@@ -424,8 +427,8 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     if best_snap is not None:
         _restore(params, best_snap)
 
-    frozen_after = params.tobytes(params.names_with_prefix("extractor."))
-    assert frozen_after == frozen_before, "frozen extractor changed during phase 2"
+    if params.tobytes(params.names_with_prefix("extractor.")) != frozen_before:
+        raise FrozenExtractorChanged("frozen extractor changed during phase 2")
 
     strings = {c: string_of(class2str.encode(c)) for c in range(num_classes)}
     table = None
@@ -483,9 +486,9 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
     preds = []
     for lo in range(0, feats.shape[0], 4096):
         preds.append(lh.predict_bits(feats[lo:lo + 4096]))
-    predicted = np.vstack(preds)
-    known = set(table.string_to_class)
-    no_match = sum(1 for row in predicted if "".join(map(str, row)) not in known)
+    # strings as integer codes: bit i weighs 2^i, the same on both sides
+    weights = 1 << np.arange(table.string_length)
+    no_match = int((~np.isin(np.vstack(preds) @ weights, bits_by_class @ weights)).sum())
     return EvalResult(accuracy=acc, per_bit_accuracy=[float(x) for x in per_bit],
                       num_samples=len(data), num_no_match=no_match)
 
@@ -510,14 +513,12 @@ def random_lookup_table(num_classes: int, string_length: int, seed: int,
     return StringLookupTable(mapping, class_names=class_names)
 
 
-def _target_bit_tensors(bits: np.ndarray) -> list[Tensor]:
-    """(B, L) hard bits -> L constant one-hot (B, 2) tensors."""
-    out = []
-    for i in range(bits.shape[1]):
-        pair = np.zeros((bits.shape[0], 2))
-        pair[np.arange(bits.shape[0]), bits[:, i]] = 1.0
-        out.append(Tensor(pair))
-    return out
+def _target_bits(bits: np.ndarray) -> Tensor:
+    """(B, L) hard bits -> constant one-hot (B, 2L) bit distributions."""
+    batch, length = bits.shape
+    out = np.zeros((batch, 2 * length))
+    out[np.arange(batch)[:, np.newaxis], 2 * np.arange(length) + bits] = 1.0
+    return Tensor(out)
 
 
 def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
@@ -559,7 +560,7 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
         correct = 0
         for f_np, y_np in batches.epoch(epoch):
             label_ids = y_np.argmax(axis=1)
-            targets = _target_bit_tensors(bits_by_class[label_ids])
+            targets = _target_bits(bits_by_class[label_ids])
             feats = Tensor(f_np)
             with Tape() as tape:
                 p = lh.forward(feats)
@@ -574,8 +575,7 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
             adam.zero_grad()
             b = f_np.shape[0]
             seen += b
-            p_bits = np.stack([(pi.data[:, 1] > pi.data[:, 0]) for pi in p], axis=1)
-            correct += int((p_bits == bits_by_class[label_ids]).all(axis=1).sum())
+            correct += int((hard_bits(p.data) == bits_by_class[label_ids]).all(axis=1).sum())
             sums["term_string"] += t_string.item() * b
             sums["term_l2"] += t_l2.item() * b
             sums["total"] += loss_val * b
@@ -734,11 +734,39 @@ class LhArtifacts:
     meta: dict
 
 
+def _stack_v1_heads(params: ParameterSet, length: int) -> ParameterSet:
+    """Stack a version-1 checkpoint's L "class2str.head{i}" layers into "class2str.heads".
+
+    The stacked weight is the vstack of the per-bit weights and its bias
+    their concatenation, the layout Class2StrNet uses since version 2.
+    Other checkpoints are returned unchanged.
+    """
+    heads = [f"class2str.head{i}" for i in range(length)]
+    if heads[0] + ".weight" not in params:
+        return params
+    old = {f"{h}.{kind}" for h in heads for kind in ("weight", "bias")}
+    missing = sorted(old - set(params.names()))
+    if missing:
+        raise CheckpointError(f"version-1 Class2Str heads missing: {missing}")
+    out = ParameterSet()
+    for name, t in params.items():
+        if name == heads[0] + ".weight":
+            out.add("class2str.heads.weight",
+                    np.vstack([params[h + ".weight"].data for h in heads]))
+            out.add("class2str.heads.bias",
+                    np.concatenate([params[h + ".bias"].data for h in heads]))
+        elif name not in old:
+            out.add(name, t.data)
+    out.freeze(params.frozen_names() - old)
+    return out
+
+
 def load_lh_result(path) -> LhArtifacts:
     params, meta = load_checkpoint(path)
     if meta.get("kind") != "lh":
         raise CheckpointError(f"{path}: expected an lh checkpoint, got {meta.get('kind')!r}")
     config = RunConfig.from_dict(meta["config"])
+    params = _stack_v1_heads(params, config.L)
     num_classes = meta["num_classes"]
     rng = np.random.default_rng(0)
     fresh = ParameterSet()

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from lhc.autodiff import (ShapeError, Tape, Tensor, add, add_bias, concat,
-                          cross_entropy, gradient_check, matmul, mul, reshape,
-                          scale, sigmoid, slice_, softmax, softmax2, square,
-                          sum_, tanh, transpose)
+from lhc.autodiff import (ShapeError, Tape, Tensor, _sigmoid, add, add_bias, concat,
+                          cross_entropy, gradient_check, linear, lstm_cell, matmul,
+                          mul, pair_softmax, reshape, scale, sigmoid, slice_, softmax,
+                          square, sum_, sum_squares, tanh, transpose)
 
 
 def test_matmul_identity():
@@ -62,33 +62,36 @@ def test_slice_bounds_checked():
         slice_(t, 2, 0, 1)
 
 
-def test_softmax2_fixed_points():
-    np.testing.assert_allclose(softmax2(Tensor([0.0, 0.0])).data, [0.5, 0.5], atol=1e-15)
-    np.testing.assert_allclose(softmax2(Tensor([math.log(2.0), 0.0])).data,
-                               [2.0 / 3.0, 1.0 / 3.0], atol=1e-15)
+def test_pair_softmax_fixed_points():
+    np.testing.assert_allclose(pair_softmax(Tensor([[0.0, 0.0]])).data, [[0.5, 0.5]],
+                               atol=1e-15)
+    np.testing.assert_allclose(pair_softmax(Tensor([[math.log(2.0), 0.0]])).data,
+                               [[2.0 / 3.0, 1.0 / 3.0]], atol=1e-15)
 
 
-def test_softmax2_rows_are_stochastic():
+def test_pair_softmax_rows_are_stochastic():
     # float64 softmax saturates to exactly 0/1 once the logit gap exceeds
     # ~36.7, so openness is asserted over the representable range
     rng = np.random.default_rng(42)
     logits = Tensor(rng.uniform(-15.0, 15.0, size=(200, 2)))
-    out = softmax2(logits).data
+    out = pair_softmax(logits).data
     np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
     assert np.all(out > 0.0) and np.all(out < 1.0)
 
 
-def test_softmax2_requires_trailing_pair():
-    with pytest.raises(ShapeError):
-        softmax2(Tensor(np.zeros((2, 3))))
+def test_pair_softmax_requires_column_pairs():
+    for shape in ((2, 3), (2, 0), (4,)):
+        with pytest.raises(ShapeError):
+            pair_softmax(Tensor(np.zeros(shape)))
 
 
-def test_softmax2_gradient():
+def test_pair_softmax_gradient():
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        mix = rng.standard_normal(2)
+        mix = rng.standard_normal((1, 2))
         point = Tensor(rng.standard_normal(2))
-        err = gradient_check(lambda x: sum_(mul(softmax2(x), Tensor(mix))), point)
+        err = gradient_check(
+            lambda x: sum_(mul(pair_softmax(reshape(x, (1, 2))), Tensor(mix))), point)
         assert err < 1e-6
 
 
@@ -132,7 +135,7 @@ def test_gradient_check_softmax_of_linear():
 
     def f(x):
         logits = matmul(reshape(x, (1, 5)), transpose(w))
-        return sum_(mul(softmax2(logits), mix))
+        return sum_(mul(softmax(logits), mix))
 
     assert gradient_check(f, Tensor(rng.standard_normal(5))) < 1e-6
 
@@ -206,3 +209,138 @@ def test_no_tape_means_no_grad():
     y = sum_(square(x))
     assert y.item() == 1.0
     assert x.grad is None
+
+
+def test_tape_exit_out_of_order_raises():
+    outer, inner = Tape(), Tape()
+    outer.__enter__()
+    inner.__enter__()
+    try:
+        with pytest.raises(RuntimeError):
+            outer.__exit__(None, None, None)
+    finally:
+        inner.__exit__(None, None, None)
+        outer.__exit__(None, None, None)
+
+
+def test_first_gradient_is_copied_not_aliased():
+    # add hands one gradient array to both operands; the later use of `a`
+    # (first on the tape, so last in backward) must not write into b.grad
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        u = scale(a, 3.0)
+        y = add(sum_(add(a, b)), sum_(u))
+    tape.backward(y)
+    np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+    np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_sigmoid_is_bitwise_the_piecewise_formula():
+    rng = np.random.default_rng(0)
+    tiny = np.finfo(np.float64).tiny
+    x = np.concatenate([
+        [0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 709.0, -709.0, 745.0, -745.0,
+         tiny, -tiny, tiny / 2**20, -tiny / 2**20, 5e-324, -5e-324, 1.0, -1.0],
+        rng.standard_normal(5000) * 10.0,
+        rng.uniform(-800.0, 800.0, 5000),
+    ])
+    a = np.abs(x)
+    piecewise = np.where(x >= 0, 1.0 / (1.0 + np.exp(-a)), np.exp(-a) / (1.0 + np.exp(-a)))
+    assert _sigmoid(x).tobytes() == piecewise.tobytes()
+    assert sigmoid(Tensor(x)).data.tobytes() == piecewise.tobytes()
+
+
+def _graded(rng, *shapes):
+    return [Tensor(rng.standard_normal(shape), requires_grad=True) for shape in shapes]
+
+
+def _mixed_sum(outputs, rng):
+    """A scalar that sends a distinct random gradient into every output."""
+    terms = [sum_(mul(o, Tensor(rng.standard_normal(o.shape)))) for o in outputs]
+    total = terms[0]
+    for t in terms[1:]:
+        total = add(total, t)
+    return total
+
+
+def _grads(build, tensors, seed):
+    for t in tensors:
+        t.zero_grad()
+    with Tape() as tape:
+        outs = build()
+        loss = _mixed_sum(outs, np.random.default_rng(seed))
+    tape.backward(loss)
+    return [o.data.copy() for o in outs], [t.grad.copy() for t in tensors]
+
+
+def test_linear_equals_the_transpose_matmul_add_bias_chain():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x, w, b = _graded(rng, (7, 5), (3, 5), (3,))
+        fused = _grads(lambda: [linear(x, w, b)], [x, w, b], seed)
+        chain = _grads(lambda: [add_bias(matmul(x, transpose(w)), b)], [x, w, b], seed)
+        assert fused[0][0].tobytes() == chain[0][0].tobytes()
+        for g_fused, g_chain in zip(fused[1], chain[1]):
+            assert g_fused.tobytes() == g_chain.tobytes()
+    with pytest.raises(ShapeError):
+        linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
+
+
+def _composed_cell(xw, h_prev, w_h, bias, c_prev):
+    """The LSTM cell from public primitives: the reference for lstm_cell."""
+    n = h_prev.shape[1]
+    gates = add_bias(add(xw, matmul(h_prev, transpose(w_h))), bias)
+    i = sigmoid(slice_(gates, 1, 0, n))
+    f = sigmoid(slice_(gates, 1, n, 2 * n))
+    g = tanh(slice_(gates, 1, 2 * n, 3 * n))
+    o = sigmoid(slice_(gates, 1, 3 * n, 4 * n))
+    c = add(mul(f, c_prev), mul(i, g))
+    return [mul(o, tanh(c)), c]
+
+
+def test_lstm_cell_matches_the_composed_cell():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = 4
+        tensors = _graded(rng, (6, 4 * n), (6, n), (4 * n, n), (4 * n,), (6, n))
+        tensors[0].data *= 3.0  # reach the saturated ends of the gates
+        fused = _grads(lambda: list(lstm_cell(*tensors)), tensors, seed)
+        ref = _grads(lambda: _composed_cell(*tensors), tensors, seed)
+        for out_fused, out_ref in zip(fused[0], ref[0]):
+            assert out_fused.tobytes() == out_ref.tobytes()
+        for g_fused, g_ref in zip(fused[1], ref[1]):
+            np.testing.assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-15)
+    with pytest.raises(ShapeError):
+        lstm_cell(*[Tensor(t.data) for t in tensors[:2]], Tensor(np.zeros((4 * n, n + 1))),
+                  *[Tensor(t.data) for t in tensors[3:]])
+
+
+def test_pair_softmax_equals_softmax_on_each_pair():
+    rng = np.random.default_rng(7)
+    (a,) = _graded(rng, (9, 6))
+    a.data *= 5.0
+    fused = _grads(lambda: [pair_softmax(a)], [a], 7)
+    per_pair = _grads(lambda: [concat([softmax(slice_(a, 1, j, j + 2)) for j in (0, 2, 4)],
+                                      axis=1)], [a], 7)
+    assert fused[0][0].tobytes() == per_pair[0][0].tobytes()
+    np.testing.assert_array_equal(fused[1][0], per_pair[1][0])
+
+
+def test_sum_squares_equals_the_square_sum_add_chain():
+    rng = np.random.default_rng(8)
+    tensors = _graded(rng, (3, 4), (5,), (2, 2))
+    frozen = Tensor(rng.standard_normal(3))  # no gradient wanted
+
+    def chain():
+        total = sum_(square(tensors[0]))
+        for t in tensors[1:] + [frozen]:
+            total = add(total, sum_(square(t)))
+        return [scale(total, 0.37)]
+
+    fused = _grads(lambda: [scale(sum_squares(tensors + [frozen]), 0.37)], tensors, 8)
+    ref = _grads(chain, tensors, 8)
+    assert fused[0][0].tobytes() == ref[0][0].tobytes()
+    for g_fused, g_ref in zip(fused[1], ref[1]):
+        assert g_fused.tobytes() == g_ref.tobytes()
+    assert frozen.grad is None

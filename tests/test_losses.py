@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lhc.autodiff import ShapeError, Tensor, check_param_gradients
+from lhc.autodiff import ShapeError, Tape, Tensor, check_param_gradients
 from lhc.data import one_hot
 from lhc.losses import (HyperParams, bias_regularizer, class_loss, l2_penalty,
                         string_target_loss, structured_string_loss, total_loss)
@@ -12,8 +12,8 @@ from lhc.nn import ParameterSet
 
 
 def bit_rows(*pairs):
-    """One (1, 2) tensor per string position."""
-    return [Tensor(np.array([pair], dtype=float)) for pair in pairs]
+    """One packed (1, 2L) bit-distribution row, a pair per string position."""
+    return Tensor(np.array([[v for pair in pairs for v in pair]], dtype=float))
 
 
 class TestHyperParams:
@@ -63,7 +63,7 @@ class TestBiasRegularizer:
         assert bias_regularizer(bit_rows((1.0, 0.0))).item() == pytest.approx(1.0)
 
     def test_batch_mean(self):
-        q = [Tensor(np.array([[0.5, 0.5], [0.0, 1.0]]))]
+        q = Tensor(np.array([[0.5, 0.5], [0.0, 1.0]]))
         assert bias_regularizer(q).item() == pytest.approx((0.5 + 1.0) / 2.0)
 
 
@@ -162,14 +162,14 @@ class TestTotalLoss:
         for i in range(2):
             for b in range(batch):
                 for v in range(2):
-                    t_string -= (hp.mu ** (i + 1)) * p[i].data[b, v] * math.log(
-                        max(q[i].data[b, v], 1e-12))
+                    t_string -= (hp.mu ** (i + 1)) * p.data[b, 2 * i + v] * math.log(
+                        max(q.data[b, 2 * i + v], 1e-12))
         t_string = hp.beta * t_string / batch
 
         t_bias = 0.0
         for i in range(2):
             for b in range(batch):
-                t_bias += q[i].data[b, 0] ** 2 + q[i].data[b, 1] ** 2
+                t_bias += q.data[b, 2 * i] ** 2 + q.data[b, 2 * i + 1] ** 2
         t_bias = -hp.gamma * t_bias / batch
 
         t_l2 = hp.delta * sum(float((t.data ** 2).sum()) for _, t in params.trainable())
@@ -197,22 +197,40 @@ class TestTotalLoss:
         assert half.term_bias == pytest.approx(full.term_bias / 2.0)
 
     def test_gradients_flow_through_all_four_terms(self):
-        rng = np.random.default_rng(4)
-        params = ParameterSet()
-        c2s = Class2StrNet(params, 4, 2, rng, hidden_dim=6)
-        s2c = Str2ClassNet(params, 4, 2, rng, hidden_dim=6)
-        lh = LhClassifierNet(params, 5, 4, 2, rng)
-        hp = HyperParams(string_length=2, num_classes=4)
-        labels = one_hot(np.array([1, 2]), 4)
-        feats = rng.standard_normal((2, 5))
+        for num_layers in (1, 2):
+            rng = np.random.default_rng(4)
+            params = ParameterSet()
+            c2s = Class2StrNet(params, 4, 2, rng, hidden_dim=6)
+            s2c = Str2ClassNet(params, 4, 2, rng, hidden_dim=6)
+            lh = LhClassifierNet(params, 5, 4, 2, rng, num_layers=num_layers)
+            hp = HyperParams(string_length=2, num_classes=4)
+            labels = one_hot(np.array([1, 2]), 4)
+            feats = rng.standard_normal((2, 5))
 
-        def loss():
-            l = Tensor(labels)
-            q = c2s.forward(l)
-            return total_loss(l, s2c.forward(q), lh.forward(Tensor(feats)), q, params, hp)[0]
+            def loss():
+                l = Tensor(labels)
+                q = c2s.forward(l)
+                return total_loss(l, s2c.forward(q), lh.forward(Tensor(feats)), q, params, hp)[0]
 
-        err = check_param_gradients(loss, [t for _, t in params.trainable()])
-        assert err < 1e-5
+            err = check_param_gradients(loss, [t for _, t in params.trainable()])
+            assert err < 1e-5
+
+    def test_one_training_step_records_a_fixed_number_of_tape_entries(self):
+        # fused Linear, LSTM cell, pair softmax and sum of squares: 27 entries
+        # plus two (an LSTM cell and a head) per string position
+        for num_classes, length, expected in ((8, 4, 35), (32, 8, 43)):
+            rng = np.random.default_rng(0)
+            params = ParameterSet()
+            c2s = Class2StrNet(params, num_classes, length, rng, hidden_dim=16)
+            s2c = Str2ClassNet(params, num_classes, length, rng, hidden_dim=16)
+            lh = LhClassifierNet(params, 6, 8, length, rng)
+            hp = HyperParams(string_length=length, num_classes=num_classes)
+            labels = Tensor(one_hot(rng.integers(0, num_classes, 5), num_classes))
+            with Tape() as tape:
+                q = c2s.forward(labels)
+                total_loss(labels, s2c.forward(q), lh.forward(Tensor(rng.standard_normal((5, 6)))),
+                           q, params, hp)
+            assert len(tape) == expected
 
 
 class TestStringTargetLoss:

@@ -49,18 +49,15 @@ class TestClass2Str:
     def test_output_rows_are_stochastic(self):
         _, c2s, _, _ = build_nets()
         q = c2s.forward(Tensor(one_hot(np.array([0, 1, 2, 3]), 4)))
-        assert len(q) == 2
-        for qi in q:
-            np.testing.assert_allclose(qi.data.sum(axis=1), 1.0, atol=1e-9)
+        assert q.shape == (4, 2 * 2)
+        np.testing.assert_allclose(q.data.reshape(4, 2, 2).sum(axis=2), 1.0, atol=1e-9)
 
     def test_zero_heads_give_uniform_bits(self):
         _, c2s, _, _ = build_nets()
-        for head in c2s.heads:
-            head.weight.data[...] = 0.0
-            head.bias.data[...] = 0.0
+        c2s.heads.weight.data[...] = 0.0
+        c2s.heads.bias.data[...] = 0.0
         q = c2s.forward(Tensor(one_hot(np.array([2]), 4)))
-        for qi in q:
-            np.testing.assert_allclose(qi.data, 0.5, atol=1e-15)
+        np.testing.assert_allclose(q.data, 0.5, atol=1e-15)
 
     def test_class_count_mismatch_rejected(self):
         _, c2s, _, _ = build_nets()
@@ -94,39 +91,36 @@ class TestStr2Class:
         _, c2s, s2c, _ = build_nets()
         q = c2s.forward(Tensor(one_hot(np.array([0]), 4)))
         with pytest.raises(ShapeError):
-            s2c.forward(q[:1])
+            s2c.forward(Tensor(q.data[:, :2]))
 
 
 class TestLhClassifier:
     def test_emits_l_stochastic_pairs(self):
         _, _, _, lh = build_nets()
         p = lh.forward(Tensor(np.random.default_rng(1).standard_normal((3, 6))))
-        assert len(p) == 2
-        for pi in p:
-            assert pi.shape == (3, 2)
-            np.testing.assert_allclose(pi.data.sum(axis=1), 1.0, atol=1e-9)
+        assert p.shape == (3, 2 * 2)
+        np.testing.assert_allclose(p.data.reshape(3, 2, 2).sum(axis=2), 1.0, atol=1e-9)
 
     def test_zero_head_ignores_features(self):
         _, _, _, lh = build_nets()
         lh.head.weight.data[...] = 0.0
         lh.head.bias.data[...] = 0.0
         rng = np.random.default_rng(2)
-        for pi in lh.forward(Tensor(rng.standard_normal((4, 6)) * 100.0)):
-            np.testing.assert_allclose(pi.data, 0.5, atol=1e-15)
+        p = lh.forward(Tensor(rng.standard_normal((4, 6)) * 100.0))
+        np.testing.assert_allclose(p.data, 0.5, atol=1e-15)
 
     def test_forward_is_deterministic(self):
         _, _, _, lh = build_nets()
         feats = np.random.default_rng(3).standard_normal((2, 6))
-        a = [pi.data.copy() for pi in lh.forward(Tensor(feats))]
-        b = [pi.data.copy() for pi in lh.forward(Tensor(feats))]
-        for x, y in zip(a, b):
-            assert x.tobytes() == y.tobytes()
+        a = lh.forward(Tensor(feats)).data.copy()
+        b = lh.forward(Tensor(feats)).data.copy()
+        assert a.tobytes() == b.tobytes()
 
     def test_two_layer_stack(self):
         params = ParameterSet()
         lh = LhClassifierNet(params, 6, 5, 3, np.random.default_rng(0), num_layers=2)
         p = lh.forward(Tensor(np.ones((1, 6))))
-        assert len(p) == 3
+        assert p.shape == (1, 2 * 3)
         with pytest.raises(ValueError):
             LhClassifierNet(ParameterSet(), 6, 5, 3, np.random.default_rng(0), num_layers=3)
 
@@ -145,10 +139,10 @@ def rig_identity_encoder(strings: list[str]) -> Class2StrNet:
                        hidden_dim=num_classes)
     net.trunk.weight.data[...] = np.eye(num_classes)
     net.trunk.bias.data[...] = 0.0
-    for i, head in enumerate(net.heads):
-        head.bias.data[...] = 0.0
-        head.weight.data[0, :] = 0.0
-        head.weight.data[1, :] = [1.0 if s[i] == "1" else -1.0 for s in strings]
+    net.heads.bias.data[...] = 0.0
+    for i in range(length):
+        net.heads.weight.data[2 * i, :] = 0.0
+        net.heads.weight.data[2 * i + 1, :] = [1.0 if s[i] == "1" else -1.0 for s in strings]
     return net
 
 

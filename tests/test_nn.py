@@ -5,8 +5,7 @@ import pytest
 
 from lhc.autodiff import Tape, Tensor, check_param_gradients, mul, sum_
 from lhc.nn import (Adam, CheckpointError, Linear, LstmCell, MissingGradientError,
-                    ParameterSet, lstm_step, load_checkpoint, save_checkpoint,
-                    xavier_uniform)
+                    ParameterSet, load_checkpoint, save_checkpoint, xavier_uniform)
 
 
 def make_linear(seed, in_dim=3, out_dim=4):
@@ -48,7 +47,8 @@ class TestLstmStep:
         cell = LstmCell(params, "lstm", 2, 3, np.random.default_rng(0))
         for t in cell.tensors():
             t.data[...] = 0.0
-        h, c = lstm_step(cell, Tensor([1.0, -1.0]), Tensor(np.zeros(3)), Tensor(np.zeros(3)))
+        h, c = cell.step(cell.input_product(Tensor([[1.0, -1.0]])),
+                         Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
         np.testing.assert_array_equal(h.data, 0.0)
         np.testing.assert_array_equal(c.data, 0.0)
 
@@ -59,12 +59,12 @@ class TestLstmStep:
         cell = LstmCell(params, "lstm", 1, 1, np.random.default_rng(0))
         cell.w_x.data[...] = 0.0
         cell.w_h.data[...] = 0.0
-        h, c = lstm_step(cell, Tensor([0.0]), Tensor([0.0]), Tensor([1.0]))
+        h, c = cell.step(cell.input_product(Tensor([[0.0]])), Tensor([[0.0]]), Tensor([[1.0]]))
         sig1 = 1.0 / (1.0 + math.exp(-1.0))
-        assert c.data[0] == pytest.approx(sig1, abs=1e-12)
-        assert c.data[0] == pytest.approx(0.731059, abs=1e-6)
-        assert h.data[0] == pytest.approx(0.5 * math.tanh(sig1), abs=1e-12)
-        assert h.data[0] == pytest.approx(0.311856, abs=1e-6)
+        assert c.data[0, 0] == pytest.approx(sig1, abs=1e-12)
+        assert c.data[0, 0] == pytest.approx(0.731059, abs=1e-6)
+        assert h.data[0, 0] == pytest.approx(0.5 * math.tanh(sig1), abs=1e-12)
+        assert h.data[0, 0] == pytest.approx(0.311856, abs=1e-6)
 
     def test_bptt_gradients_over_four_steps(self):
         for seed in range(10):
@@ -78,7 +78,7 @@ class TestLstmStep:
                 h = Tensor(np.zeros((2, 4)))
                 c = Tensor(np.zeros((2, 4)))
                 for t in range(4):
-                    h, c = cell.step(Tensor(x_steps[t]), h, c)
+                    h, c = cell.step(cell.input_product(Tensor(x_steps[t])), h, c)
                 return sum_(mul(h, Tensor(mix)))
 
             err = check_param_gradients(loss, [t for _, t in params.trainable()])
@@ -93,7 +93,7 @@ class TestLstmStep:
         h = Tensor(np.zeros((5, 6)))
         c = Tensor(np.zeros((5, 6)))
         for t in range(20):
-            h, c = cell.step(Tensor(rng.standard_normal((5, 3)) * 10.0), h, c)
+            h, c = cell.step(cell.input_product(Tensor(rng.standard_normal((5, 3)) * 10.0)), h, c)
             assert np.abs(h.data).max() <= 1.0
 
 
@@ -150,9 +150,10 @@ class TestAdam:
 
     def test_missing_gradient_raises(self):
         params = ParameterSet()
-        params.add("w", np.zeros(2))
+        params.add("w", np.zeros(2)).grad = np.ones(2)
+        params.add("late", np.zeros(3))
         adam = Adam(params)
-        with pytest.raises(MissingGradientError):
+        with pytest.raises(MissingGradientError, match="'late'"):
             adam.step()
 
     def test_update_sequence_is_deterministic(self):
@@ -171,6 +172,36 @@ class TestAdam:
             return params.tobytes()
 
         assert run() == run()
+
+    def test_flat_update_equals_per_tensor_reference_bitwise(self):
+        # reference: the textbook update applied tensor by tensor
+        lr, b1, b2, eps = 1e-2, 0.9, 0.999, 1e-8
+        rng = np.random.default_rng(11)
+        shapes = {"a": (3, 4), "b": (5,), "frozen": (2,), "c": (), "d": (2, 3)}
+        params = ParameterSet()
+        for name, shape in shapes.items():
+            params.add(name, rng.standard_normal(shape))
+        params.freeze(["frozen"])
+        ref = {n: t.data.copy() for n, t in params.trainable()}
+        m = {n: np.zeros_like(d) for n, d in ref.items()}
+        v = {n: np.zeros_like(d) for n, d in ref.items()}
+        frozen_before = params.tobytes(["frozen"])
+        adam = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        for t in range(1, 6):
+            for name, p in params.trainable():
+                p.grad = rng.standard_normal(shapes[name])
+                g = p.grad
+                m[name] = m[name] * b1 + (1.0 - b1) * g
+                v[name] = v[name] * b2 + (1.0 - b2) * (g * g)
+                m_hat = m[name] / (1.0 - b1 ** t)
+                v_hat = v[name] / (1.0 - b2 ** t)
+                ref[name] = ref[name] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            adam.step()
+            adam.zero_grad()
+            for name, p in params.trainable():
+                assert p.data.shape == shapes[name]
+                assert p.data.tobytes() == ref[name].tobytes()
+        assert params.tobytes(["frozen"]) == frozen_before
 
     def test_step_counter_increments_once_per_update(self):
         params = ParameterSet()
