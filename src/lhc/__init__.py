@@ -5,7 +5,7 @@ with an LSTM classifier that predicts those strings from frozen features,
 then materializes the learned hierarchy as the prefix tree of the strings.
 """
 
-from .autodiff import Tape, Tensor, gradient_check
+from .autodiff import Tape, Tensor
 from .data import (BatchIterator, LabeledDataset, PlantedHierarchySpec,
                    generate_planted, load_features, load_mnist, save_features,
                    train_test_split)

@@ -540,45 +540,18 @@ def cross_entropy(target: Tensor, pred: Tensor, weights: np.ndarray | None = Non
 
 # ------------------------------------------------------- gradient checking
 
-def gradient_check(f: Callable[[Tensor], Tensor], point: Tensor, step: float = 1e-5) -> float:
-    """Max relative error between f's backward pass and central differences.
+def check_param_gradients(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor],
+                          step: float = 1e-5) -> float:
+    """Max relative error between the backward pass and central differences.
 
-    Relative error per coordinate is |analytic - numeric| / max(1, |analytic|).
-    f must map a tensor to a scalar tensor.
+    loss_fn must return a scalar tensor and rebuild the forward graph from
+    the tensors' current data, so central differences are taken by
+    perturbing each coordinate in place. Relative error per coordinate is
+    |analytic - numeric| / max(1, |analytic|); the max is over every
+    coordinate of every tensor.
     """
     if not (1e-7 < step < 1e-3):
         raise ValueError(f"step {step} outside (1e-7, 1e-3)")
-    x = Tensor(point.data.copy(), requires_grad=True)
-    with Tape() as tape:
-        y = f(x)
-    if y.data.size != 1:
-        raise ShapeError(f"gradient_check: f returned shape {y.shape}, expected scalar")
-    tape.backward(y)
-    analytic = np.zeros_like(x.data) if x.grad is None else x.grad.copy()
-
-    flat = x.data.reshape(-1)
-    numeric = np.empty_like(analytic).reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        f_plus = f(x).item()
-        flat[i] = orig - step
-        f_minus = f(x).item()
-        flat[i] = orig
-        numeric[i] = (f_plus - f_minus) / (2.0 * step)
-
-    denom = np.maximum(1.0, np.abs(analytic))
-    return float((np.abs(analytic - numeric.reshape(analytic.shape)) / denom).max())
-
-
-def check_param_gradients(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor],
-                          step: float = 1e-5) -> float:
-    """gradient_check generalized to a loss over several existing tensors.
-
-    loss_fn rebuilds the forward graph from the tensors' current data, so
-    central differences are taken by perturbing each coordinate in place.
-    Returns the max relative error over every coordinate of every tensor.
-    """
     for t in tensors:
         t.zero_grad()
     with Tape() as tape:

@@ -102,6 +102,8 @@ class Class2StrNet:
     """One-hot class label -> (B, 2L) bit distributions q via a shared trunk.
 
     The L per-bit heads are one stacked Linear, "heads", of 2L outputs.
+    q depends on the class alone, so training runs the net once per distinct
+    class in a batch, and table() holds the whole encoding.
     """
 
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
@@ -119,18 +121,24 @@ class Class2StrNet:
             raise ShapeError(f"expected (B, {self.num_classes}) labels, got {labels.shape}")
         return pair_softmax(self.heads(tanh(self.trunk(labels))))
 
+    def table(self) -> np.ndarray:
+        """Soft (C, 2L) bit distributions, row c for class c, no grad recording."""
+        return self.forward(Tensor(np.eye(self.num_classes))).data
+
     def encode(self, class_id: int) -> np.ndarray:
-        """Soft (L, 2) distribution sequence for one class, no grad recording."""
-        onehot = np.zeros((1, self.num_classes))
-        onehot[0, class_id] = 1.0
-        return self.forward(Tensor(onehot)).data.reshape(self.string_length, 2)
+        """Soft (L, 2) distribution sequence for one class: row class_id of table()."""
+        return self.table()[class_id].reshape(self.string_length, 2)
 
     def tensors(self):
         return self.trunk.tensors() + self.heads.tensors()
 
 
 class Str2ClassNet:
-    """(B, 2L) bit distributions -> class distribution."""
+    """(B, 2L) bit distributions -> class distribution.
+
+    In training its input is Class2Str's q, one row per distinct class in
+    the batch.
+    """
 
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
                  rng: np.random.Generator, hidden_dim: int | None = None,
@@ -202,5 +210,5 @@ class LhClassifierNet:
 
 def freeze_lookup(net: Class2StrNet, class_names: list[str] | None = None) -> StringLookupTable:
     """Materialize the learned encoding; raises CollisionError if not one-to-one."""
-    mapping = {c: string_of(net.encode(c)) for c in range(net.num_classes)}
+    mapping = {c: string_of(row.reshape(-1, 2)) for c, row in enumerate(net.table())}
     return StringLookupTable(mapping, class_names=class_names)

@@ -13,6 +13,7 @@ numpy calls whatever the number of tensors.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from typing import Iterable, Iterator
 
@@ -246,7 +247,29 @@ def save_checkpoint(path, params: ParameterSet, hyperparams: dict | None = None)
             fh.write(blob)
 
 
+def _entry_problem(entry) -> str | None:
+    """What makes a manifest parameter entry ill-typed, or None if it is well-typed."""
+    if not isinstance(entry, dict):
+        return "is not a JSON object"
+    shape, offset = entry.get("shape"), entry.get("offset")
+    if not isinstance(entry.get("name"), str):
+        return "has no string name"
+    if not (isinstance(shape, list)
+            and all(isinstance(d, int) and not isinstance(d, bool) and d >= 0 for d in shape)):
+        return "has no shape of non-negative integers"
+    if not isinstance(entry.get("frozen"), bool):
+        return "has no boolean frozen flag"
+    if not isinstance(offset, int) or isinstance(offset, bool):
+        return "has no integer offset"
+    return None
+
+
 def load_checkpoint(path) -> tuple[ParameterSet, dict]:
+    """Read an LHC1 file; any malformed header, manifest or payload raises CheckpointError.
+
+    The parameters must tile the payload exactly, in manifest order from
+    byte 0, as save_checkpoint writes them.
+    """
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != CHECKPOINT_MAGIC:
@@ -261,22 +284,40 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict]:
         manifest = json.loads(raw[8:manifest_end].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
+    if not isinstance(manifest, dict):
+        raise CheckpointError(f"{path}: manifest is not a JSON object")
     if manifest.get("format_version") not in READABLE_VERSIONS:
         raise CheckpointError(f"{path}: unsupported format version {manifest.get('format_version')}")
+    entries, hyperparams = manifest.get("parameters"), manifest.get("hyperparameters")
+    if not isinstance(entries, list) or not isinstance(hyperparams, dict):
+        raise CheckpointError(f"{path}: manifest needs a 'parameters' list and a "
+                              "'hyperparameters' object")
 
     payload = raw[manifest_end:]
     params = ParameterSet()
     frozen = []
-    for entry in manifest["parameters"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        start = entry["offset"]
-        end = start + count * 8
+    offset = 0
+    for index, entry in enumerate(entries):
+        problem = _entry_problem(entry)
+        if problem is not None:
+            raise CheckpointError(f"{path}: parameter entry {index} {problem}")
+        name = entry["name"]
+        if name in params:
+            raise CheckpointError(f"{path}: duplicate parameter name {name!r}")
+        if entry["offset"] != offset:
+            raise CheckpointError(f"{path}: parameter {name!r} starts at byte {entry['offset']}, "
+                                  f"not at {offset}: parameters must tile the payload in order")
+        count = math.prod(entry["shape"])
+        end = offset + count * 8
         if end > len(payload):
-            raise CheckpointError(f"{path}: payload truncated at parameter {entry['name']!r}")
-        data = np.frombuffer(payload, dtype="<f8", count=count, offset=start).reshape(shape)
-        params.add(entry["name"], data.copy())
+            raise CheckpointError(f"{path}: payload truncated at parameter {name!r}")
+        data = np.frombuffer(payload, dtype="<f8", count=count, offset=offset)
+        params.add(name, data.reshape(entry["shape"]).copy())
         if entry["frozen"]:
-            frozen.append(entry["name"])
+            frozen.append(name)
+        offset = end
+    if offset != len(payload):
+        raise CheckpointError(f"{path}: {len(payload) - offset} payload bytes after the last "
+                              "parameter")
     params.freeze(frozen)
-    return params, manifest["hyperparameters"]
+    return params, hyperparams

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, scale
+from .autodiff import Tape, Tensor, add, matmul, scale
 from .data import BatchIterator, LabeledDataset, one_hot
 from .losses import (HyperParams, class_loss, l2_penalty, string_target_loss,
                      total_loss, structured_string_loss, bias_regularizer)
@@ -319,8 +319,25 @@ def _clone_extractor(base: BaseModel, params: ParameterSet,
 
 def _encoding_bits(class2str: Class2StrNet) -> np.ndarray:
     """Current hard encoding as a (C, L) bit matrix."""
-    strings = [string_of(class2str.encode(c)) for c in range(class2str.num_classes)]
-    return np.array([[int(b) for b in s] for s in strings], dtype=np.int64)
+    return hard_bits(class2str.table())
+
+
+def phase2_forward(class2str: Class2StrNet, str2class: Str2ClassNet, lh: LhClassifierNet,
+                   labels: np.ndarray, features: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+    """(l_prime, p, q) for a batch of one-hot labels and extractor features.
+
+    q and l_prime depend on the class alone, so Class2Str and Str2Class run
+    once per distinct class in the batch. Each sample then takes its class's
+    row through matmul with "pick", the labels' columns of those U classes:
+    a (B, U) one-hot, so the product is an exact gather, and its backward,
+    pick^T @ g, sums the gradients per class.
+    """
+    classes = np.flatnonzero(labels.any(axis=0))
+    pick = Tensor(labels[:, classes])
+    q_rows = class2str.forward(Tensor(one_hot(classes, class2str.num_classes)))
+    q = matmul(pick, q_rows)
+    l_prime = matmul(pick, str2class.forward(q_rows))
+    return l_prime, lh.forward(Tensor(features)), q
 
 
 def _string_match(lh: LhClassifierNet, feats: np.ndarray, labels: np.ndarray,
@@ -349,9 +366,11 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     """Joint phase-2 training of Class2Str, Str2Class, and the LH classifier.
 
     The extractor is copied in frozen, so its bytes cannot change; its
-    features are precomputed once per dataset. gamma is halved every
-    gamma_decay_every epochs so the bit distributions stay biased while the
-    term shrinks over time.
+    features are precomputed once per dataset. Each step runs Class2Str and
+    Str2Class once per distinct class in the batch (phase2_forward), and each
+    read of the encoding is one Class2StrNet.table() forward. gamma is halved
+    every gamma_decay_every epochs so the bit distributions stay biased while
+    the term shrinks over time.
     """
     start = time.perf_counter()
     num_classes = train_ds.num_classes
@@ -386,13 +405,9 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
         seen = 0
         correct = 0
         for f_np, y_np in batches.epoch(epoch):
-            feats = Tensor(f_np)
-            labels = Tensor(y_np)
             with Tape() as tape:
-                q = class2str.forward(labels)
-                l_prime = str2class.forward(q)
-                p = lh.forward(feats)
-                loss, rep = total_loss(labels, l_prime, p, q, params, hp, gamma=gamma)
+                l_prime, p, q = phase2_forward(class2str, str2class, lh, y_np, f_np)
+                loss, rep = total_loss(Tensor(y_np), l_prime, p, q, params, hp, gamma=gamma)
             if not math.isfinite(rep.total):
                 raise TrainingDivergence(f"non-finite loss {rep.total} at epoch {epoch}")
             tape.backward(loss)
@@ -430,7 +445,8 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     if params.tobytes(params.names_with_prefix("extractor.")) != frozen_before:
         raise FrozenExtractorChanged("frozen extractor changed during phase 2")
 
-    strings = {c: string_of(class2str.encode(c)) for c in range(num_classes)}
+    soft = class2str.table()
+    strings = {c: string_of(row.reshape(-1, 2)) for c, row in enumerate(soft)}
     table = None
     collision = None
     try:
@@ -438,15 +454,13 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     except CollisionError as exc:
         collision = str(exc)
 
-    soft = np.stack([class2str.encode(c) for c in range(num_classes)])
-    mean_bit_bias = float(soft.max(axis=2).mean())
+    mean_bit_bias = float(soft.reshape(num_classes, -1, 2).max(axis=2).mean())
 
     final_train = rows[-1]["train_acc"] if rows else 0.0
     final_test = None
     if test_ds is not None:
         feats_test = extractor.feature_matrix(test_ds.features)
-        bits = np.array([[int(b) for b in strings[c]] for c in range(num_classes)])
-        final_test, _ = _string_match(lh, feats_test, test_ds.labels, bits)
+        final_test, _ = _string_match(lh, feats_test, test_ds.labels, hard_bits(soft))
 
     report = TrainReport(rows=rows, final_train_accuracy=final_train,
                          final_test_accuracy=final_test,
@@ -814,11 +828,7 @@ def gradcheck_report(seed: int, num_classes: int = 4, string_length: int = 2,
     labels = one_hot(rng.integers(0, num_classes, size=batch), num_classes)
 
     def graph():
-        l = Tensor(labels)
-        q = class2str.forward(l)
-        l_prime = str2class.forward(q)
-        p = lh.forward(Tensor(feats))
-        return l, l_prime, p, q
+        return (Tensor(labels),) + phase2_forward(class2str, str2class, lh, labels, feats)
 
     def loss_class():
         l, l_prime, _, _ = graph()

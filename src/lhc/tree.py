@@ -75,6 +75,9 @@ def build_tree(table) -> PrefixTree:
     lengths = {len(s) for s in mapping.values()}
     if len(lengths) != 1:
         raise ValueError(f"strings must share one length, got lengths {sorted(lengths)}")
+    bad = [s for s in mapping.values() if set(s) - {"0", "1"}]
+    if bad:
+        raise ValueError(f"non-binary string {bad[0]!r}")
     if len(set(mapping.values())) != len(mapping):
         raise ValueError("duplicate strings in table")
     length = lengths.pop()
@@ -83,7 +86,6 @@ def build_tree(table) -> PrefixTree:
     for class_id in sorted(mapping):
         node = root
         for bit in mapping[class_id]:
-            assert not node.is_leaf
             if bit not in node.children:
                 node.children[bit] = TreeNode(prefix=node.prefix + bit)
             node = node.children[bit]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from lhc.autodiff import (ShapeError, Tape, Tensor, _sigmoid, add, add_bias, concat,
-                          cross_entropy, gradient_check, linear, lstm_cell, matmul,
+                          check_param_gradients, cross_entropy, linear, lstm_cell, matmul,
                           mul, pair_softmax, reshape, scale, sigmoid, slice_, softmax,
                           square, sum_, sum_squares, tanh, transpose)
 
@@ -33,11 +33,11 @@ def test_matmul_gradients_match_central_differences():
         b = Tensor(rng.standard_normal((4, 2)), requires_grad=True)
         weights = rng.standard_normal((3, 2))  # fixed mixing to get a scalar
 
-        def loss(x, other=b):
-            return sum_(mul(matmul(x, other), Tensor(weights)))
+        def loss():
+            return sum_(mul(matmul(a, b), Tensor(weights)))
 
-        assert gradient_check(loss, a) < 1e-6
-        assert gradient_check(lambda x: sum_(mul(matmul(a, x), Tensor(weights))), b) < 1e-6
+        assert check_param_gradients(loss, [a]) < 1e-6
+        assert check_param_gradients(loss, [b]) < 1e-6
 
 
 def test_elementwise_fixed_points():
@@ -89,9 +89,9 @@ def test_pair_softmax_gradient():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         mix = rng.standard_normal((1, 2))
-        point = Tensor(rng.standard_normal(2))
-        err = gradient_check(
-            lambda x: sum_(mul(pair_softmax(reshape(x, (1, 2))), Tensor(mix))), point)
+        point = Tensor(rng.standard_normal(2), requires_grad=True)
+        err = check_param_gradients(
+            lambda: sum_(mul(pair_softmax(reshape(point, (1, 2))), Tensor(mix))), [point])
         assert err < 1e-6
 
 
@@ -124,7 +124,8 @@ def test_cross_entropy_log_is_clamped_at_zero_pred():
 
 
 def test_gradient_check_quadratic_is_nearly_exact():
-    err = gradient_check(lambda x: sum_(square(x)), Tensor([1.0, 2.0, 3.0]), step=1e-5)
+    x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
+    err = check_param_gradients(lambda: sum_(square(x)), [x], step=1e-5)
     assert err < 1e-8
 
 
@@ -137,14 +138,18 @@ def test_gradient_check_softmax_of_linear():
         logits = matmul(reshape(x, (1, 5)), transpose(w))
         return sum_(mul(softmax(logits), mix))
 
-    assert gradient_check(f, Tensor(rng.standard_normal(5))) < 1e-6
+    x = Tensor(rng.standard_normal(5), requires_grad=True)
+    assert check_param_gradients(lambda: f(x), [x]) < 1e-6
 
 
 def test_gradient_check_rejects_nonscalar_and_bad_step():
+    x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError):
-        gradient_check(lambda x: square(x), Tensor([1.0, 2.0]))
-    with pytest.raises(ValueError):
-        gradient_check(lambda x: sum_(square(x)), Tensor([1.0]), step=0.5)
+        check_param_gradients(lambda: square(x), [x])
+    for step in (0.5, 1e-3, 1e-7, 1e-9):
+        with pytest.raises(ValueError, match="step"):
+            check_param_gradients(lambda: sum_(square(x)), [x], step=step)
+    np.testing.assert_array_equal(x.data, [1.0, 2.0])
 
 
 def test_composed_graph_gradients_ten_seeds():
@@ -162,7 +167,8 @@ def test_composed_graph_gradients_ten_seeds():
             z = matmul(concat([left, right], axis=1), transpose(w2))
             return scale(sum_(square(z)), 0.5)
 
-        assert gradient_check(f, Tensor(rng.standard_normal(6))) < 1e-5
+        x = Tensor(rng.standard_normal(6), requires_grad=True)
+        assert check_param_gradients(lambda: f(x), [x]) < 1e-5
 
 
 def test_forward_is_deterministic_bitwise():

@@ -9,6 +9,7 @@ from lhc.losses import (HyperParams, bias_regularizer, class_loss, l2_penalty,
                         string_target_loss, structured_string_loss, total_loss)
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet
 from lhc.nn import ParameterSet
+from lhc.training import phase2_forward
 
 
 def bit_rows(*pairs):
@@ -216,20 +217,20 @@ class TestTotalLoss:
             assert err < 1e-5
 
     def test_one_training_step_records_a_fixed_number_of_tape_entries(self):
-        # fused Linear, LSTM cell, pair softmax and sum of squares: 27 entries
+        # fused Linear, LSTM cell, pair softmax and sum of squares: 27 entries,
+        # two matmuls that gather the per-class q and l' rows to the samples,
         # plus two (an LSTM cell and a head) per string position
-        for num_classes, length, expected in ((8, 4, 35), (32, 8, 43)):
+        for num_classes, length, expected in ((8, 4, 37), (32, 8, 45)):
             rng = np.random.default_rng(0)
             params = ParameterSet()
             c2s = Class2StrNet(params, num_classes, length, rng, hidden_dim=16)
             s2c = Str2ClassNet(params, num_classes, length, rng, hidden_dim=16)
             lh = LhClassifierNet(params, 6, 8, length, rng)
             hp = HyperParams(string_length=length, num_classes=num_classes)
-            labels = Tensor(one_hot(rng.integers(0, num_classes, 5), num_classes))
+            labels = one_hot(rng.integers(0, num_classes, 5), num_classes)
             with Tape() as tape:
-                q = c2s.forward(labels)
-                total_loss(labels, s2c.forward(q), lh.forward(Tensor(rng.standard_normal((5, 6)))),
-                           q, params, hp)
+                l_prime, p, q = phase2_forward(c2s, s2c, lh, labels, rng.standard_normal((5, 6)))
+                total_loss(Tensor(labels), l_prime, p, q, params, hp)
             assert len(tape) == expected
 
 

@@ -7,6 +7,7 @@ from lhc.networks import (Class2StrNet, CollisionError, LhClassifierNet,
                           Str2ClassNet, StringLookupTable, freeze_lookup,
                           lookup_predict, string_of)
 from lhc.nn import ParameterSet
+from lhc.training import _encoding_bits
 
 
 def build_nets(seed=0, num_classes=4, length=2, feature_dim=6, hidden=5):
@@ -164,6 +165,22 @@ class TestFreezeLookup:
         t1 = freeze_lookup(net)
         t2 = freeze_lookup(net)
         assert t1.class_to_string == t2.class_to_string
+
+    def test_every_reader_of_the_encoding_agrees(self):
+        net = Class2StrNet(ParameterSet(), 8, 10, np.random.default_rng(0), hidden_dim=16)
+        for t in net.tensors():
+            t.data *= 3.0  # sharper bits: this seed gives eight distinct strings
+        soft = net.table()
+        assert soft.shape == (8, 20)
+        strings = freeze_lookup(net).class_to_string
+        assert len(set(strings.values())) == 8
+        assert ["".join(map(str, row)) for row in _encoding_bits(net)] == list(strings.values())
+        for c in range(8):
+            np.testing.assert_array_equal(net.encode(c), soft[c].reshape(10, 2))
+            # the reference: a one-row forward of the class's one-hot label
+            single = net.forward(Tensor(np.eye(8)[c:c + 1])).data
+            np.testing.assert_allclose(soft[c], single[0], rtol=0, atol=1e-14)
+            assert string_of(single.reshape(10, 2)) == strings[c]
 
 
 class TestLookupTable:

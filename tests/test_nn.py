@@ -1,4 +1,6 @@
+import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -270,3 +272,64 @@ class TestCheckpoint:
         clipped.write_bytes(path.read_bytes()[:-8])
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(clipped)
+
+
+def saved_manifest(tmp_path) -> tuple[dict, bytes]:
+    """Manifest and payload of a checkpoint of two parameters, "a" (2,) and "b" (3,)."""
+    params = ParameterSet()
+    params.add("a", np.arange(2.0))
+    params.add("b", np.arange(3.0))
+    path = tmp_path / "ok.lhc1"
+    save_checkpoint(path, params, {"kind": "test"})
+    raw = path.read_bytes()
+    (length,) = struct.unpack("<I", raw[4:8])
+    return json.loads(raw[8:8 + length]), raw[8 + length:]
+
+
+def entry_set(index, key, value):
+    def mutate(manifest, payload):
+        manifest["parameters"][index][key] = value
+        return manifest, payload
+    return mutate
+
+
+def entry_drop(index, key):
+    def mutate(manifest, payload):
+        del manifest["parameters"][index][key]
+        return manifest, payload
+    return mutate
+
+
+def manifest_drop(key):
+    def mutate(manifest, payload):
+        del manifest[key]
+        return manifest, payload
+    return mutate
+
+
+@pytest.mark.parametrize("mutate", [
+    pytest.param(entry_set(1, "offset", 8), id="overlapping-offsets"),
+    pytest.param(lambda m, p: (entry_set(1, "offset", 24)(m, p)[0], p + bytes(8)),
+                 id="gap-between-parameters"),
+    pytest.param(entry_set(0, "offset", -8), id="negative-offset"),
+    pytest.param(entry_set(0, "offset", "0"), id="string-offset"),
+    pytest.param(entry_set(1, "shape", [-3]), id="negative-dimension"),
+    pytest.param(entry_set(1, "shape", [3.0]), id="float-dimension"),
+    pytest.param(entry_set(0, "frozen", 1), id="non-boolean-frozen-flag"),
+    pytest.param(entry_set(1, "name", "a"), id="duplicate-name"),
+    pytest.param(entry_drop(0, "shape"), id="missing-shape"),
+    pytest.param(manifest_drop("parameters"), id="missing-parameters"),
+    pytest.param(manifest_drop("hyperparameters"), id="missing-hyperparameters"),
+    pytest.param(lambda m, p: (m, p + bytes(8)), id="trailing-payload-bytes"),
+    pytest.param(lambda m, p: ([m], p), id="manifest-not-an-object"),
+])
+def test_malformed_manifest_raises_checkpoint_error(tmp_path, mutate):
+    manifest, payload = saved_manifest(tmp_path)
+    loaded, _ = load_checkpoint(tmp_path / "ok.lhc1")
+    assert loaded["b"].data.tolist() == [0.0, 1.0, 2.0]
+    manifest, payload = mutate(manifest, payload)
+    body = json.dumps(manifest).encode("utf-8")
+    path = tmp_path / "bad.lhc1"
+    path.write_bytes(b"LHC1" + struct.pack("<I", len(body)) + body + payload)
+    with pytest.raises(CheckpointError):
+        load_checkpoint(path)

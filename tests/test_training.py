@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from lhc import training
-from lhc.data import PlantedHierarchySpec, generate_planted
+from lhc.autodiff import Tape, Tensor
+from lhc.data import PlantedHierarchySpec, generate_planted, one_hot
+from lhc.losses import HyperParams, total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
 from lhc.nn import Adam, CheckpointError, ParameterSet, save_checkpoint
 
@@ -104,3 +106,50 @@ def test_evaluate_counts_strings_missing_from_the_table(planted):
     expected = sum(1 for row in predicted if "".join(map(str, row)) not in table.string_to_class)
     assert 0 < expected < len(ds)
     assert result.num_no_match == expected
+
+
+def step_gradients(forward, labels: np.ndarray, feats: np.ndarray, seed: int = 7):
+    """Total loss and trainable gradients of one phase-2 step whose forward is forward(nets)."""
+    rng = np.random.default_rng(seed)
+    num_classes = labels.shape[1]
+    params = ParameterSet()
+    nets = (Class2StrNet(params, num_classes, 3, rng, hidden_dim=12),
+            Str2ClassNet(params, num_classes, 3, rng, hidden_dim=10),
+            LhClassifierNet(params, feats.shape[1], 5, 3, rng))
+    hp = HyperParams(string_length=3, num_classes=num_classes)
+    with Tape() as tape:
+        loss, _ = total_loss(Tensor(labels), *forward(nets), params, hp)
+    tape.backward(loss)
+    return loss.item(), {name: t.grad for name, t in params.trainable()}
+
+
+@pytest.mark.parametrize("num_classes, label_ids", [
+    (4, [0, 1, 2, 3, 3, 1, 0, 2, 2, 1]),   # every class present, most repeated
+    (6, [5, 0, 5, 2, 0, 0, 5]),            # classes 1, 3 and 4 missing
+    (8, [6, 1, 6]),                        # fewer samples than classes
+])
+def test_distinct_class_step_matches_the_per_sample_step(num_classes, label_ids):
+    labels = one_hot(np.array(label_ids), num_classes)
+    feats = np.random.default_rng(1).standard_normal((len(label_ids), 4))
+
+    def per_sample(nets):
+        # the reference: Class2Str and Str2Class on every sample's one-hot row
+        c2s, s2c, lh = nets
+        q = c2s.forward(Tensor(labels))
+        return s2c.forward(q), lh.forward(Tensor(feats)), q
+
+    loss, grads = step_gradients(lambda nets: training.phase2_forward(*nets, labels, feats),
+                                 labels, feats)
+    ref_loss, ref_grads = step_gradients(per_sample, labels, feats)
+    assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+    assert grads.keys() == ref_grads.keys()
+    for name, g in grads.items():
+        assert np.abs(g - ref_grads[name]).max() <= 1e-12 * np.abs(ref_grads[name]).max(), name
+
+
+def test_gradcheck_report_sums_gradients_over_repeated_classes():
+    # six samples over four classes repeat at least one label, so the gather's
+    # backward adds several samples' gradients into one class row
+    errors = training.gradcheck_report(seed=0, batch=6)
+    assert set(errors) == {"term_class", "term_string", "term_bias", "term_l2", "total"}
+    assert max(errors.values()) < 1e-5

@@ -49,6 +49,10 @@ class TestBuildTree:
         with pytest.raises(ValueError, match="duplicate"):
             build_tree({0: "01", 1: "01"})
 
+    def test_non_binary_string_rejected(self):
+        with pytest.raises(ValueError, match="non-binary"):
+            build_tree({0: "0a", 1: "01"})
+
     def test_accepts_lookup_table_with_names(self):
         table = StringLookupTable({0: "00", 1: "11"}, class_names=["ant", "bee"])
         tree = build_tree(table)
