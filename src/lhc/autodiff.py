@@ -19,10 +19,11 @@ computation (inference mode).
 
 Besides the elementwise and linear-algebra primitives there are fused
 ops with hand-written backwards, one tape entry each: `linear` (x W^T + b),
-`lstm_cell` (one LSTM step), `pair_softmax` (softmax over adjacent column
-pairs, the packed bit-distribution layout) and `sum_squares`. Each gives
-the same forward values, bit for bit, as the chain of primitives it
-replaces.
+`lstm_cell` (one LSTM step from a precomputed input product, which carries
+the bias; a None state is the zero state and costs no work), `pair_softmax`
+(softmax over adjacent column pairs, the packed bit-distribution layout)
+and `sum_squares`. Each gives the same forward values, bit for bit, as the
+chain of primitives it replaces.
 """
 
 from __future__ import annotations
@@ -290,30 +291,46 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def lstm_cell(xw: Tensor, h_prev: Tensor, w_h: Tensor, bias: Tensor,
-              c_prev: Tensor) -> tuple[Tensor, Tensor]:
-    """One LSTM step, from the input product xw = x W_x^T, as one op.
+def lstm_cell(xw: Tensor, h_prev: Tensor | None, w_h: Tensor,
+              c_prev: Tensor | None) -> tuple[Tensor, Tensor]:
+    """One LSTM step, from the input product xw = x W_x^T + b, as one op.
 
-    gates = (xw + h_prev W_h^T) + bias holds the (input, forget, candidate,
-    output) pre-activations side by side, n = h_prev.shape[1] columns each;
-    c = f c_prev + i g and h = o tanh(c). Forward values equal, bit for bit,
-    those of the same cell composed from matmul, add, sigmoid, tanh and mul.
+    gates = xw + h_prev W_h^T holds the (input, forget, candidate, output)
+    pre-activations side by side, n = w_h.shape[1] columns each; the bias
+    lives in xw, so a caller feeding the same x at every step adds it once.
+    c = f c_prev + i g and h = o tanh(c). The sigmoid is taken of the i, f
+    and o blocks only, tanh of the candidate block only.
+
+    h_prev=None or c_prev=None stands for the zero state: the recurrent
+    product or f c_prev is then skipped, and the backward does no work for
+    the state it never read. w_h still receives a (zero) gradient if no
+    other step gave it one, so an optimizer finds every parameter graded.
+
+    Forward values equal, bit for bit, those of the same cell composed from
+    matmul, add, sigmoid, tanh and mul, with zero tensors for a None state.
     The op records one tape entry, whose backward reads the gradients that
     reached both h and c.
     """
-    n = h_prev.shape[1] if h_prev.data.ndim == 2 else 0
-    if (n == 0 or xw.data.ndim != 2 or xw.shape != (h_prev.shape[0], 4 * n)
-            or w_h.shape != (4 * n, n) or bias.shape != (4 * n,) or c_prev.shape != h_prev.shape):
-        raise ShapeError(f"lstm_cell: got xw {xw.shape}, h_prev {h_prev.shape}, "
-                         f"w_h {w_h.shape}, bias {bias.shape} and c_prev {c_prev.shape}")
-    wt = np.ascontiguousarray(w_h.data.T)
-    gates = (xw.data + h_prev.data @ wt) + bias.data[np.newaxis, :]
-    act = _sigmoid(gates)
-    i, f, o = act[:, :n], act[:, n:2 * n], act[:, 3 * n:]
+    n = w_h.shape[1] if w_h.data.ndim == 2 else 0
+    batch = xw.shape[0] if xw.data.ndim == 2 else -1
+    if (n == 0 or w_h.shape != (4 * n, n) or xw.shape != (batch, 4 * n)
+            or any(s is not None and s.shape != (batch, n) for s in (h_prev, c_prev))):
+        raise ShapeError(f"lstm_cell: got xw {xw.shape}, h_prev "
+                         f"{None if h_prev is None else h_prev.shape}, w_h {w_h.shape} "
+                         f"and c_prev {None if c_prev is None else c_prev.shape}")
+    if h_prev is None:
+        wt = None
+        gates = xw.data
+    else:
+        wt = np.ascontiguousarray(w_h.data.T)
+        gates = xw.data + h_prev.data @ wt
+    sig_if = _sigmoid(gates[:, :2 * n])
+    i, f = sig_if[:, :n], sig_if[:, n:]
+    o = _sigmoid(gates[:, 3 * n:])
     g = np.tanh(gates[:, 2 * n:3 * n])
-    c_data = f * c_prev.data + i * g
+    c_data = i * g if c_prev is None else f * c_prev.data + i * g
     tc = np.tanh(c_data)
-    needs_grad = any(t.requires_grad for t in (xw, h_prev, w_h, bias, c_prev))
+    needs_grad = any(t is not None and t.requires_grad for t in (xw, h_prev, w_h, c_prev))
     c = Tensor(c_data, needs_grad)
     h = Tensor(o * tc, needs_grad)
 
@@ -326,15 +343,20 @@ def lstm_cell(xw: Tensor, h_prev: Tensor, w_h: Tensor, bias: Tensor,
             dc = c.grad + dc
         dgates = np.empty_like(gates)
         dgates[:, :n] = (dc * g) * i * (1.0 - i)
-        dgates[:, n:2 * n] = (dc * c_prev.data) * f * (1.0 - f)
+        if c_prev is None:
+            dgates[:, n:2 * n] = 0.0
+        else:
+            dgates[:, n:2 * n] = (dc * c_prev.data) * f * (1.0 - f)
+            if c_prev.requires_grad:
+                c_prev.accumulate_grad(dc * f)
         dgates[:, 2 * n:3 * n] = (dc * i) * (1.0 - g * g)
         dgates[:, 3 * n:] = (dh * tc) * o * (1.0 - o)
-        if c_prev.requires_grad:
-            c_prev.accumulate_grad(dc * f)
-        if bias.requires_grad:
-            bias.accumulate_grad(dgates.sum(axis=0))
         if xw.requires_grad:
             xw.accumulate_grad(dgates)
+        if h_prev is None:
+            if w_h.requires_grad and w_h.grad is None:
+                w_h.accumulate_grad(np.zeros_like(w_h.data))
+            return
         if h_prev.requires_grad:
             h_prev.accumulate_grad(dgates @ wt.T)
         if w_h.requires_grad:

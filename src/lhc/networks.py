@@ -84,11 +84,30 @@ class StringLookupTable:
 
     @classmethod
     def from_json(cls, text: str) -> "StringLookupTable":
-        obj = json.loads(text)
-        mapping = {e["class_id"]: e["string"] for e in obj["entries"]}
-        names = [e["class_name"] for e in sorted(obj["entries"], key=lambda e: e["class_id"])]
+        """Inverse of to_json; raises ValueError on any malformed document."""
+        try:
+            obj = json.loads(text)
+        except RecursionError:
+            raise ValueError("lookup JSON nests too deeply") from None
+        if not isinstance(obj, dict) or set(obj) != {"version", "L", "C", "entries"}:
+            raise ValueError("lookup JSON must be an object with exactly version, L, C "
+                             "and entries")
+        if obj["version"] != LOOKUP_VERSION:
+            raise ValueError(f"unsupported lookup JSON version {obj['version']!r}")
+        entries = obj["entries"]
+        if not isinstance(entries, list) or not all(
+                isinstance(e, dict) and set(e) == {"class_id", "class_name", "string"}
+                and type(e["class_id"]) is int and isinstance(e["class_name"], str)
+                and isinstance(e["string"], str) for e in entries):
+            raise ValueError("lookup JSON entries must be objects with an int class_id, "
+                             "a str class_name and a str string")
+        mapping = {e["class_id"]: e["string"] for e in entries}
+        if len(mapping) != len(entries):
+            raise ValueError("lookup JSON lists a class id more than once")
+        names = [e["class_name"] for e in sorted(entries, key=lambda e: e["class_id"])]
         table = cls(mapping, class_names=names)
-        if table.string_length != obj["L"] or table.num_classes != obj["C"]:
+        if (type(obj["L"]) is not int or type(obj["C"]) is not int
+                or table.string_length != obj["L"] or table.num_classes != obj["C"]):
             raise ValueError("lookup JSON header disagrees with its entries")
         return table
 
@@ -163,9 +182,11 @@ class LhClassifierNet:
     """Feature vector -> (B, 2L) bit distributions p through an LSTM unrolled L steps.
 
     The projected feature vector is the input at every timestep, so layer
-    0's input product is computed once per forward; the dependence of later
-    bits on earlier ones lives in the recurrent state. A single output head
-    is shared across timesteps.
+    0's input product, bias included, is computed once per forward; the
+    dependence of later bits on earlier ones lives in the recurrent state.
+    Every layer starts from the zero state, passed as None, so the first
+    step does no recurrent work. A single output head is shared across
+    timesteps.
     """
 
     def __init__(self, params: ParameterSet, feature_dim: int, hidden_dim: int,
@@ -185,10 +206,9 @@ class LhClassifierNet:
     def forward(self, features: Tensor) -> Tensor:
         if features.data.ndim != 2 or features.shape[1] != self.feature_dim:
             raise ShapeError(f"expected (B, {self.feature_dim}) features, got {features.shape}")
-        batch = features.shape[0]
         xw = self.cells[0].input_product(self.projection(features))
-        h = [Tensor(np.zeros((batch, self.hidden_dim))) for _ in self.cells]
-        c = [Tensor(np.zeros((batch, self.hidden_dim))) for _ in self.cells]
+        h: list[Tensor | None] = [None] * self.num_layers  # None: the zero state
+        c: list[Tensor | None] = [None] * self.num_layers
         logits = []
         for _ in range(self.string_length):
             for layer, cell in enumerate(self.cells):

@@ -5,9 +5,10 @@ Layers register their tensors into a ParameterSet under dotted names
 from the L2 penalty, which is how the phase-2 protocol keeps the feature
 extractor bitwise untouched.
 
-Linear and LstmCell each run as one fused autodiff op per call. Adam keeps
-every trainable tensor in one flat buffer, so a step is a fixed handful of
-numpy calls whatever the number of tensors.
+Linear runs as one fused autodiff op per call, and an LstmCell step as two
+(its input product and the recurrent cell). Adam keeps every trainable
+tensor in one flat buffer, so a step is a fixed handful of numpy calls
+whatever the number of tensors.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .autodiff import Tensor, linear, lstm_cell, matmul, transpose
+from .autodiff import Tensor, linear, lstm_cell
 
 CHECKPOINT_MAGIC = b"LHC1"
 CHECKPOINT_VERSION = 2
@@ -134,8 +135,11 @@ class Linear:
 class LstmCell:
     """Single LSTM cell; gate order (input, forget, candidate, output).
 
-    The forget-gate bias slice is initialized to 1.0 so early steps keep
-    their cell memory.
+    A step is two fused ops: input_product(x) = x W_x^T + b, one linear, and
+    step(xw, h_prev, c_prev), one lstm_cell that adds h_prev W_h^T. The bias
+    rides with the input product, so a caller that feeds one x to every step
+    pays for both once. The forget-gate bias slice is initialized to 1.0 so
+    early steps keep their cell memory.
     """
 
     def __init__(self, params: ParameterSet, name: str, in_dim: int, hidden_dim: int,
@@ -151,15 +155,20 @@ class LstmCell:
         self.bias = params.add(f"{name}.bias", bias)
 
     def input_product(self, x: Tensor) -> Tensor:
-        """x W_x^T for a (B, in) batch: the input half of the gate pre-activations.
+        """x W_x^T + b for a (B, in) batch: the gate pre-activations but the recurrent part.
 
         A caller feeding the same x at every step computes it once.
         """
-        return matmul(x, transpose(self.w_x))
+        return linear(x, self.w_x, self.bias)
 
-    def step(self, xw: Tensor, h_prev: Tensor, c_prev: Tensor) -> tuple[Tensor, Tensor]:
-        """One step from xw = input_product(x); returns (h, c)."""
-        return lstm_cell(xw, h_prev, self.w_h, self.bias, c_prev)
+    def step(self, xw: Tensor, h_prev: Tensor | None = None,
+             c_prev: Tensor | None = None) -> tuple[Tensor, Tensor]:
+        """One step from xw = input_product(x); returns (h, c).
+
+        h_prev and c_prev default to None, the zero state, which skips the
+        recurrent product and the forget term.
+        """
+        return lstm_cell(xw, h_prev, self.w_h, c_prev)
 
     def tensors(self) -> list[Tensor]:
         return [self.w_x, self.w_h, self.bias]

@@ -462,12 +462,19 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
         feats_test = extractor.feature_matrix(test_ds.features)
         final_test, _ = _string_match(lh, feats_test, test_ds.labels, hard_bits(soft))
 
+    # the inference-time classifiers: the base FC head against projection,
+    # LSTM and bit head; Class2Str and Str2Class only train
+    sizes = count_params({"base_fc": base.fc, "lh_classifier": lh}).per_part
     report = TrainReport(rows=rows, final_train_accuracy=final_train,
                          final_test_accuracy=final_test,
                          wall_clock_seconds=time.perf_counter() - start,
                          seed=config.seed, config=config.to_dict(),
                          extras={"mean_bit_bias": mean_bit_bias,
-                                 "collision": collision})
+                                 "collision": collision,
+                                 "base_fc_params": sizes["base_fc"],
+                                 "lh_classifier_params": sizes["lh_classifier"],
+                                 "parameter_reduction": parameter_reduction(
+                                     sizes["base_fc"], sizes["lh_classifier"])})
     return LhTrainResult(params=params, extractor=extractor, class2str=class2str,
                          str2class=str2class, lh=lh, table=table, collision=collision,
                          strings=strings, report=report)

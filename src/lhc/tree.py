@@ -163,14 +163,33 @@ def _node_to_obj(node: TreeNode) -> dict:
             "children": [_node_to_obj(node.children[b]) for b in sorted(node.children)]}
 
 
-def _node_from_obj(obj: dict) -> TreeNode:
-    if "class_id" in obj:
-        return TreeNode(prefix=obj["prefix"], class_id=obj["class_id"],
-                        class_name=obj["class_name"])
-    node = TreeNode(prefix=obj["prefix"])
-    for child_obj in obj["children"]:
-        child = _node_from_obj(child_obj)
-        node.children[child.prefix[-1]] = child
+def _node_from_obj(obj, prefix: str, length: int, seen: set[int]) -> TreeNode:
+    """Rebuild the subtree whose root must sit at prefix; raises ValueError."""
+    if not isinstance(obj, dict) or obj.get("prefix") != prefix:
+        raise ValueError(f"tree JSON: expected a node object with prefix {prefix!r}")
+    if len(prefix) == length:
+        class_id, name = obj.get("class_id"), obj.get("class_name")
+        if set(obj) != {"prefix", "class_id", "class_name"} or type(class_id) is not int \
+                or not isinstance(name, str):
+            raise ValueError(f"tree JSON: leaf {prefix!r} needs only an int class_id "
+                             f"and a str class_name")
+        if class_id in seen:
+            raise ValueError(f"tree JSON: class id {class_id} appears at more than one leaf")
+        seen.add(class_id)
+        return TreeNode(prefix=prefix, class_id=class_id, class_name=name)
+    children = obj.get("children")
+    if set(obj) != {"prefix", "children"} or not isinstance(children, list) \
+            or not 1 <= len(children) <= 2:
+        raise ValueError(f"tree JSON: node {prefix!r} at depth {len(prefix)} < L={length} "
+                         f"needs a list of one or two children and nothing else")
+    node = TreeNode(prefix=prefix)
+    for child_obj in children:
+        child_prefix = child_obj.get("prefix") if isinstance(child_obj, dict) else None
+        bit = next((b for b in "01" if child_prefix == prefix + b), None)
+        if bit is None or bit in node.children:
+            raise ValueError(f"tree JSON: a child of {prefix!r} must extend it by a "
+                             f"new bit, 0 or 1")
+        node.children[bit] = _node_from_obj(child_obj, prefix + bit, length, seen)
     return node
 
 
@@ -198,7 +217,21 @@ def export_tree(tree: PrefixTree, format: str) -> str:
 
 
 def tree_from_json(text: str) -> PrefixTree:
-    obj = json.loads(text)
-    if obj.get("version") != TREE_JSON_VERSION:
-        raise ValueError(f"unsupported tree JSON version {obj.get('version')}")
-    return PrefixTree(_node_from_obj(obj["root"]), obj["L"])
+    """Inverse of export_tree(tree, "json"); raises ValueError on any malformed tree.
+
+    Each child's prefix must be its parent's plus one bit, every leaf must
+    sit at depth L and every internal node above it, and class ids must be
+    distinct ints.
+    """
+    try:
+        obj = json.loads(text)
+    except RecursionError:
+        raise ValueError("tree JSON nests too deeply") from None
+    if not isinstance(obj, dict) or set(obj) != {"version", "L", "root"}:
+        raise ValueError("tree JSON must be an object with exactly version, L and root")
+    if obj["version"] != TREE_JSON_VERSION:
+        raise ValueError(f"unsupported tree JSON version {obj['version']!r}")
+    length = obj["L"]
+    if type(length) is not int or length < 1:
+        raise ValueError(f"tree JSON: L must be a positive int, got {length!r}")
+    return PrefixTree(_node_from_obj(obj["root"], "", length, set()), length)

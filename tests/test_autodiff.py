@@ -293,10 +293,13 @@ def test_linear_equals_the_transpose_matmul_add_bias_chain():
         linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
 
 
-def _composed_cell(xw, h_prev, w_h, bias, c_prev):
-    """The LSTM cell from public primitives: the reference for lstm_cell."""
-    n = h_prev.shape[1]
-    gates = add_bias(add(xw, matmul(h_prev, transpose(w_h))), bias)
+def _composed_cell(xw, h_prev, w_h, c_prev):
+    """The LSTM cell from public primitives: the reference for lstm_cell.
+
+    xw is the input product x W_x^T + b, so the bias enters through it.
+    """
+    n = w_h.shape[1]
+    gates = add(xw, matmul(h_prev, transpose(w_h)))
     i = sigmoid(slice_(gates, 1, 0, n))
     f = sigmoid(slice_(gates, 1, n, 2 * n))
     g = tanh(slice_(gates, 1, 2 * n, 3 * n))
@@ -309,17 +312,43 @@ def test_lstm_cell_matches_the_composed_cell():
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n = 4
-        tensors = _graded(rng, (6, 4 * n), (6, n), (4 * n, n), (4 * n,), (6, n))
-        tensors[0].data *= 3.0  # reach the saturated ends of the gates
-        fused = _grads(lambda: list(lstm_cell(*tensors)), tensors, seed)
-        ref = _grads(lambda: _composed_cell(*tensors), tensors, seed)
+        tensors = _graded(rng, (6, 3), (4 * n, 3), (4 * n,), (6, n), (4 * n, n), (6, n))
+        x, w_x, bias, h, w_h, c = tensors
+        x.data *= 3.0  # reach the saturated ends of the gates
+        fused = _grads(lambda: list(lstm_cell(linear(x, w_x, bias), h, w_h, c)), tensors, seed)
+        ref = _grads(lambda: _composed_cell(add_bias(matmul(x, transpose(w_x)), bias), h, w_h, c),
+                     tensors, seed)
         for out_fused, out_ref in zip(fused[0], ref[0]):
             assert out_fused.tobytes() == out_ref.tobytes()
         for g_fused, g_ref in zip(fused[1], ref[1]):
             np.testing.assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-15)
     with pytest.raises(ShapeError):
-        lstm_cell(*[Tensor(t.data) for t in tensors[:2]], Tensor(np.zeros((4 * n, n + 1))),
-                  *[Tensor(t.data) for t in tensors[3:]])
+        lstm_cell(Tensor(np.zeros((6, 4 * n))), h, Tensor(np.zeros((4 * n, n + 1))), c)
+    with pytest.raises(ShapeError):
+        lstm_cell(Tensor(np.zeros((6, 4 * n))), None, Tensor(np.zeros((4 * n, n))),
+                  Tensor(np.zeros((5, n))))
+
+
+@pytest.mark.parametrize("zero_h, zero_c", [(True, True), (True, False), (False, True)])
+def test_lstm_cell_none_state_is_the_zero_state(zero_h, zero_c):
+    # None skips the recurrent product and the forget term; the result must
+    # still be the cell run from explicit zero h and c
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        n = 3
+        xw, w_h = _graded(rng, (5, 4 * n), (4 * n, n))
+        xw.data *= 3.0
+        h = Tensor(np.zeros((5, n)) if zero_h else rng.standard_normal((5, n)))
+        c = Tensor(np.zeros((5, n)) if zero_c else rng.standard_normal((5, n)))
+        fused = _grads(lambda: list(lstm_cell(xw, None if zero_h else h, w_h,
+                                              None if zero_c else c)), [xw, w_h], seed)
+        ref = _grads(lambda: _composed_cell(xw, h, w_h, c), [xw, w_h], seed)
+        for out_fused, out_ref in zip(fused[0], ref[0]):
+            assert out_fused.tobytes() == out_ref.tobytes()
+        for g_fused, g_ref in zip(fused[1], ref[1]):
+            np.testing.assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-15)
+        if zero_h:  # w_h played no part, and its gradient says so
+            np.testing.assert_array_equal(fused[1][1], 0.0)
 
 
 def test_pair_softmax_equals_softmax_on_each_pair():

@@ -1,12 +1,14 @@
+import json
+
 import numpy as np
 import pytest
 
-from lhc.autodiff import ShapeError, Tensor
+from lhc.autodiff import ShapeError, Tape, Tensor, check_param_gradients, mul, sum_
 from lhc.data import one_hot
 from lhc.networks import (Class2StrNet, CollisionError, LhClassifierNet,
                           Str2ClassNet, StringLookupTable, freeze_lookup,
                           lookup_predict, string_of)
-from lhc.nn import ParameterSet
+from lhc.nn import Adam, ParameterSet
 from lhc.training import _encoding_bits
 
 
@@ -125,6 +127,32 @@ class TestLhClassifier:
         with pytest.raises(ValueError):
             LhClassifierNet(ParameterSet(), 6, 5, 3, np.random.default_rng(0), num_layers=3)
 
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_bptt_gradients_through_forward(self, num_layers):
+        rng = np.random.default_rng(num_layers)
+        params = ParameterSet()
+        lh = LhClassifierNet(params, 3, 3, 3, rng, num_layers=num_layers)
+        feats = Tensor(rng.standard_normal((2, 3)))
+        mix = Tensor(rng.standard_normal((2, 6)))
+
+        def loss():
+            return sum_(mul(lh.forward(feats), mix))
+
+        err = check_param_gradients(loss, [t for _, t in params.trainable()])
+        assert err < 1e-5
+
+    def test_one_step_still_grades_the_recurrent_weights(self):
+        # with L = 1 every layer runs from the zero state only, so W_h plays
+        # no part; it must still get a zero gradient for Adam to step
+        params = ParameterSet()
+        lh = LhClassifierNet(params, 4, 3, 1, np.random.default_rng(0), num_layers=2)
+        with Tape() as tape:
+            loss = sum_(lh.forward(Tensor(np.ones((2, 4)))))
+        tape.backward(loss)
+        for cell in lh.cells:
+            np.testing.assert_array_equal(cell.w_h.grad, 0.0)
+        Adam(params).step()
+
     def test_feature_dim_checked(self):
         _, _, _, lh = build_nets()
         with pytest.raises(ShapeError):
@@ -224,3 +252,42 @@ class TestLookupTable:
         assert clone.class_to_string == table.class_to_string
         assert clone.class_names == table.class_names
         assert clone.to_json() == table.to_json()
+
+
+def _lookup_doc(entries=None, **header):
+    if entries is None:
+        entries = [{"class_id": 0, "class_name": "a", "string": "0"},
+                   {"class_id": 1, "class_name": "b", "string": "1"}]
+    return json.dumps({"version": 1, "L": 1, "C": len(entries), "entries": entries, **header})
+
+
+MALFORMED_LOOKUP_JSON = {
+    "list document": "[]",
+    "empty object": "{}",
+    "entry without string": _lookup_doc([{"class_id": 0, "class_name": "a"}]),
+    "str class id": _lookup_doc([{"class_id": "x", "class_name": "a", "string": "0"}]),
+    "bool class id": _lookup_doc([{"class_id": True, "class_name": "a", "string": "0"}]),
+    "int string": _lookup_doc([{"class_id": 0, "class_name": "a", "string": 0}]),
+    "version 7": _lookup_doc(version=7),
+    "entries object": _lookup_doc(entries={}),
+    "entry not an object": _lookup_doc(entries=[[0, "a", "0"]]),
+    "duplicate class id": _lookup_doc([{"class_id": 0, "class_name": "a", "string": "0"},
+                                       {"class_id": 0, "class_name": "b", "string": "1"}]),
+    "wrong C": _lookup_doc(C=3),
+    "wrong L": _lookup_doc(L=2),
+    "str L": _lookup_doc(L="1"),
+    "deep nesting": "[" * 100_000,
+    "not JSON": "{",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_LOOKUP_JSON))
+def test_malformed_lookup_json_raises_value_error(defect):
+    with pytest.raises(ValueError):
+        StringLookupTable.from_json(MALFORMED_LOOKUP_JSON[defect])
+
+
+def test_valid_lookup_json_loads():
+    table = StringLookupTable.from_json(_lookup_doc())
+    assert table.class_to_string == {0: "0", 1: "1"}
+    assert table.class_names == ["a", "b"]

@@ -153,3 +153,15 @@ def test_gradcheck_report_sums_gradients_over_repeated_classes():
     errors = training.gradcheck_report(seed=0, batch=6)
     assert set(errors) == {"term_class", "term_string", "term_bias", "term_l2", "total"}
     assert max(errors.values()) < 1e-5
+
+
+def test_train_lh_reports_the_classifier_sizes(planted):
+    ds, config, base = planted
+    extras = training.train_lh(base, ds, config).report.extras
+    f, c, h = config.extractor_dims[-1], ds.num_classes, config.lstm_hidden
+    base_fc = f * c + c
+    # projection, LSTM (w_x, w_h, bias) and the 2-way bit head
+    lh = (f * h + h) + (4 * h * h + 4 * h * h + 4 * h) + (2 * h + 2)
+    assert extras["base_fc_params"] == base_fc == sum(t.size for t in base.fc.tensors())
+    assert extras["lh_classifier_params"] == lh
+    assert extras["parameter_reduction"] == 1.0 - lh / base_fc

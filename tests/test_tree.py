@@ -1,4 +1,5 @@
 import itertools
+import json
 import re
 
 import numpy as np
@@ -198,3 +199,58 @@ class TestExport:
     def test_unknown_format_rejected(self):
         with pytest.raises(ValueError, match="format"):
             export_tree(build_tree({0: "0", 1: "1"}), "svg")
+
+
+def _leaf(prefix, class_id):
+    return {"prefix": prefix, "class_id": class_id, "class_name": str(class_id)}
+
+
+def _tree_doc(root, length=1, **header):
+    return json.dumps({"version": 1, "L": length, "root": root, **header})
+
+
+_ROOT_01 = {"prefix": "", "children": [_leaf("0", 0), _leaf("1", 1)]}
+
+MALFORMED_TREE_JSON = {
+    "non-binary leaf prefixes": _tree_doc(
+        {"prefix": "", "children": [{"prefix": "z", "children": [_leaf("zz", 0)]},
+                                    _leaf("q", 1)]}, length=2),
+    "list document": "[]",
+    "missing root": json.dumps({"version": 1, "L": 1}),
+    "children object": _tree_doc({"prefix": "", "children": {}}),
+    "empty children list": _tree_doc({"prefix": "", "children": []}),
+    "three children": _tree_doc({"prefix": "", "children": [_leaf("0", 0), _leaf("1", 1),
+                                                             _leaf("1", 2)]}),
+    "repeated bit": _tree_doc({"prefix": "", "children": [_leaf("0", 0), _leaf("0", 1)]}),
+    "child skips a bit": _tree_doc({"prefix": "", "children": [
+        {"prefix": "0", "children": [_leaf("10", 0)]}]}, length=2),
+    "root prefix not empty": _tree_doc({"prefix": "0", "children": [_leaf("00", 0)]}),
+    "leaf above depth L": _tree_doc(_ROOT_01, length=2),
+    "node below depth L": _tree_doc({"prefix": "", "children": [
+        {"prefix": "0", "children": [_leaf("00", 0)]}]}, length=1),
+    "duplicate class ids": _tree_doc({"prefix": "", "children": [_leaf("0", 0), _leaf("1", 0)]}),
+    "str class id": _tree_doc({"prefix": "", "children": [_leaf("0", 0), _leaf("1", "x")]}),
+    "bool class id": _tree_doc({"prefix": "", "children": [_leaf("0", 0), _leaf("1", True)]}),
+    "missing class name": _tree_doc({"prefix": "", "children": [
+        _leaf("0", 0), {"prefix": "1", "class_id": 1}]}),
+    "child not an object": _tree_doc({"prefix": "", "children": [[]]}),
+    "int child prefix": _tree_doc({"prefix": "", "children": [
+        {"prefix": 0, "class_id": 0, "class_name": "0"}]}),
+    "str L": _tree_doc(_ROOT_01, length="1"),
+    "zero L": _tree_doc({"prefix": "", "class_id": 0, "class_name": "0"}, length=0),
+    "wrong version": json.dumps({"version": 2, "L": 1, "root": _ROOT_01}),
+    "extra header key": _tree_doc(_ROOT_01, note="x"),
+    "deep nesting": "[" * 100_000,
+    "not JSON": "{",
+}
+
+
+@pytest.mark.parametrize("defect", sorted(MALFORMED_TREE_JSON))
+def test_malformed_tree_json_raises_value_error(defect):
+    with pytest.raises(ValueError):
+        tree_from_json(MALFORMED_TREE_JSON[defect])
+
+
+def test_valid_tree_json_loads():
+    tree = tree_from_json(_tree_doc(_ROOT_01))
+    assert tree.to_table() == {0: "0", 1: "1"}
