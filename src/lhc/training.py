@@ -1,18 +1,32 @@
-"""Two-phase training: a base extractor+FC model first, then the string
-classifier trio against the frozen extractor. Also evaluation, parameter
-accounting, the random-embedding ablation, and the string-length sweep."""
+"""Two-phase training, evaluation, parameter accounting, the random-embedding
+ablation and the string-length sweep.
+
+Phase 1 (train_base) trains the extractor with its FC head. Phase 2
+(train_lh) trains the LH classifier jointly with Class2Str and Str2Class
+against the frozen extractor, and the ablation (train_fixed_embedding)
+trains the LH classifier alone against a fixed string table. All three run
+one loop, fit, which owns Adam, the seeded minibatches, the tape, the
+non-finite check, backward and the optimizer step, the per-epoch rows and
+early stopping. A trainer supplies only:
+
+- step(x, y, epoch) -> (loss, terms, hits), run inside the tape on one batch
+  of rows and one-hot labels: the loss tensor, the scaled term values keyed
+  by CSV column ("total" included), and the batch's correct predictions;
+- validate(ds) -> float, the score early stopping compares.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
 import math
+import numbers
 import time
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, matmul, scale
+from .autodiff import Tape, Tensor, add, matmul, scale, softmax, tanh
 from .data import BatchIterator, LabeledDataset, one_hot
 from .losses import (HyperParams, class_loss, l2_penalty, string_target_loss,
                      total_loss, structured_string_loss, bias_regularizer)
@@ -32,6 +46,10 @@ class TrainingDivergence(RuntimeError):
 
 class FrozenExtractorChanged(RuntimeError):
     """Phase 2 altered the bytes of the extractor it was meant to keep frozen."""
+
+
+_INT_FIELD_MINIMUM = {"epochs": 1, "lh_epochs": 1, "batch_size": 1, "early_stop_patience": 1,
+                      "gamma_decay_every": 1, "val_size": 0}
 
 
 @dataclass
@@ -60,6 +78,13 @@ class RunConfig:
     gamma_decay: float = 0.5
     gamma_decay_every: int = 10
     string_ce_order: str = "pq"
+
+    def __post_init__(self):
+        for name, least in _INT_FIELD_MINIMUM.items():
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -116,7 +141,7 @@ class MlpExtractor:
     def __init__(self, params: ParameterSet, dims: list[int], rng: np.random.Generator,
                  prefix: str = "extractor"):
         if len(dims) < 2:
-            raise ValueError(f"extractor needs at least [in, out] dims, got {dims}")
+            raise ValueError(f"{prefix} needs at least [in, out] dims, got {dims}")
         self.dims = list(dims)
         self.layers = [Linear(params, f"{prefix}.{i}", dims[i], dims[i + 1], rng)
                        for i in range(len(dims) - 1)]
@@ -126,7 +151,6 @@ class MlpExtractor:
         return self.dims[-1]
 
     def forward(self, x: Tensor) -> Tensor:
-        from .autodiff import tanh
         out = x
         for layer in self.layers[:-1]:
             out = tanh(layer(out))
@@ -142,26 +166,15 @@ class MlpExtractor:
         return [t for layer in self.layers for t in layer.tensors()]
 
 
-class FcClassifier:
-    """Stacked Linear layers ending in a softmax over the classes."""
+class FcClassifier(MlpExtractor):
+    """The same Linear/tanh stack, ending in a softmax over the classes."""
 
     def __init__(self, params: ParameterSet, dims: list[int], rng: np.random.Generator,
                  prefix: str = "fc"):
-        if len(dims) < 2:
-            raise ValueError(f"classifier needs at least [in, out] dims, got {dims}")
-        self.dims = list(dims)
-        self.layers = [Linear(params, f"{prefix}.{i}", dims[i], dims[i + 1], rng)
-                       for i in range(len(dims) - 1)]
+        super().__init__(params, dims, rng, prefix)
 
     def forward(self, features: Tensor) -> Tensor:
-        from .autodiff import softmax, tanh
-        out = features
-        for layer in self.layers[:-1]:
-            out = tanh(layer(out))
-        return softmax(self.layers[-1](out))
-
-    def tensors(self):
-        return [t for layer in self.layers for t in layer.tensors()]
+        return softmax(super().forward(features))
 
 
 class BaseModel:
@@ -203,13 +216,77 @@ def _split_validation(ds: LabeledDataset, val_size: int, seed: int):
             ds.subset(np.sort(perm[-held:]), "val"))
 
 
-def _snapshot(params: ParameterSet) -> dict[str, np.ndarray]:
-    return {n: t.data.copy() for n, t in params.trainable()}
+def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | None,
+        config: RunConfig, epochs: int, step, validate) -> tuple[list[dict], int, str]:
+    """Train params with Adam on fit_ds; return (rows, best_epoch, stop_reason).
+
+    Each epoch adds one row in CSV_COLUMNS order: the batch-size-weighted
+    means of the step's terms (0.0 for a term it does not report), hits per
+    row, and validate(val_ds), NaN without val_ds. With val_ds, training
+    stops (stop_reason "patience") once early_stop_patience epochs in a row
+    fail to strictly beat the best score, and the parameters of the first
+    epoch with that score are restored. Without val_ds every epoch runs
+    (stop_reason "epochs", as for a run that was not stopped early) and the
+    last one is kept.
+    """
+    adam = Adam(params, lr=config.lr)
+    batches = BatchIterator(fit_ds, min(config.batch_size, len(fit_ds)), config.seed)
+    rows = []
+    best_val, best_epoch, best_snap, stale = -math.inf, None, None, 0
+    stop_reason = "epochs"
+    for epoch in range(1, epochs + 1):
+        sums = dict.fromkeys(CSV_COLUMNS[1:6], 0.0)
+        seen = 0
+        correct = 0
+        for x_np, y_np in batches.epoch(epoch):
+            with Tape() as tape:
+                loss, terms, hits = step(x_np, y_np, epoch)
+            if not math.isfinite(terms["total"]):
+                raise TrainingDivergence(f"non-finite loss {terms['total']} at epoch {epoch}")
+            tape.backward(loss)
+            adam.step()
+            adam.zero_grad()
+            b = x_np.shape[0]
+            seen += b
+            correct += hits
+            for key, value in terms.items():
+                sums[key] += value * b
+
+        val_acc = float("nan") if val_ds is None else validate(val_ds)
+        rows.append({"epoch": epoch, **{k: total / seen for k, total in sums.items()},
+                     "train_acc": correct / seen, "val_acc": val_acc})
+        if val_ds is None:
+            continue
+        if val_acc > best_val:
+            best_val, best_epoch, stale = val_acc, epoch, 0
+            best_snap = [t.data.copy() for _, t in params.trainable()]
+        else:
+            stale += 1
+            if stale >= config.early_stop_patience:
+                stop_reason = "patience"
+                break
+
+    if best_snap is None:
+        return rows, len(rows), stop_reason
+    for (_, t), data in zip(params.trainable(), best_snap):
+        t.data[...] = data
+    return rows, best_epoch, stop_reason
 
 
-def _restore(params: ParameterSet, snap: dict[str, np.ndarray]) -> None:
-    for n, data in snap.items():
-        params[n].data[...] = data
+def _plus_l2(params: ParameterSet, config: RunConfig, key: str, term: Tensor):
+    """A step's (loss, terms) for one scaled term plus the delta-weighted L2 penalty."""
+    t_l2 = scale(l2_penalty(params), config.delta)
+    loss = add(term, t_l2)
+    return loss, {key: term.item(), "term_l2": t_l2.item(), "total": loss.item()}
+
+
+def _report(rows: list[dict], final_train: float, final_test: float | None, start: float,
+            config: RunConfig, **extras) -> TrainReport:
+    """The report of a run that began at perf_counter() time start."""
+    return TrainReport(rows=rows, final_train_accuracy=final_train,
+                       final_test_accuracy=final_test,
+                       wall_clock_seconds=time.perf_counter() - start,
+                       seed=config.seed, config=config.to_dict(), extras=extras)
 
 
 # ----------------------------------------------------------------- phase 1
@@ -224,72 +301,20 @@ def train_base(train_ds: LabeledDataset, config: RunConfig,
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
     model = BaseModel(params, config.extractor_dims, train_ds.num_classes, rng)
-    adam = Adam(params, lr=config.lr)
+
+    def step(x_np, y_np, epoch):
+        probs = model.forward(Tensor(x_np))
+        loss, terms = _plus_l2(params, config, "term_class", class_loss(Tensor(y_np), probs))
+        return loss, terms, int((probs.data.argmax(axis=1) == y_np.argmax(axis=1)).sum())
+
+    def accuracy(ds):
+        return float((model.predict_classes(ds.features) == ds.labels).mean())
 
     fit_ds, val_ds = _split_validation(train_ds, config.val_size, config.seed)
-    batches = BatchIterator(fit_ds, min(config.batch_size, len(fit_ds)), config.seed)
-
-    rows = []
-    best_val = -math.inf
-    best_snap = None
-    stale = 0
-    for epoch in range(1, config.epochs + 1):
-        sums = {"term_class": 0.0, "term_l2": 0.0, "total": 0.0}
-        seen = 0
-        correct = 0
-        for x_np, y_np in batches.epoch(epoch):
-            x = Tensor(x_np)
-            y = Tensor(y_np)
-            with Tape() as tape:
-                probs = model.forward(x)
-                t_class = class_loss(y, probs)
-                t_l2 = scale(l2_penalty(params), config.delta)
-                loss = add(t_class, t_l2)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDivergence(f"non-finite loss {loss_val} at epoch {epoch}")
-            tape.backward(loss)
-            adam.step()
-            adam.zero_grad()
-            b = x_np.shape[0]
-            seen += b
-            correct += int((probs.data.argmax(axis=1) == y_np.argmax(axis=1)).sum())
-            sums["term_class"] += t_class.item() * b
-            sums["term_l2"] += t_l2.item() * b
-            sums["total"] += loss_val * b
-
-        train_acc = correct / seen
-        val_acc = float("nan")
-        if val_ds is not None:
-            val_acc = float((model.predict_classes(val_ds.features) == val_ds.labels).mean())
-        rows.append({"epoch": epoch,
-                     "term_class": sums["term_class"] / seen,
-                     "term_string": 0.0, "term_bias": 0.0,
-                     "term_l2": sums["term_l2"] / seen,
-                     "total": sums["total"] / seen,
-                     "train_acc": train_acc, "val_acc": val_acc})
-        if val_ds is not None:
-            if val_acc > best_val:
-                best_val = val_acc
-                best_snap = _snapshot(params)
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
-
-    if best_snap is not None:
-        _restore(params, best_snap)
-
-    final_train = float((model.predict_classes(train_ds.features) == train_ds.labels).mean())
-    final_test = None
-    if test_ds is not None:
-        final_test = float((model.predict_classes(test_ds.features) == test_ds.labels).mean())
-    report = TrainReport(rows=rows, final_train_accuracy=final_train,
-                         final_test_accuracy=final_test,
-                         wall_clock_seconds=time.perf_counter() - start,
-                         seed=config.seed, config=config.to_dict())
-    return model, report
+    rows, best_epoch, stop_reason = fit(params, fit_ds, val_ds, config, config.epochs,
+                                        step, accuracy)
+    return model, _report(rows, accuracy(train_ds), None if test_ds is None else accuracy(test_ds),
+                          start, config, best_epoch=best_epoch, stop_reason=stop_reason)
 
 
 # ----------------------------------------------------------------- phase 2
@@ -317,9 +342,25 @@ def _clone_extractor(base: BaseModel, params: ParameterSet,
     return extractor
 
 
+def _feature_split(extractor: MlpExtractor, train_ds: LabeledDataset, config: RunConfig):
+    """The (fit, val) split of train_ds, each half as frozen-extractor features."""
+    def features(ds):
+        return LabeledDataset(extractor.feature_matrix(ds.features), ds.labels,
+                              ds.num_classes, ds.split)
+
+    fit_ds, val_ds = _split_validation(train_ds, config.val_size, config.seed)
+    return features(fit_ds), None if val_ds is None else features(val_ds)
+
+
 def _encoding_bits(class2str: Class2StrNet) -> np.ndarray:
     """Current hard encoding as a (C, L) bit matrix."""
     return hard_bits(class2str.table())
+
+
+def _table_bits(table: StringLookupTable) -> np.ndarray:
+    """A lookup table's strings as a (C, L) bit matrix, row c for class c."""
+    return np.array([[int(b) for b in table.class_to_string[c]]
+                     for c in range(table.num_classes)])
 
 
 def phase2_forward(class2str: Class2StrNet, str2class: Str2ClassNet, lh: LhClassifierNet,
@@ -361,6 +402,15 @@ def _string_match(lh: LhClassifierNet, feats: np.ndarray, labels: np.ndarray,
     return float(matched.mean()), bit_hits.mean(axis=0)
 
 
+def _test_string_match(lh: LhClassifierNet, extractor: MlpExtractor,
+                       test_ds: LabeledDataset | None, bits_by_class: np.ndarray):
+    """_string_match accuracy on the test split, or None without one."""
+    if test_ds is None:
+        return None
+    return _string_match(lh, extractor.feature_matrix(test_ds.features), test_ds.labels,
+                         bits_by_class)[0]
+
+
 def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
              test_ds: LabeledDataset | None = None) -> LhTrainResult:
     """Joint phase-2 training of Class2Str, Str2Class, and the LH classifier.
@@ -370,7 +420,8 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     Str2Class once per distinct class in the batch (phase2_forward), and each
     read of the encoding is one Class2StrNet.table() forward. gamma is halved
     every gamma_decay_every epochs so the bit distributions stay biased while
-    the term shrinks over time.
+    the term shrinks over time. Validation scores string matches against the
+    current hard encoding.
     """
     start = time.perf_counter()
     num_classes = train_ds.num_classes
@@ -384,64 +435,19 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     str2class = Str2ClassNet(params, num_classes, config.L, rng, hidden_dim=config.s2c_hidden)
     lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L,
                          rng, num_layers=config.lstm_layers)
-    adam = Adam(params, lr=config.lr)
 
-    fit_ds, val_ds = _split_validation(train_ds, config.val_size, config.seed)
-    feats_fit = LabeledDataset(extractor.feature_matrix(fit_ds.features), fit_ds.labels,
-                               num_classes, "train")
-    feats_val = None
-    if val_ds is not None:
-        feats_val = LabeledDataset(extractor.feature_matrix(val_ds.features), val_ds.labels,
-                                   num_classes, "val")
-    batches = BatchIterator(feats_fit, min(config.batch_size, len(feats_fit)), config.seed)
-
-    rows = []
-    best_val = -math.inf
-    best_snap = None
-    stale = 0
-    for epoch in range(1, config.lh_epochs + 1):
+    def step(f_np, y_np, epoch):
         gamma = hp.gamma * config.gamma_decay ** ((epoch - 1) // config.gamma_decay_every)
-        sums = {c: 0.0 for c in ("term_class", "term_string", "term_bias", "term_l2", "total")}
-        seen = 0
-        correct = 0
-        for f_np, y_np in batches.epoch(epoch):
-            with Tape() as tape:
-                l_prime, p, q = phase2_forward(class2str, str2class, lh, y_np, f_np)
-                loss, rep = total_loss(Tensor(y_np), l_prime, p, q, params, hp, gamma=gamma)
-            if not math.isfinite(rep.total):
-                raise TrainingDivergence(f"non-finite loss {rep.total} at epoch {epoch}")
-            tape.backward(loss)
-            adam.step()
-            adam.zero_grad()
-            b = f_np.shape[0]
-            seen += b
-            # running accuracy: predicted string matches the current encoding
-            correct += int((hard_bits(p.data) == hard_bits(q.data)).all(axis=1).sum())
-            for key, val in (("term_class", rep.term_class), ("term_string", rep.term_string),
-                             ("term_bias", rep.term_bias), ("term_l2", rep.term_l2),
-                             ("total", rep.total)):
-                sums[key] += val * b
+        l_prime, p, q = phase2_forward(class2str, str2class, lh, y_np, f_np)
+        loss, rep = total_loss(Tensor(y_np), l_prime, p, q, params, hp, gamma=gamma)
+        # running accuracy: predicted string matches the current encoding
+        return loss, vars(rep), int((hard_bits(p.data) == hard_bits(q.data)).all(axis=1).sum())
 
-        train_acc = correct / seen
-        val_acc = float("nan")
-        if feats_val is not None:
-            bits = _encoding_bits(class2str)
-            val_acc, _ = _string_match(lh, feats_val.features, feats_val.labels, bits)
-        rows.append({"epoch": epoch, **{k: sums[k] / seen for k in sums},
-                     "train_acc": train_acc, "val_acc": val_acc})
-        if feats_val is not None:
-            if val_acc > best_val:
-                best_val = val_acc
-                best_snap = _snapshot(params)
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
+    def validate(ds):
+        return _string_match(lh, ds.features, ds.labels, _encoding_bits(class2str))[0]
 
-    if best_snap is not None:
-        _restore(params, best_snap)
-
+    rows, best_epoch, stop_reason = fit(params, *_feature_split(extractor, train_ds, config),
+                                        config, config.lh_epochs, step, validate)
     if params.tobytes(params.names_with_prefix("extractor.")) != frozen_before:
         raise FrozenExtractorChanged("frozen extractor changed during phase 2")
 
@@ -455,26 +461,18 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
         collision = str(exc)
 
     mean_bit_bias = float(soft.reshape(num_classes, -1, 2).max(axis=2).mean())
-
-    final_train = rows[-1]["train_acc"] if rows else 0.0
-    final_test = None
-    if test_ds is not None:
-        feats_test = extractor.feature_matrix(test_ds.features)
-        final_test, _ = _string_match(lh, feats_test, test_ds.labels, hard_bits(soft))
+    final_test = _test_string_match(lh, extractor, test_ds, hard_bits(soft))
 
     # the inference-time classifiers: the base FC head against projection,
     # LSTM and bit head; Class2Str and Str2Class only train
     sizes = count_params({"base_fc": base.fc, "lh_classifier": lh}).per_part
-    report = TrainReport(rows=rows, final_train_accuracy=final_train,
-                         final_test_accuracy=final_test,
-                         wall_clock_seconds=time.perf_counter() - start,
-                         seed=config.seed, config=config.to_dict(),
-                         extras={"mean_bit_bias": mean_bit_bias,
-                                 "collision": collision,
-                                 "base_fc_params": sizes["base_fc"],
-                                 "lh_classifier_params": sizes["lh_classifier"],
-                                 "parameter_reduction": parameter_reduction(
-                                     sizes["base_fc"], sizes["lh_classifier"])})
+    report = _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start, config,
+                     mean_bit_bias=mean_bit_bias, collision=collision,
+                     base_fc_params=sizes["base_fc"],
+                     lh_classifier_params=sizes["lh_classifier"],
+                     parameter_reduction=parameter_reduction(sizes["base_fc"],
+                                                             sizes["lh_classifier"]),
+                     best_epoch=best_epoch, stop_reason=stop_reason)
     return LhTrainResult(params=params, extractor=extractor, class2str=class2str,
                          str2class=str2class, lh=lh, table=table, collision=collision,
                          strings=strings, report=report)
@@ -500,8 +498,7 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
     """
     extractor = getattr(base, "extractor", base)
     feats = extractor.feature_matrix(data.features)
-    bits_by_class = np.array([[int(b) for b in table.class_to_string[c]]
-                              for c in range(table.num_classes)])
+    bits_by_class = _table_bits(table)
     acc, per_bit = _string_match(lh, feats, data.labels, bits_by_class)
 
     preds = []
@@ -551,86 +548,28 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     the class and bias terms have no role without Class2Str/Str2Class.
     """
     start = time.perf_counter()
-    num_classes = train_ds.num_classes
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
     extractor = _clone_extractor(base, params, rng)
     lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L,
                          rng, num_layers=config.lstm_layers)
-    adam = Adam(params, lr=config.lr)
+    bits_by_class = _table_bits(table)
 
-    bits_by_class = np.array([[int(b) for b in table.class_to_string[c]]
-                              for c in range(num_classes)])
+    def step(f_np, y_np, epoch):
+        target = bits_by_class[y_np.argmax(axis=1)]
+        p = lh.forward(Tensor(f_np))
+        loss, terms = _plus_l2(params, config, "term_string", scale(
+            string_target_loss(_target_bits(target), p, config.mu), config.beta))
+        return loss, terms, int((hard_bits(p.data) == target).all(axis=1).sum())
 
-    fit_ds, val_ds = _split_validation(train_ds, config.val_size, config.seed)
-    feats_fit = LabeledDataset(extractor.feature_matrix(fit_ds.features), fit_ds.labels,
-                               num_classes, "train")
-    feats_val = None
-    if val_ds is not None:
-        feats_val = LabeledDataset(extractor.feature_matrix(val_ds.features), val_ds.labels,
-                                   num_classes, "val")
-    batches = BatchIterator(feats_fit, min(config.batch_size, len(feats_fit)), config.seed)
+    def validate(ds):
+        return _string_match(lh, ds.features, ds.labels, bits_by_class)[0]
 
-    rows = []
-    best_val = -math.inf
-    best_snap = None
-    stale = 0
-    for epoch in range(1, config.lh_epochs + 1):
-        sums = {"term_string": 0.0, "term_l2": 0.0, "total": 0.0}
-        seen = 0
-        correct = 0
-        for f_np, y_np in batches.epoch(epoch):
-            label_ids = y_np.argmax(axis=1)
-            targets = _target_bits(bits_by_class[label_ids])
-            feats = Tensor(f_np)
-            with Tape() as tape:
-                p = lh.forward(feats)
-                t_string = scale(string_target_loss(targets, p, config.mu), config.beta)
-                t_l2 = scale(l2_penalty(params), config.delta)
-                loss = add(t_string, t_l2)
-            loss_val = loss.item()
-            if not math.isfinite(loss_val):
-                raise TrainingDivergence(f"non-finite loss {loss_val} at epoch {epoch}")
-            tape.backward(loss)
-            adam.step()
-            adam.zero_grad()
-            b = f_np.shape[0]
-            seen += b
-            correct += int((hard_bits(p.data) == bits_by_class[label_ids]).all(axis=1).sum())
-            sums["term_string"] += t_string.item() * b
-            sums["term_l2"] += t_l2.item() * b
-            sums["total"] += loss_val * b
-
-        train_acc = correct / seen
-        val_acc = float("nan")
-        if feats_val is not None:
-            val_acc, _ = _string_match(lh, feats_val.features, feats_val.labels, bits_by_class)
-        rows.append({"epoch": epoch, "term_class": 0.0,
-                     "term_string": sums["term_string"] / seen, "term_bias": 0.0,
-                     "term_l2": sums["term_l2"] / seen, "total": sums["total"] / seen,
-                     "train_acc": train_acc, "val_acc": val_acc})
-        if feats_val is not None:
-            if val_acc > best_val:
-                best_val = val_acc
-                best_snap = _snapshot(params)
-                stale = 0
-            else:
-                stale += 1
-                if stale >= config.early_stop_patience:
-                    break
-
-    if best_snap is not None:
-        _restore(params, best_snap)
-
-    final_test = None
-    if test_ds is not None:
-        feats_test = extractor.feature_matrix(test_ds.features)
-        final_test, _ = _string_match(lh, feats_test, test_ds.labels, bits_by_class)
-    report = TrainReport(rows=rows, final_train_accuracy=rows[-1]["train_acc"],
-                         final_test_accuracy=final_test,
-                         wall_clock_seconds=time.perf_counter() - start,
-                         seed=config.seed, config=config.to_dict())
-    return lh, report
+    rows, best_epoch, stop_reason = fit(params, *_feature_split(extractor, train_ds, config),
+                                        config, config.lh_epochs, step, validate)
+    final_test = _test_string_match(lh, extractor, test_ds, bits_by_class)
+    return lh, _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start, config,
+                       best_epoch=best_epoch, stop_reason=stop_reason)
 
 
 @dataclass

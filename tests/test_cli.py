@@ -80,3 +80,14 @@ def test_missing_required_argument_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
+
+
+def test_out_of_range_config_exits_1_before_training(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "gamma_decay_every": 0}))
+    code = main(["train-lh", "--config", str(config), "--data-dir", str(tmp_path),
+                 "--checkpoint", str(tmp_path / "model.lhc1"), "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "gamma_decay_every" in err
+    assert not (tmp_path / "out").exists()

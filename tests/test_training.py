@@ -1,12 +1,15 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lhc import training
-from lhc.autodiff import Tape, Tensor
-from lhc.data import PlantedHierarchySpec, generate_planted, one_hot
+from lhc.autodiff import Tape, Tensor, sum_squares
+from lhc.data import LabeledDataset, PlantedHierarchySpec, generate_planted, one_hot
 from lhc.losses import HyperParams, total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
-from lhc.nn import Adam, CheckpointError, ParameterSet, save_checkpoint
+from lhc.nn import Adam, CheckpointError, ParameterSet, save_checkpoint, xavier_uniform
 
 STRINGS = ["011", "100", "110", "001"]
 
@@ -165,3 +168,140 @@ def test_train_lh_reports_the_classifier_sizes(planted):
     assert extras["base_fc_params"] == base_fc == sum(t.size for t in base.fc.tensors())
     assert extras["lh_classifier_params"] == lh
     assert extras["parameter_reduction"] == 1.0 - lh / base_fc
+
+
+# ----------------------------------------------------------------------- fit
+
+def toy_fit(scores, epochs=5, patience=2, validation=True, total=None):
+    """fit on sum(w^2) over 6 rows in batches of 4 and 2, one hit per batch.
+
+    validate returns the next of `scores` and records w at the end of each
+    epoch. Returns fit's (rows, best_epoch, stop_reason), w after fit and
+    the recorded ws.
+    """
+    params = ParameterSet()
+    w = params.add("w", np.linspace(1.0, 2.0, 3))
+    ds = LabeledDataset(np.arange(12.0).reshape(6, 2), np.array([0, 1] * 3), 2)
+    config = training.RunConfig(batch_size=4, early_stop_patience=patience, lr=0.1)
+    script = iter(scores)
+    seen = []
+
+    def step(x, y, epoch):
+        loss = sum_squares([w])
+        return loss, {"term_l2": loss.item(), "total": loss.item() if total is None else total}, 1
+
+    def validate(val_ds):
+        seen.append(w.data.copy())
+        return next(script)
+
+    out = training.fit(params, ds, ds if validation else None, config, epochs, step, validate)
+    return out, w.data, seen
+
+
+def test_fit_stops_after_patience_stale_epochs_and_restores_the_best():
+    (rows, best, reason), w, seen = toy_fit([0.3, 0.5, 0.4, 0.5, 0.9], epochs=5, patience=2)
+    assert [row["epoch"] for row in rows] == [1, 2, 3, 4]
+    assert (best, reason) == (2, "patience")
+    assert w.tobytes() == seen[1].tobytes()
+    assert not np.array_equal(w, seen[3])
+    assert list(rows[0]) == training.CSV_COLUMNS
+    assert rows[0]["term_class"] == rows[0]["term_string"] == rows[0]["term_bias"] == 0.0
+    assert rows[0]["term_l2"] == rows[0]["total"] > 0.0
+    assert rows[0]["train_acc"] == 2 / 6
+    assert [row["val_acc"] for row in rows] == [0.3, 0.5, 0.4, 0.5]
+
+
+def test_fit_keeps_the_earlier_epoch_on_a_tie():
+    (rows, best, reason), w, seen = toy_fit([0.2, 0.5, 0.5, 0.1], epochs=4, patience=5)
+    assert (len(rows), best, reason) == (4, 2, "epochs")
+    assert w.tobytes() == seen[1].tobytes()
+
+
+def test_fit_without_validation_runs_every_epoch_and_keeps_the_last():
+    (rows, best, reason), w, seen = toy_fit([], epochs=4, patience=1, validation=False)
+    assert seen == []
+    assert (len(rows), best, reason) == (4, 4, "epochs")
+    assert all(math.isnan(row["val_acc"]) for row in rows)
+    _, _, every_epoch = toy_fit([1.0, 2.0, 3.0, 4.0], epochs=4, patience=1)
+    assert w.tobytes() == every_epoch[-1].tobytes()
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_fit_raises_on_a_non_finite_total_before_any_adam_step(monkeypatch, bad):
+    steps = []
+
+    class CountingAdam(Adam):
+        def step(self):
+            steps.append(self.t)
+            super().step()
+
+    monkeypatch.setattr(training, "Adam", CountingAdam)
+    with pytest.raises(training.TrainingDivergence, match="at epoch 1"):
+        toy_fit([0.5], total=bad)
+    assert steps == []
+
+
+def test_every_trainer_reports_the_epoch_it_returns(planted):
+    ds, config, base = planted
+    _, base_report = training.train_base(ds, replace(config, epochs=3))
+    # at this rate both phase-2 runs restore epoch 1 and stop at epoch 3
+    config = replace(config, lh_epochs=6, early_stop_patience=2, lr=0.03)
+    lh_report = training.train_lh(base, ds, config).report
+    table = training.random_lookup_table(ds.num_classes, config.L, seed=0)
+    _, fixed_report = training.train_fixed_embedding(base, ds, table, config)
+    for report, epochs in ((base_report, 3), (lh_report, 6), (fixed_report, 6)):
+        rows, best = report.rows, report.extras["best_epoch"]
+        top = max(row["val_acc"] for row in rows)
+        assert best == next(row["epoch"] for row in rows if row["val_acc"] == top)
+        assert report.extras["stop_reason"] == ("epochs" if len(rows) == epochs else "patience")
+    for report in (lh_report, fixed_report):
+        assert (report.extras["best_epoch"], report.extras["stop_reason"]) == (1, "patience")
+        assert report.final_train_accuracy == report.rows[0]["train_acc"]
+        assert report.final_train_accuracy != report.rows[-1]["train_acc"]
+
+
+# ----------------------------------------------------------------- RunConfig
+
+@pytest.mark.parametrize("name, value", [
+    ("epochs", 0), ("lh_epochs", 0), ("batch_size", 0), ("early_stop_patience", 0),
+    ("gamma_decay_every", 0), ("val_size", -5), ("epochs", 2.0), ("lh_epochs", True)])
+def test_run_config_rejects_out_of_range_counts(name, value):
+    with pytest.raises(ValueError, match=name):
+        training.RunConfig(**{name: value})
+    with pytest.raises(ValueError, match=name):
+        training.RunConfig.from_dict({name: value})
+    with pytest.raises(ValueError, match=name):
+        replace(training.RunConfig(), **{name: value})
+
+
+def test_run_config_accepts_the_smallest_counts():
+    config = training.RunConfig(epochs=1, lh_epochs=1, batch_size=1, early_stop_patience=1,
+                                gamma_decay_every=1, val_size=0)
+    assert training.RunConfig.from_dict(config.to_dict()) == config
+
+
+# -------------------------------------------------------------------- models
+
+def test_base_model_keeps_its_parameter_layout_and_forward():
+    params = ParameterSet()
+    model = training.BaseModel(params, [6, 5, 4], 3, np.random.default_rng(0), fc_dims=[4, 7, 3])
+    assert model.fc.dims == [4, 7, 3]
+    # one Xavier weight draw per layer, extractor first; biases start at zero
+    rng = np.random.default_rng(0)
+    layers = [(f"{part}.{i}", xavier_uniform(rng, dims[i + 1], dims[i]))
+              for part, dims in (("extractor", [6, 5, 4]), ("fc", [4, 7, 3]))
+              for i in range(len(dims) - 1)]
+    assert params.names() == [f"{n}.{k}" for n, _ in layers for k in ("weight", "bias")]
+    for name, weight in layers:
+        assert params[f"{name}.weight"].data.tobytes() == weight.tobytes()
+        assert not params[f"{name}.bias"].data.any()
+
+    x = np.random.default_rng(1).standard_normal((5, 6))
+    h = x
+    for i, (_, weight) in enumerate(layers):
+        h = h @ weight.T
+        if i not in (1, 3):  # tanh between layers, not after the extractor or head output
+            h = np.tanh(h)
+    expected = np.exp(h - h.max(axis=1, keepdims=True))
+    expected /= expected.sum(axis=1, keepdims=True)
+    np.testing.assert_allclose(model.forward(Tensor(x)).data, expected, rtol=1e-13)
