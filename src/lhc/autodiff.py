@@ -23,7 +23,10 @@ ops with hand-written backwards, one tape entry each: `linear` (x W^T + b),
 the bias; a None state is the zero state and costs no work), `pair_softmax`
 (softmax over adjacent column pairs, the packed bit-distribution layout)
 and `sum_squares`. Each gives the same forward values, bit for bit, as the
-chain of primitives it replaces.
+chain of primitives it replaces. `lstm_sequence` runs a whole LSTM layer's
+unroll as one entry, with a hand-written BPTT backward; it matches an unroll
+of `lstm_cell`, the reference it is tested against, to within an ulp or so,
+since its sigmoid takes one exp where `lstm_cell`'s takes two.
 """
 
 from __future__ import annotations
@@ -364,6 +367,141 @@ def lstm_cell(xw: Tensor, h_prev: Tensor | None, w_h: Tensor,
 
     _maybe_record(h, backward)
     return h, c
+
+
+def _logistic_(z: np.ndarray) -> None:
+    """z <- 1/(1+exp(-z)) in place, one exp; call under np.errstate(over="ignore").
+
+    exp(-z) overflows to inf for z below about -709, which gives the limit 0.
+    Within an ulp or so of _sigmoid, but not bitwise equal to it.
+    """
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    z += 1.0
+    np.reciprocal(z, out=z)
+
+
+def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False) -> Tensor:
+    """A whole LSTM layer unrolled `steps` times from the zero state, as one op.
+
+    xw holds input products x W_x^T + b, gate columns in lstm_cell's
+    (input, forget, candidate, output) order, n = w_h.shape[1] each. With
+    per_step False it is (B, 4n) and every step reads it; with per_step True
+    it is (B*steps, 4n) and row b*steps + t is sample b at step t. Returns
+    the hidden states as (B*steps, n) in that same row order, so a head can
+    run over all steps as one linear and a next layer's input product is
+    per-step. Each step equals lstm_cell(xw_t, h, w_h, c) to within an ulp
+    or so: the sigmoid is 1/(1+exp(-z)), one exp, not _sigmoid.
+
+    Gates are kept feature-major, (4n, B) per step, with the rows reordered
+    to (i, f, o, g), so the three sigmoid gates are one contiguous slab and
+    each gate block is contiguous. With no tape recording, one step of gate
+    and cell buffers is kept, not `steps`. The backward is hand-written
+    BPTT, and with steps = 1 W_h still receives a (zero) gradient.
+    """
+    n = w_h.shape[1] if w_h.data.ndim == 2 else 0
+    rows = xw.shape[0] if xw.data.ndim == 2 else 0
+    if (steps < 1 or n == 0 or w_h.shape != (4 * n, n) or xw.shape != (rows, 4 * n)
+            or (per_step and rows % steps)):
+        raise ShapeError(f"lstm_sequence: got xw {xw.shape}, w_h {w_h.shape}, steps {steps} "
+                         f"and per_step {per_step}")
+    batch = rows // steps if per_step else rows
+    ifog = np.r_[:2 * n, 3 * n:4 * n, 2 * n:3 * n]  # a block swap: its own inverse
+    if per_step:  # (steps, 4n, B)
+        xs = np.ascontiguousarray(xw.data.reshape(batch, steps, 4 * n).transpose(1, 2, 0))
+        xs = np.take(xs, ifog, axis=1)
+    else:  # (4n, B)
+        xs = np.take(np.ascontiguousarray(xw.data.T), ifog, axis=0)
+    wp = np.take(w_h.data, ifog, axis=0)
+    needs_grad = xw.requires_grad or w_h.requires_grad
+    kept = steps if needs_grad and _active_tape() is not None else 1
+    gates = np.empty((kept, 4 * n, batch))
+    cells = np.empty((kept, n, batch))
+    tanh_c = np.empty((kept, n, batch))
+    hs = np.empty((batch, steps, n))  # hs[b, t] = h_t of sample b: the output, row b*steps + t
+    h = np.empty((n, batch))
+    ig = np.empty((n, batch))
+    with np.errstate(over="ignore"):
+        for t in range(steps):
+            k = t if kept > 1 else 0
+            gt = gates[k]
+            x_t = xs[t] if per_step else xs
+            if t == 0:
+                gt[...] = x_t
+            else:
+                np.matmul(wp, hs[:, t - 1].T, out=gt)
+                gt += x_t
+            _logistic_(gt[:3 * n])
+            np.tanh(gt[3 * n:], out=gt[3 * n:])
+            i, f, o, g = gt[:n], gt[n:2 * n], gt[2 * n:3 * n], gt[3 * n:]
+            c = cells[k]
+            np.multiply(i, g, out=ig)
+            if t == 0:
+                c[...] = ig
+            else:
+                np.multiply(f, cells[k - 1 if kept > 1 else 0], out=c)
+                c += ig
+            np.tanh(c, out=tanh_c[k])
+            np.multiply(o, tanh_c[k], out=h)
+            hs[:, t] = h.T
+    out = Tensor(hs.reshape(batch * steps, n), needs_grad)
+
+    def backward():
+        if out.grad is None:
+            return
+        dh_all = out.grad.reshape(batch, steps, n).transpose(1, 2, 0).copy()  # written below
+        # per-step xw needs every step's gate gradient; shared xw only their sum
+        dgates = np.empty((steps if per_step else 2, 4 * n, batch))
+        dsum = None if per_step else np.zeros((4 * n, batch))
+        dwp = np.zeros((4 * n, n))
+        dw_t = np.empty((4 * n, n))
+        dc = np.empty((n, batch))
+        tmp = np.empty((n, batch))
+        for t in reversed(range(steps)):
+            gt, tc, dh, dt = gates[t], tanh_c[t], dh_all[t], dgates[t if per_step else t % 2]
+            i, f, o, g = gt[:n], gt[n:2 * n], gt[2 * n:3 * n], gt[3 * n:]
+            if t < steps - 1:
+                dh += np.matmul(wp.T, d_next, out=tmp)
+            # dc = dh o (1 - tanh(c)^2), plus what step t + 1 sent back through f
+            np.multiply(tc, tc, out=tmp)
+            np.subtract(1.0, tmp, out=tmp)
+            tmp *= o
+            tmp *= dh
+            if t < steps - 1:
+                dc *= gates[t + 1][n:2 * n]
+                dc += tmp
+            else:
+                dc[...] = tmp
+            np.subtract(1.0, gt[:3 * n], out=dt[:3 * n])  # sigma' = s (1 - s) on i, f, o
+            dt[:3 * n] *= gt[:3 * n]
+            dt[:n] *= np.multiply(dc, g, out=tmp)
+            if t == 0:
+                dt[n:2 * n] = 0.0
+            else:
+                dt[n:2 * n] *= np.multiply(dc, cells[t - 1], out=tmp)
+            dt[2 * n:3 * n] *= np.multiply(dh, tc, out=tmp)
+            dg = dt[3 * n:]
+            np.multiply(g, g, out=dg)
+            np.subtract(1.0, dg, out=dg)
+            dg *= i
+            dg *= dc
+            if t > 0:
+                dwp += np.matmul(dt, hs[:, t - 1], out=dw_t)
+            if dsum is not None:
+                dsum += dt
+            d_next = dt
+        if xw.requires_grad:
+            if per_step:
+                xw.accumulate_grad(np.take(dgates.transpose(2, 0, 1), ifog, axis=2)
+                                   .reshape(batch * steps, 4 * n))
+            else:
+                xw.accumulate_grad(np.take(dsum, ifog, axis=0).T)
+        if w_h.requires_grad:
+            # with steps = 1 no step read a state, and W_h gets a zero gradient
+            w_h.accumulate_grad(np.take(dwp, ifog, axis=0))
+
+    _maybe_record(out, backward)
+    return out
 
 
 def tanh(a: Tensor) -> Tensor:

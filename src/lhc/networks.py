@@ -13,7 +13,7 @@ import json
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, concat, pair_softmax, softmax, tanh
+from .autodiff import ShapeError, Tensor, lstm_sequence, pair_softmax, reshape, softmax, tanh
 from .nn import Linear, LstmCell, ParameterSet
 
 LOOKUP_VERSION = 1
@@ -146,6 +146,8 @@ class Class2StrNet:
 
     def encode(self, class_id: int) -> np.ndarray:
         """Soft (L, 2) distribution sequence for one class: row class_id of table()."""
+        if not 0 <= class_id < self.num_classes:
+            raise ValueError(f"class id {class_id} outside [0, {self.num_classes})")
         return self.table()[class_id].reshape(self.string_length, 2)
 
     def tensors(self):
@@ -184,9 +186,10 @@ class LhClassifierNet:
     The projected feature vector is the input at every timestep, so layer
     0's input product, bias included, is computed once per forward; the
     dependence of later bits on earlier ones lives in the recurrent state.
-    Every layer starts from the zero state, passed as None, so the first
-    step does no recurrent work. A single output head is shared across
-    timesteps.
+    Each layer is one lstm_sequence over all L steps from the zero state;
+    layer 1 reads layer 0's hidden states through a per-step input product.
+    A single output head is shared across timesteps and runs as one linear
+    over the (B*L, n) stacked hidden states, whose rows reshape to (B, 2L).
     """
 
     def __init__(self, params: ParameterSet, feature_dim: int, hidden_dim: int,
@@ -206,16 +209,12 @@ class LhClassifierNet:
     def forward(self, features: Tensor) -> Tensor:
         if features.data.ndim != 2 or features.shape[1] != self.feature_dim:
             raise ShapeError(f"expected (B, {self.feature_dim}) features, got {features.shape}")
-        xw = self.cells[0].input_product(self.projection(features))
-        h: list[Tensor | None] = [None] * self.num_layers  # None: the zero state
-        c: list[Tensor | None] = [None] * self.num_layers
-        logits = []
-        for _ in range(self.string_length):
-            for layer, cell in enumerate(self.cells):
-                inp = xw if layer == 0 else cell.input_product(h[layer - 1])
-                h[layer], c[layer] = cell.step(inp, h[layer], c[layer])
-            logits.append(self.head(h[-1]))
-        return pair_softmax(concat(logits, axis=1))
+        x = self.projection(features)
+        for layer, cell in enumerate(self.cells):
+            x = lstm_sequence(cell.input_product(x), cell.w_h, self.string_length,
+                              per_step=layer > 0)
+        logits = self.head(x)  # (B*L, 2), row b*L + t for sample b at step t
+        return pair_softmax(reshape(logits, (features.shape[0], 2 * self.string_length)))
 
     def predict_bits(self, features: np.ndarray) -> np.ndarray:
         """Hard (N, L) bit matrix for a feature batch, no grad recording."""

@@ -6,7 +6,9 @@ from the L2 penalty, which is how the phase-2 protocol keeps the feature
 extractor bitwise untouched.
 
 Linear runs as one fused autodiff op per call, and an LstmCell step as two
-(its input product and the recurrent cell). Adam keeps every trainable
+(its input product and the recurrent cell). LhClassifierNet runs a whole
+layer as the input product and one lstm_sequence; the step stays as the
+reference that op is tested against. Adam keeps every trainable
 tensor in one flat buffer, so a step is a fixed handful of numpy calls
 whatever the number of tensors.
 """
@@ -138,8 +140,10 @@ class LstmCell:
     A step is two fused ops: input_product(x) = x W_x^T + b, one linear, and
     step(xw, h_prev, c_prev), one lstm_cell that adds h_prev W_h^T. The bias
     rides with the input product, so a caller that feeds one x to every step
-    pays for both once. The forget-gate bias slice is initialized to 1.0 so
-    early steps keep their cell memory.
+    pays for both once. A whole unroll is input_product and one
+    autodiff.lstm_sequence(xw, w_h, steps); step is its reference. The
+    forget-gate bias slice is initialized to 1.0 so early steps keep their
+    cell memory.
     """
 
     def __init__(self, params: ParameterSet, name: str, in_dim: int, hidden_dim: int,

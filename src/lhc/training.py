@@ -357,6 +357,15 @@ def _encoding_bits(class2str: Class2StrNet) -> np.ndarray:
     return hard_bits(class2str.table())
 
 
+def _check_table_fits(table: StringLookupTable, data_classes: int, net_length: int) -> None:
+    """Raise ValueError unless the table has an L-bit string for each class 0..C-1."""
+    if (set(table.class_to_string) != set(range(data_classes))
+            or table.string_length != net_length):
+        raise ValueError(f"lookup table has C={table.num_classes} classes and L="
+                         f"{table.string_length} bits, but the data has C={data_classes} "
+                         f"classes and the net emits L={net_length} bits")
+
+
 def _table_bits(table: StringLookupTable) -> np.ndarray:
     """A lookup table's strings as a (C, L) bit matrix, row c for class c."""
     return np.array([[int(b) for b in table.class_to_string[c]]
@@ -494,8 +503,10 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
 
     base may be a BaseModel or a bare MlpExtractor. A predicted string
     absent from the table can never match and is also counted in
-    num_no_match.
+    num_no_match. A table that does not fit the data's classes or the net's
+    string length raises ValueError before any work.
     """
+    _check_table_fits(table, data.num_classes, lh.string_length)
     extractor = getattr(base, "extractor", base)
     feats = extractor.feature_matrix(data.features)
     bits_by_class = _table_bits(table)
@@ -545,9 +556,14 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     """Train only the LH classifier against a fixed string table.
 
     Loss keeps the beta- and mu-weighted string term plus the L2 penalty;
-    the class and bias terms have no role without Class2Str/Str2Class.
+    the class and bias terms have no role without Class2Str/Str2Class. A
+    table that does not fit the data's classes or config.L raises ValueError
+    before any work.
     """
     start = time.perf_counter()
+    for ds in (train_ds, test_ds):
+        if ds is not None:
+            _check_table_fits(table, ds.num_classes, config.L)
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
     extractor = _clone_extractor(base, params, rng)

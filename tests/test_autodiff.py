@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from lhc.autodiff import (ShapeError, Tape, Tensor, _sigmoid, add, add_bias, concat,
-                          check_param_gradients, cross_entropy, linear, lstm_cell, matmul,
-                          mul, pair_softmax, reshape, scale, sigmoid, slice_, softmax,
+                          check_param_gradients, cross_entropy, linear, lstm_cell,
+                          lstm_sequence, matmul, mul, pair_softmax, reshape, scale, sigmoid, slice_, softmax,
                           square, sum_, sum_squares, tanh, transpose)
 
 
@@ -349,6 +349,58 @@ def test_lstm_cell_none_state_is_the_zero_state(zero_h, zero_c):
             np.testing.assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-15)
         if zero_h:  # w_h played no part, and its gradient says so
             np.testing.assert_array_equal(fused[1][1], 0.0)
+
+
+def _cell_unroll(xw, w_h, steps, per_step):
+    """lstm_sequence's reference: lstm_cell step by step from the zero state.
+
+    Returns the hidden states stacked as (B*steps, n), row b*steps + t.
+    """
+    n = w_h.shape[1]
+    batch = xw.shape[0] // steps if per_step else xw.shape[0]
+    if per_step:  # row b holds sample b's steps side by side
+        wide = reshape(xw, (batch, steps * 4 * n))
+    h = c = None
+    hs = []
+    for t in range(steps):
+        h, c = lstm_cell(slice_(wide, 1, 4 * n * t, 4 * n * (t + 1)) if per_step else xw,
+                         h, w_h, c)
+        hs.append(h)
+    return reshape(concat(hs, axis=1), (batch * steps, n))
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+@pytest.mark.parametrize("steps", [1, 2, 8])
+@pytest.mark.parametrize("batch", [1, 5])
+def test_lstm_sequence_matches_an_lstm_cell_unroll(per_step, steps, batch):
+    seed = 10 * steps + batch
+    rng = np.random.default_rng(seed)
+    n = 3
+    xw, w_h = _graded(rng, (batch * steps if per_step else batch, 4 * n), (4 * n, n))
+    xw.data *= 3.0  # reach the saturated ends of the gates
+    seq = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)], [xw, w_h], seed)
+    ref = _grads(lambda: [_cell_unroll(xw, w_h, steps, per_step)], [xw, w_h], seed)
+    # one exp in the sigmoid, not two: equal to within an ulp or so, not bitwise
+    np.testing.assert_allclose(seq[0][0], ref[0][0], rtol=0, atol=1e-15)
+    for g_seq, g_ref in zip(seq[1], ref[1]):
+        assert np.abs(g_seq - g_ref).max() <= 1e-12 * np.abs(g_ref).max()
+    if steps == 1:  # no step read a state, and w_h's gradient says so
+        np.testing.assert_array_equal(seq[1][1], 0.0)
+    # with no tape only one step of buffers is kept; the values do not change
+    assert lstm_sequence(xw, w_h, steps, per_step=per_step).data.tobytes() == \
+        seq[0][0].tobytes()
+
+
+@pytest.mark.parametrize("xw_shape, w_h_shape, steps, per_step", [
+    ((6, 12), (12, 4), 2, False),   # w_h is not (4n, n)
+    ((6, 13), (12, 3), 2, False),   # xw is not 4n wide
+    ((5, 12), (12, 3), 2, True),    # per-step rows are not a multiple of steps
+    ((6, 12), (12, 3), 0, False),   # no step
+])
+def test_lstm_sequence_rejects_bad_shapes(xw_shape, w_h_shape, steps, per_step):
+    with pytest.raises(ShapeError):
+        lstm_sequence(Tensor(np.zeros(xw_shape)), Tensor(np.zeros(w_h_shape)), steps,
+                      per_step=per_step)
 
 
 def test_pair_softmax_equals_softmax_on_each_pair():

@@ -66,6 +66,18 @@ def test_eval_and_export_tree_exit_codes(run, capsys, length, expected):
         assert tree.to_table() == {e["class_id"]: e["string"] for e in lookup["entries"]}
 
 
+def test_eval_on_data_with_more_classes_exits_1(run, capsys):
+    root, _ = run
+    assert main(["synth-gen", "--depth", "3", "--feature-dim", "6", "--samples-per-class", "5",
+                 "--seed", "0", "--out", str(root / "data8")]) == 0
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(root / "lh8" / "model.lhc1"),
+                 "--data-dir", str(root / "data8")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "C=4 classes" in err and "C=8 classes" in err
+
+
 def test_gradcheck_passes():
     assert main(["gradcheck", "--seed", "0"]) == 0
 

@@ -217,12 +217,12 @@ class TestTotalLoss:
             assert err < 1e-5
 
     def test_one_training_step_records_a_fixed_number_of_tape_entries(self):
-        # fused Linear, LSTM cell, pair softmax and sum of squares: 26 entries,
-        # two matmuls that gather the per-class q and l' rows to the samples,
-        # plus two (an LSTM cell and a head) per string position; the LSTM's
-        # input product, bias included, is one linear entry (it was a
-        # transpose and a matmul, with the bias added in every cell)
-        for num_classes, length, expected in ((8, 4, 36), (32, 8, 44)):
+        # fused Linear, pair softmax and sum of squares, two matmuls that
+        # gather the per-class q and l' rows to the samples, and six for the
+        # LH classifier whatever L is: projection, input product, one
+        # lstm_sequence for the whole unroll, one head linear over every
+        # step's hidden state, and the reshape to (B, 2L) before pair_softmax
+        for num_classes, length, expected in ((8, 4, 30), (32, 8, 30)):
             rng = np.random.default_rng(0)
             params = ParameterSet()
             c2s = Class2StrNet(params, num_classes, length, rng, hidden_dim=16)

@@ -1,9 +1,11 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lhc.autodiff import ShapeError, Tape, Tensor, check_param_gradients, mul, sum_
+from lhc.autodiff import (ShapeError, Tape, Tensor, check_param_gradients, concat, mul,
+                          pair_softmax, sum_)
 from lhc.data import one_hot
 from lhc.networks import (Class2StrNet, CollisionError, LhClassifierNet,
                           Str2ClassNet, StringLookupTable, freeze_lookup,
@@ -66,6 +68,13 @@ class TestClass2Str:
         _, c2s, _, _ = build_nets()
         with pytest.raises(ShapeError):
             c2s.forward(Tensor(np.zeros((1, 7))))
+
+    def test_encode_rejects_ids_outside_the_classes(self):
+        net = Class2StrNet(ParameterSet(), 4, 2, np.random.default_rng(0), hidden_dim=8)
+        for bad in (-1, 4):
+            with pytest.raises(ValueError, match=f"class id {bad} outside"):
+                net.encode(bad)
+        np.testing.assert_array_equal(net.encode(3), net.table()[3].reshape(2, 2))
 
     def test_default_trunk_width(self):
         params = ParameterSet()
@@ -157,6 +166,61 @@ class TestLhClassifier:
         _, _, _, lh = build_nets()
         with pytest.raises(ShapeError):
             lh.forward(Tensor(np.zeros((1, 7))))
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("length", [1, 2, 8])
+    @pytest.mark.parametrize("batch", [1, 5])
+    def test_forward_matches_the_lstm_cell_step_unroll(self, num_layers, length, batch):
+        rng = np.random.default_rng(100 * num_layers + 10 * length + batch)
+        lh = LhClassifierNet(ParameterSet(), 6, 4, length, rng, num_layers=num_layers)
+        feats = Tensor(rng.standard_normal((batch, 6)) * 3.0, requires_grad=True)
+        mix = Tensor(rng.standard_normal((batch, 2 * length)))
+        tensors = [feats] + lh.tensors()
+
+        def run(forward):
+            for t in tensors:
+                t.zero_grad()
+            with Tape() as tape:
+                p = forward(feats)
+                loss = sum_(mul(p, mix))
+            tape.backward(loss)
+            return p.data, [t.grad for t in tensors]
+
+        p_seq, g_seq = run(lh.forward)
+        p_ref, g_ref = run(lambda f: step_forward(lh, f))
+        np.testing.assert_allclose(p_seq, p_ref, rtol=0, atol=1e-15)
+        for a, b in zip(g_seq, g_ref):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_predict_bits_memory_grows_by_less_than_a_gate_block_per_step(self):
+        # an unroll that kept every step's (4n, B) gates would add 4n*B*8
+        # bytes per step; inference keeps one step of gate and cell buffers
+        batch, hidden = 4096, 32
+        feats = np.random.default_rng(0).standard_normal((batch, 16))
+        peaks = {}
+        for length in (2, 16):
+            lh = LhClassifierNet(ParameterSet(), 16, hidden, length, np.random.default_rng(0))
+            tracemalloc.start()
+            try:
+                lh.predict_bits(feats)
+                peaks[length] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert (peaks[16] - peaks[2]) / 14 < 4 * hidden * batch * 8
+
+
+def step_forward(lh: LhClassifierNet, features: Tensor) -> Tensor:
+    """LhClassifierNet.forward one LstmCell.step at a time: the reference for lstm_sequence."""
+    xw = lh.cells[0].input_product(lh.projection(features))
+    h: list[Tensor | None] = [None] * lh.num_layers
+    c: list[Tensor | None] = [None] * lh.num_layers
+    logits = []
+    for _ in range(lh.string_length):
+        for layer, cell in enumerate(lh.cells):
+            inp = xw if layer == 0 else cell.input_product(h[layer - 1])
+            h[layer], c[layer] = cell.step(inp, h[layer], c[layer])
+        logits.append(lh.head(h[-1]))
+    return pair_softmax(concat(logits, axis=1))
 
 
 def rig_identity_encoder(strings: list[str]) -> Class2StrNet:

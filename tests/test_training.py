@@ -111,6 +111,27 @@ def test_evaluate_counts_strings_missing_from_the_table(planted):
     assert result.num_no_match == expected
 
 
+@pytest.mark.parametrize("mapping, length, match", [
+    ({0: "00", 1: "01", 2: "10"}, 2, r"C=3 classes.* C=4 classes"),        # 4-class data
+    ({0: "000", 1: "001", 2: "010", 3: "011"}, 2, r"L=3 bits.* L=2 bits"),  # net emits L=2
+])
+def test_a_table_that_does_not_fit_is_rejected_before_any_work(planted, monkeypatch, mapping,
+                                                               length, match):
+    ds, config, base = planted
+    config = replace(config, L=length)
+    table = StringLookupTable(mapping)
+    lh = LhClassifierNet(ParameterSet(), 4, 5, length, np.random.default_rng(0))
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("features were computed before the table was checked")
+
+    monkeypatch.setattr(training.MlpExtractor, "feature_matrix", no_work)
+    with pytest.raises(ValueError, match=match):
+        training.train_fixed_embedding(base, ds, table, config)
+    with pytest.raises(ValueError, match=match):
+        training.evaluate(table, lh, base, ds)
+
+
 def step_gradients(forward, labels: np.ndarray, feats: np.ndarray, seed: int = 7):
     """Total loss and trainable gradients of one phase-2 step whose forward is forward(nets)."""
     rng = np.random.default_rng(seed)
