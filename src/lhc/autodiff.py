@@ -19,14 +19,14 @@ computation (inference mode).
 
 Besides the elementwise and linear-algebra primitives there are fused
 ops with hand-written backwards, one tape entry each: `linear` (x W^T + b),
-`lstm_cell` (one LSTM step from a precomputed input product, which carries
-the bias; a None state is the zero state and costs no work), `pair_softmax`
-(softmax over adjacent column pairs, the packed bit-distribution layout)
-and `sum_squares`. Each gives the same forward values, bit for bit, as the
-chain of primitives it replaces. `lstm_sequence` runs a whole LSTM layer's
-unroll as one entry, with a hand-written BPTT backward; it matches an unroll
-of `lstm_cell`, the reference it is tested against, to within an ulp or so,
-since its sigmoid takes one exp where `lstm_cell`'s takes two.
+`pair_softmax` (softmax over adjacent column pairs, the packed
+bit-distribution layout) and `sum_squares`. Each gives the same forward
+values, bit for bit, as the chain of primitives it replaces.
+`lstm_sequence` runs a whole LSTM layer's unroll as one entry, with the
+package's one hand-written LSTM backward (BPTT). Its reference is
+`lstm_cell`, one LSTM step composed of primitives: an unroll of it matches
+`lstm_sequence` to within an ulp or so, since `lstm_sequence`'s sigmoid
+takes one exp where `sigmoid`'s takes two.
 """
 
 from __future__ import annotations
@@ -294,81 +294,6 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
-def lstm_cell(xw: Tensor, h_prev: Tensor | None, w_h: Tensor,
-              c_prev: Tensor | None) -> tuple[Tensor, Tensor]:
-    """One LSTM step, from the input product xw = x W_x^T + b, as one op.
-
-    gates = xw + h_prev W_h^T holds the (input, forget, candidate, output)
-    pre-activations side by side, n = w_h.shape[1] columns each; the bias
-    lives in xw, so a caller feeding the same x at every step adds it once.
-    c = f c_prev + i g and h = o tanh(c). The sigmoid is taken of the i, f
-    and o blocks only, tanh of the candidate block only.
-
-    h_prev=None or c_prev=None stands for the zero state: the recurrent
-    product or f c_prev is then skipped, and the backward does no work for
-    the state it never read. w_h still receives a (zero) gradient if no
-    other step gave it one, so an optimizer finds every parameter graded.
-
-    Forward values equal, bit for bit, those of the same cell composed from
-    matmul, add, sigmoid, tanh and mul, with zero tensors for a None state.
-    The op records one tape entry, whose backward reads the gradients that
-    reached both h and c.
-    """
-    n = w_h.shape[1] if w_h.data.ndim == 2 else 0
-    batch = xw.shape[0] if xw.data.ndim == 2 else -1
-    if (n == 0 or w_h.shape != (4 * n, n) or xw.shape != (batch, 4 * n)
-            or any(s is not None and s.shape != (batch, n) for s in (h_prev, c_prev))):
-        raise ShapeError(f"lstm_cell: got xw {xw.shape}, h_prev "
-                         f"{None if h_prev is None else h_prev.shape}, w_h {w_h.shape} "
-                         f"and c_prev {None if c_prev is None else c_prev.shape}")
-    if h_prev is None:
-        wt = None
-        gates = xw.data
-    else:
-        wt = np.ascontiguousarray(w_h.data.T)
-        gates = xw.data + h_prev.data @ wt
-    sig_if = _sigmoid(gates[:, :2 * n])
-    i, f = sig_if[:, :n], sig_if[:, n:]
-    o = _sigmoid(gates[:, 3 * n:])
-    g = np.tanh(gates[:, 2 * n:3 * n])
-    c_data = i * g if c_prev is None else f * c_prev.data + i * g
-    tc = np.tanh(c_data)
-    needs_grad = any(t is not None and t.requires_grad for t in (xw, h_prev, w_h, c_prev))
-    c = Tensor(c_data, needs_grad)
-    h = Tensor(o * tc, needs_grad)
-
-    def backward():
-        if h.grad is None and c.grad is None:
-            return
-        dh = h.grad if h.grad is not None else np.zeros_like(h.data)
-        dc = (dh * o) * (1.0 - tc * tc)
-        if c.grad is not None:
-            dc = c.grad + dc
-        dgates = np.empty_like(gates)
-        dgates[:, :n] = (dc * g) * i * (1.0 - i)
-        if c_prev is None:
-            dgates[:, n:2 * n] = 0.0
-        else:
-            dgates[:, n:2 * n] = (dc * c_prev.data) * f * (1.0 - f)
-            if c_prev.requires_grad:
-                c_prev.accumulate_grad(dc * f)
-        dgates[:, 2 * n:3 * n] = (dc * i) * (1.0 - g * g)
-        dgates[:, 3 * n:] = (dh * tc) * o * (1.0 - o)
-        if xw.requires_grad:
-            xw.accumulate_grad(dgates)
-        if h_prev is None:
-            if w_h.requires_grad and w_h.grad is None:
-                w_h.accumulate_grad(np.zeros_like(w_h.data))
-            return
-        if h_prev.requires_grad:
-            h_prev.accumulate_grad(dgates @ wt.T)
-        if w_h.requires_grad:
-            w_h.accumulate_grad((h_prev.data.T @ dgates).T)
-
-    _maybe_record(h, backward)
-    return h, c
-
-
 def _logistic_(z: np.ndarray) -> None:
     """z <- 1/(1+exp(-z)) in place, one exp; call under np.errstate(over="ignore").
 
@@ -390,8 +315,9 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
     it is (B*steps, 4n) and row b*steps + t is sample b at step t. Returns
     the hidden states as (B*steps, n) in that same row order, so a head can
     run over all steps as one linear and a next layer's input product is
-    per-step. Each step equals lstm_cell(xw_t, h, w_h, c) to within an ulp
-    or so: the sigmoid is 1/(1+exp(-z)), one exp, not _sigmoid.
+    per-step. Each step equals lstm_cell(xw_t, h, w_h, c), the primitive
+    chain this op is tested against, to within an ulp or so: the sigmoid is
+    1/(1+exp(-z)), one exp, not _sigmoid.
 
     Gates are kept feature-major, (4n, B) per step, with the rows reordered
     to (i, f, o, g), so the three sigmoid gates are one contiguous slab and
@@ -617,6 +543,28 @@ def sum_(a: Tensor) -> Tensor:
 
     _maybe_record(out, backward)
     return out
+
+
+def lstm_cell(xw: Tensor, h_prev: Tensor | None, w_h: Tensor,
+              c_prev: Tensor | None) -> tuple[Tensor, Tensor]:
+    """One LSTM step from the input product xw = x W_x^T + b; returns (h, c).
+
+    The gates xw + h_prev W_h^T are (input, forget, candidate, output), n =
+    w_h.shape[1] columns each; c = f c_prev + i g and h = o tanh(c). A None
+    state is the zero state. The cell is composed of primitives, each with
+    its own backward: it is the reference lstm_sequence is tested against.
+    """
+    n = w_h.shape[1] if w_h.data.ndim == 2 else 0
+    if n == 0 or w_h.shape != (4 * n, n) or xw.data.ndim != 2 or xw.shape[1] != 4 * n:
+        raise ShapeError(f"lstm_cell: got xw {xw.shape} and w_h {w_h.shape}")
+    zero = Tensor(np.zeros((xw.shape[0], n)))  # the primitives check the states' shapes
+    gates = add(xw, matmul(zero if h_prev is None else h_prev, transpose(w_h)))
+    i = sigmoid(slice_(gates, 1, 0, n))
+    f = sigmoid(slice_(gates, 1, n, 2 * n))
+    g = tanh(slice_(gates, 1, 2 * n, 3 * n))
+    o = sigmoid(slice_(gates, 1, 3 * n, 4 * n))
+    c = add(mul(f, zero if c_prev is None else c_prev), mul(i, g))
+    return mul(o, tanh(c)), c
 
 
 # ----------------------------------------------------- probabilistic ops

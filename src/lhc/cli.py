@@ -14,7 +14,6 @@ from pathlib import Path
 
 from . import data as dataio
 from . import training
-from .networks import string_of
 from .tree import build_tree, export_tree
 
 GRADCHECK_TOL = 1e-5

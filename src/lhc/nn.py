@@ -5,12 +5,11 @@ Layers register their tensors into a ParameterSet under dotted names
 from the L2 penalty, which is how the phase-2 protocol keeps the feature
 extractor bitwise untouched.
 
-Linear runs as one fused autodiff op per call, and an LstmCell step as two
-(its input product and the recurrent cell). LhClassifierNet runs a whole
-layer as the input product and one lstm_sequence; the step stays as the
-reference that op is tested against. Adam keeps every trainable
-tensor in one flat buffer, so a step is a fixed handful of numpy calls
-whatever the number of tensors.
+Linear runs as one fused autodiff op per call. LhClassifierNet runs a
+whole LstmCell layer as its input product and one lstm_sequence; the cell's
+step, the primitive-composed lstm_cell, stays as the reference that op is
+tested against. Adam keeps every trainable tensor in one flat buffer, so a
+step is a fixed handful of numpy calls whatever the number of tensors.
 """
 
 from __future__ import annotations
@@ -137,11 +136,11 @@ class Linear:
 class LstmCell:
     """Single LSTM cell; gate order (input, forget, candidate, output).
 
-    A step is two fused ops: input_product(x) = x W_x^T + b, one linear, and
-    step(xw, h_prev, c_prev), one lstm_cell that adds h_prev W_h^T. The bias
-    rides with the input product, so a caller that feeds one x to every step
-    pays for both once. A whole unroll is input_product and one
-    autodiff.lstm_sequence(xw, w_h, steps); step is its reference. The
+    input_product(x) = x W_x^T + b is one linear; the bias rides with it, so
+    a caller that feeds one x to every step pays for both once. A whole
+    unroll is input_product and one autodiff.lstm_sequence(xw, w_h, steps).
+    step(xw, h_prev, c_prev) is one autodiff.lstm_cell, which adds h_prev
+    W_h^T and is composed of primitives: the unroll's reference. The
     forget-gate bias slice is initialized to 1.0 so early steps keep their
     cell memory.
     """
@@ -169,8 +168,7 @@ class LstmCell:
              c_prev: Tensor | None = None) -> tuple[Tensor, Tensor]:
         """One step from xw = input_product(x); returns (h, c).
 
-        h_prev and c_prev default to None, the zero state, which skips the
-        recurrent product and the forget term.
+        h_prev and c_prev default to None, the zero state.
         """
         return lstm_cell(xw, h_prev, self.w_h, c_prev)
 

@@ -48,8 +48,23 @@ class FrozenExtractorChanged(RuntimeError):
     """Phase 2 altered the bytes of the extractor it was meant to keep frozen."""
 
 
-_INT_FIELD_MINIMUM = {"epochs": 1, "lh_epochs": 1, "batch_size": 1, "early_stop_patience": 1,
-                      "gamma_decay_every": 1, "val_size": 0}
+_INT_FIELD_MINIMUM = {"seed": 0, "L": 1, "lstm_hidden": 1, "lstm_layers": 1, "epochs": 1,
+                      "lh_epochs": 1, "batch_size": 1, "early_stop_patience": 1,
+                      "gamma_decay_every": 1, "val_size": 0, "c2s_hidden": 1, "s2c_hidden": 1}
+_OPTIONAL_INT_FIELDS = ("c2s_hidden", "s2c_hidden")  # None picks the net's default width
+# finite reals; the loss weights' ranges are HyperParams' to check
+_REAL_FIELDS = ("mu", "alpha", "beta", "gamma", "delta", "lr", "gamma_decay")
+
+
+def _is_int(value, least: int) -> bool:
+    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
+            and value >= least)
+
+
+def _dims_ok(dims) -> bool:
+    """Whether dims lists the sizes of at least one layer: two or more ints >= 1."""
+    return (isinstance(dims, (list, tuple)) and len(dims) >= 2
+            and all(_is_int(d, 1) for d in dims))
 
 
 @dataclass
@@ -82,9 +97,22 @@ class RunConfig:
     def __post_init__(self):
         for name, least in _INT_FIELD_MINIMUM.items():
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
+            if not (_is_int(value, least) or (value is None and name in _OPTIONAL_INT_FIELDS)):
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        for name in _REAL_FIELDS:
+            value = getattr(self, name)
+            # the comparison is False for NaN and safe for ints too large for a float
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not -math.inf < value < math.inf):
+                raise ValueError(f"{name} must be a finite real number, got {value!r}")
+        if self.lr <= 0:
+            raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        if not _dims_ok(self.extractor_dims):
+            raise ValueError(f"extractor_dims must list at least two ints >= 1, "
+                             f"got {self.extractor_dims!r}")
+        for name in ("dataset", "string_ce_order"):
+            if not isinstance(getattr(self, name), str):
+                raise ValueError(f"{name} must be a str, got {getattr(self, name)!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -289,14 +317,28 @@ def _report(rows: list[dict], final_train: float, final_test: float | None, star
                        seed=config.seed, config=config.to_dict(), extras=extras)
 
 
+def _check_test_split(train_ds: LabeledDataset, test_ds: LabeledDataset | None) -> None:
+    """Raise ValueError unless test_ds, if given, has train_ds's classes and feature width."""
+    if test_ds is not None and ((test_ds.num_classes, test_ds.feature_dim)
+                                != (train_ds.num_classes, train_ds.feature_dim)):
+        raise ValueError(f"test split has C={test_ds.num_classes} classes and D="
+                         f"{test_ds.feature_dim} features, but the training split has C="
+                         f"{train_ds.num_classes} and D={train_ds.feature_dim}")
+
+
 # ----------------------------------------------------------------- phase 1
 
 def train_base(train_ds: LabeledDataset, config: RunConfig,
                test_ds: LabeledDataset | None = None) -> tuple[BaseModel, TrainReport]:
-    """Train extractor + FC classifier with cross entropy plus the L2 term."""
+    """Train extractor + FC classifier with cross entropy plus the L2 term.
+
+    An extractor that does not fit the data, or a test split that does not
+    match the training split, raises ValueError before any work.
+    """
     if config.extractor_dims[0] != train_ds.feature_dim:
         raise ValueError(f"extractor input dim {config.extractor_dims[0]} does not match "
                          f"data dim {train_ds.feature_dim}")
+    _check_test_split(train_ds, test_ds)
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
@@ -430,8 +472,10 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     read of the encoding is one Class2StrNet.table() forward. gamma is halved
     every gamma_decay_every epochs so the bit distributions stay biased while
     the term shrinks over time. Validation scores string matches against the
-    current hard encoding.
+    current hard encoding. A test split whose classes or feature width differ
+    from train_ds's raises ValueError before any work.
     """
+    _check_test_split(train_ds, test_ds)
     start = time.perf_counter()
     num_classes = train_ds.num_classes
     hp = config.hyper_params(num_classes)
@@ -557,13 +601,12 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
 
     Loss keeps the beta- and mu-weighted string term plus the L2 penalty;
     the class and bias terms have no role without Class2Str/Str2Class. A
-    table that does not fit the data's classes or config.L raises ValueError
-    before any work.
+    table that does not fit the data's classes or config.L, or a test split
+    that does not match train_ds, raises ValueError before any work.
     """
+    _check_test_split(train_ds, test_ds)
+    _check_table_fits(table, train_ds.num_classes, config.L)
     start = time.perf_counter()
-    for ds in (train_ds, test_ds):
-        if ds is not None:
-            _check_table_fits(table, ds.num_classes, config.L)
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
     extractor = _clone_extractor(base, params, rng)
@@ -674,11 +717,43 @@ def save_base_model(path, model: BaseModel, config: RunConfig,
     })
 
 
-def load_base_model(path) -> tuple[BaseModel, dict]:
+def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig]:
+    """An LHC1 checkpoint of kind "base" or "lh": its parameters, metadata and RunConfig.
+
+    Missing or ill-typed metadata raises CheckpointError. config must hold a
+    valid RunConfig, num_classes an int >= 1 and class_names null or one str
+    per class. A base checkpoint needs fc_dims, layer sizes ending in
+    num_classes; an lh checkpoint needs an int feature_dim and extractor_dims.
+    """
     params, meta = load_checkpoint(path)
-    if meta.get("kind") != "base":
-        raise CheckpointError(f"{path}: expected a base-model checkpoint, got {meta.get('kind')!r}")
-    config = RunConfig.from_dict(meta["config"])
+    if meta.get("kind") != kind:
+        raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {meta.get('kind')!r}")
+    num_classes, names = meta.get("num_classes"), meta.get("class_names")
+    problems = []
+    if not isinstance(meta.get("config"), dict):
+        problems.append("config is not an object")
+    if not _is_int(num_classes, 1):
+        problems.append("num_classes is not an int >= 1")
+    if names is not None and not (isinstance(names, list) and len(names) == num_classes
+                                  and all(isinstance(n, str) for n in names)):
+        problems.append("class_names is neither null nor one str per class")
+    if kind == "base" and not (_dims_ok(meta.get("fc_dims"))
+                               and meta["fc_dims"][-1] == num_classes):
+        problems.append("fc_dims is not a list of layer sizes ending in num_classes")
+    if kind == "lh" and not (_is_int(meta.get("feature_dim"), 1)
+                             and _dims_ok(meta.get("extractor_dims"))):
+        problems.append("feature_dim or extractor_dims is not a positive layer size")
+    if problems:
+        raise CheckpointError(f"{path}: bad checkpoint metadata: {'; '.join(problems)}")
+    try:
+        config = RunConfig.from_dict(meta["config"])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad run config: {exc}") from exc
+    return params, meta, config
+
+
+def load_base_model(path) -> tuple[BaseModel, dict]:
+    params, meta, config = _load_run_checkpoint(path, "base")
     fresh = ParameterSet()
     model = BaseModel(fresh, config.extractor_dims, meta["num_classes"],
                       np.random.default_rng(0), fc_dims=meta["fc_dims"])
@@ -738,10 +813,7 @@ def _stack_v1_heads(params: ParameterSet, length: int) -> ParameterSet:
 
 
 def load_lh_result(path) -> LhArtifacts:
-    params, meta = load_checkpoint(path)
-    if meta.get("kind") != "lh":
-        raise CheckpointError(f"{path}: expected an lh checkpoint, got {meta.get('kind')!r}")
-    config = RunConfig.from_dict(meta["config"])
+    params, meta, config = _load_run_checkpoint(path, "lh")
     params = _stack_v1_heads(params, config.L)
     num_classes = meta["num_classes"]
     rng = np.random.default_rng(0)
@@ -749,8 +821,11 @@ def load_lh_result(path) -> LhArtifacts:
     extractor = MlpExtractor(fresh, meta["extractor_dims"], rng)
     class2str = Class2StrNet(fresh, num_classes, config.L, rng, hidden_dim=config.c2s_hidden)
     str2class = Str2ClassNet(fresh, num_classes, config.L, rng, hidden_dim=config.s2c_hidden)
-    lh = LhClassifierNet(fresh, meta["feature_dim"], config.lstm_hidden, config.L, rng,
-                         num_layers=config.lstm_layers)
+    try:
+        lh = LhClassifierNet(fresh, meta["feature_dim"], config.lstm_hidden, config.L, rng,
+                             num_layers=config.lstm_layers)
+    except ValueError as exc:  # a layer count the net does not support
+        raise CheckpointError(f"{path}: {exc}") from exc
     _adopt(fresh, params)
     table = freeze_lookup(class2str, class_names=meta.get("class_names"))
     return LhArtifacts(params=fresh, extractor=extractor, class2str=class2str,

