@@ -9,8 +9,7 @@ from .autodiff import Tape, Tensor
 from .data import (BatchIterator, LabeledDataset, PlantedHierarchySpec,
                    generate_planted, load_features, load_mnist, save_features,
                    train_test_split)
-from .losses import (HyperParams, LossReport, bias_regularizer,
-                     structured_string_loss, total_loss)
+from .losses import bias_regularizer, structured_string_loss, total_loss
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
                        Str2ClassNet, StringLookupTable, freeze_lookup,
                        lookup_predict, string_of)

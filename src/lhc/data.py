@@ -24,7 +24,10 @@ class DataFormatError(ValueError):
 
 @dataclass
 class LabeledDataset:
-    """N x D feature rows with integer class labels in [0, num_classes)."""
+    """N x D feature rows with integer class labels in [0, num_classes).
+
+    class_names, if given, holds one name per class.
+    """
 
     features: np.ndarray
     labels: np.ndarray
@@ -47,6 +50,9 @@ class LabeledDataset:
         bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
         if bad.size:
             raise DataFormatError(f"non-finite feature value at row {bad[0]}")
+        if self.class_names is not None and len(self.class_names) != self.num_classes:
+            raise DataFormatError(f"{len(self.class_names)} class names for "
+                                  f"{self.num_classes} classes")
 
     def __len__(self) -> int:
         return self.features.shape[0]

@@ -7,59 +7,22 @@ The bias term enters negated because it is a reward: it peaks when every
 bit distribution commits to 0 or 1. All batch inputs are rank-2, and bit
 distributions p and q are packed (B, 2L) tensors whose columns (2i, 2i+1)
 belong to bit i (see networks). Every term except the L2 penalty is
-averaged over the batch.
+averaged over the batch. total_loss reads the weights alpha, beta, gamma,
+delta and mu, and the string term's argument order, from a
+training.RunConfig, which owns the checks on their ranges.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, add, cross_entropy, scale, sum_squares
 from .nn import ParameterSet
 
-
-@dataclass(frozen=True)
-class HyperParams:
-    """Loss weights and problem dimensions."""
-
-    string_length: int
-    num_classes: int
-    alpha: float = 1.0
-    beta: float = 1.0
-    gamma: float = 0.1
-    delta: float = 1e-4
-    mu: float = 0.8
-    string_ce_order: str = "pq"  # "pq" = H(p, q) as written; "qp" mirrors it
-
-    def __post_init__(self):
-        if self.num_classes < 2:
-            raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        min_length = math.ceil(math.log2(self.num_classes))
-        if self.string_length < min_length:
-            raise ValueError(
-                f"string_length {self.string_length} cannot embed {self.num_classes} "
-                f"classes; need at least {min_length}")
-        if not (0.0 < self.mu < 1.0):
-            raise ValueError(f"mu must lie strictly inside (0, 1), got {self.mu}")
-        for name in ("alpha", "beta", "gamma", "delta"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
-        if self.string_ce_order not in ("pq", "qp"):
-            raise ValueError(f"string_ce_order must be 'pq' or 'qp', got {self.string_ce_order!r}")
-
-
-@dataclass
-class LossReport:
-    """Scaled per-term values; total is their sum."""
-
-    total: float
-    term_class: float
-    term_string: float
-    term_bias: float
-    term_l2: float
+if TYPE_CHECKING:  # training imports this module
+    from .training import RunConfig
 
 
 def _check_bits(p: Tensor, q: Tensor) -> tuple[int, int]:
@@ -108,24 +71,20 @@ def l2_penalty(params: ParameterSet) -> Tensor:
 
 
 def total_loss(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
-               params: ParameterSet, hp: HyperParams,
-               gamma: float | None = None) -> tuple[Tensor, LossReport]:
+               params: ParameterSet, config: RunConfig,
+               gamma: float | None = None) -> tuple[Tensor, dict[str, float]]:
     """Combined objective; gamma may be overridden for scheduled decay.
 
-    Returns the scalar loss tensor (for backward) and a LossReport of the
-    scaled term values.
+    Returns the scalar loss tensor (for backward) and the scaled term values
+    keyed by CSV column: term_class, term_string, term_bias, term_l2 and
+    total, their sum.
     """
-    effective_gamma = hp.gamma if gamma is None else gamma
-    t_class = scale(class_loss(labels, predicted), hp.alpha)
-    t_string = scale(structured_string_loss(p, q, hp.mu, hp.string_ce_order), hp.beta)
+    effective_gamma = config.gamma if gamma is None else gamma
+    t_class = scale(class_loss(labels, predicted), config.alpha)
+    t_string = scale(structured_string_loss(p, q, config.mu, config.string_ce_order),
+                     config.beta)
     t_bias = scale(bias_regularizer(q), -effective_gamma)
-    t_l2 = scale(l2_penalty(params), hp.delta)
+    t_l2 = scale(l2_penalty(params), config.delta)
     total = add(add(t_class, t_string), add(t_bias, t_l2))
-    report = LossReport(
-        total=total.item(),
-        term_class=t_class.item(),
-        term_string=t_string.item(),
-        term_bias=t_bias.item(),
-        term_l2=t_l2.item(),
-    )
-    return total, report
+    return total, {"term_class": t_class.item(), "term_string": t_string.item(),
+                   "term_bias": t_bias.item(), "term_l2": t_l2.item(), "total": total.item()}

@@ -42,11 +42,17 @@ def string_of(dist: np.ndarray) -> str:
 
 
 class StringLookupTable:
-    """Frozen bijection between class ids and distinct L-bit strings."""
+    """Frozen bijection between class ids and distinct L-bit strings.
+
+    class_names, if given, holds one name per class in class-id order.
+    """
 
     def __init__(self, class_to_string: dict[int, str], class_names: list[str] | None = None):
         if not class_to_string:
             raise ValueError("lookup table needs at least one entry")
+        if class_names is not None and len(class_names) != len(class_to_string):
+            raise ValueError(f"{len(class_names)} class names for "
+                             f"{len(class_to_string)} classes")
         lengths = {len(s) for s in class_to_string.values()}
         if len(lengths) != 1:
             raise ValueError(f"strings must share one length, got lengths {sorted(lengths)}")

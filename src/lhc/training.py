@@ -13,6 +13,10 @@ early stopping. A trainer supplies only:
   of rows and one-hot labels: the loss tensor, the scaled term values keyed
   by CSV column ("total" included), and the batch's correct predictions;
 - validate(ds) -> float, the score early stopping compares.
+
+A RunConfig holds every setting of a run, the loss weights that
+losses.total_loss reads included, and checks each one's type and range when
+it is built, so a bad setting fails before any data is read.
 """
 
 from __future__ import annotations
@@ -28,8 +32,8 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, add, matmul, scale, softmax, tanh
 from .data import BatchIterator, LabeledDataset, one_hot
-from .losses import (HyperParams, class_loss, l2_penalty, string_target_loss,
-                     total_loss, structured_string_loss, bias_regularizer)
+from .losses import (class_loss, l2_penalty, string_target_loss, total_loss,
+                     structured_string_loss, bias_regularizer)
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
                        Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
                        string_of)
@@ -52,8 +56,7 @@ _INT_FIELD_MINIMUM = {"seed": 0, "L": 1, "lstm_hidden": 1, "lstm_layers": 1, "ep
                       "lh_epochs": 1, "batch_size": 1, "early_stop_patience": 1,
                       "gamma_decay_every": 1, "val_size": 0, "c2s_hidden": 1, "s2c_hidden": 1}
 _OPTIONAL_INT_FIELDS = ("c2s_hidden", "s2c_hidden")  # None picks the net's default width
-# finite reals; the loss weights' ranges are HyperParams' to check
-_REAL_FIELDS = ("mu", "alpha", "beta", "gamma", "delta", "lr", "gamma_decay")
+_REAL_FIELDS = ("mu", "alpha", "beta", "gamma", "delta", "lr", "gamma_decay")  # finite
 
 
 def _is_int(value, least: int) -> bool:
@@ -67,9 +70,23 @@ def _dims_ok(dims) -> bool:
             and all(_is_int(d, 1) for d in dims))
 
 
+def _check_string_length(num_classes: int, string_length: int) -> None:
+    """Raise ValueError unless there are >= 2 classes and L-bit strings can name each one."""
+    if num_classes < 2:
+        raise ValueError(f"need at least 2 classes, got {num_classes}")
+    min_length = math.ceil(math.log2(num_classes))
+    if string_length < min_length:
+        raise ValueError(f"L={string_length} cannot embed {num_classes} classes "
+                         f"(need at least {min_length})")
+
+
 @dataclass
 class RunConfig:
-    """Everything a run needs to be reproduced."""
+    """Everything a run needs to be reproduced; a bad field raises ValueError naming it.
+
+    Beyond each field's type: alpha, beta, gamma and delta are >= 0, 0 < mu < 1,
+    and string_ce_order is "pq" (H(p, q) as written) or "qp" (swapped).
+    """
 
     seed: int = 0
     dataset: str = "features"
@@ -107,12 +124,19 @@ class RunConfig:
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr!r}")
+        if not 0 < self.mu < 1:
+            raise ValueError(f"mu must lie strictly inside (0, 1), got {self.mu!r}")
+        for name in ("alpha", "beta", "gamma", "delta"):  # the loss weights
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)!r}")
+        if self.string_ce_order not in ("pq", "qp"):
+            raise ValueError(f"string_ce_order must be 'pq' or 'qp', "
+                             f"got {self.string_ce_order!r}")
         if not _dims_ok(self.extractor_dims):
             raise ValueError(f"extractor_dims must list at least two ints >= 1, "
                              f"got {self.extractor_dims!r}")
-        for name in ("dataset", "string_ce_order"):
-            if not isinstance(getattr(self, name), str):
-                raise ValueError(f"{name} must be a str, got {getattr(self, name)!r}")
+        if not isinstance(self.dataset, str):
+            raise ValueError(f"dataset must be a str, got {self.dataset!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -124,12 +148,6 @@ class RunConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
         return cls(**obj)
-
-    def hyper_params(self, num_classes: int) -> HyperParams:
-        return HyperParams(string_length=self.L, num_classes=num_classes,
-                           alpha=self.alpha, beta=self.beta, gamma=self.gamma,
-                           delta=self.delta, mu=self.mu,
-                           string_ce_order=self.string_ce_order)
 
 
 @dataclass
@@ -472,13 +490,14 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     read of the encoding is one Class2StrNet.table() forward. gamma is halved
     every gamma_decay_every epochs so the bit distributions stay biased while
     the term shrinks over time. Validation scores string matches against the
-    current hard encoding. A test split whose classes or feature width differ
-    from train_ds's raises ValueError before any work.
+    current hard encoding. Fewer than two classes, an L too short to give
+    each class its own string, or a test split whose classes or feature
+    width differ from train_ds's raises ValueError before any work.
     """
     _check_test_split(train_ds, test_ds)
-    start = time.perf_counter()
     num_classes = train_ds.num_classes
-    hp = config.hyper_params(num_classes)
+    _check_string_length(num_classes, config.L)
+    start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
 
     params = ParameterSet()
@@ -490,11 +509,11 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
                          rng, num_layers=config.lstm_layers)
 
     def step(f_np, y_np, epoch):
-        gamma = hp.gamma * config.gamma_decay ** ((epoch - 1) // config.gamma_decay_every)
+        gamma = config.gamma * config.gamma_decay ** ((epoch - 1) // config.gamma_decay_every)
         l_prime, p, q = phase2_forward(class2str, str2class, lh, y_np, f_np)
-        loss, rep = total_loss(Tensor(y_np), l_prime, p, q, params, hp, gamma=gamma)
+        loss, terms = total_loss(Tensor(y_np), l_prime, p, q, params, config, gamma=gamma)
         # running accuracy: predicted string matches the current encoding
-        return loss, vars(rep), int((hard_bits(p.data) == hard_bits(q.data)).all(axis=1).sum())
+        return loss, terms, int((hard_bits(p.data) == hard_bits(q.data)).all(axis=1).sum())
 
     def validate(ds):
         return _string_match(lh, ds.features, ds.labels, _encoding_bits(class2str))[0]
@@ -504,12 +523,12 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     if params.tobytes(params.names_with_prefix("extractor.")) != frozen_before:
         raise FrozenExtractorChanged("frozen extractor changed during phase 2")
 
-    soft = class2str.table()
+    soft = class2str.table()  # the one read of the final encoding
     strings = {c: string_of(row.reshape(-1, 2)) for c, row in enumerate(soft)}
     table = None
     collision = None
     try:
-        table = freeze_lookup(class2str, class_names=train_ds.class_names)
+        table = StringLookupTable(strings, class_names=train_ds.class_names)
     except CollisionError as exc:
         collision = str(exc)
 
@@ -571,8 +590,7 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
 def random_lookup_table(num_classes: int, string_length: int, seed: int,
                         class_names: list[str] | None = None) -> StringLookupTable:
     """Uniform random one-to-one class-to-string table (rejection sampling)."""
-    if string_length < math.ceil(math.log2(num_classes)):
-        raise ValueError(f"L={string_length} cannot embed {num_classes} classes")
+    _check_string_length(num_classes, string_length)
     rng = np.random.default_rng(seed)
     space = 2 ** string_length
     taken: set[int] = set()
@@ -663,20 +681,9 @@ class ParamCount:
 
 
 def count_params(parts: dict) -> ParamCount:
-    """Exact weight+bias counts per named part.
-
-    Part values may be a ParameterSet, an object with tensors(), or an
-    iterable of tensors.
-    """
-    per_part = {}
-    for name, part in parts.items():
-        if isinstance(part, ParameterSet):
-            tensors = [t for _, t in part.items()]
-        elif hasattr(part, "tensors"):
-            tensors = part.tensors()
-        else:
-            tensors = list(part)
-        per_part[name] = int(sum(t.data.size for t in tensors))
+    """Exact weight+bias counts per named part; each part has tensors()."""
+    per_part = {name: int(sum(t.data.size for t in part.tensors()))
+                for name, part in parts.items()}
     return ParamCount(per_part=per_part, total=sum(per_part.values()))
 
 
@@ -690,12 +697,12 @@ def parameter_reduction(reference: int, compressed: int) -> float:
 def sweep_string_length(base: BaseModel, train_ds: LabeledDataset,
                         test_ds: LabeledDataset, l_values: list[int],
                         config: RunConfig) -> list[dict]:
-    """Retrain the phase-2 trio per string length, report test accuracy."""
-    min_length = math.ceil(math.log2(train_ds.num_classes))
+    """Retrain the phase-2 trio per string length, report test accuracy.
+
+    Every length is checked before the first run.
+    """
     for l in l_values:
-        if l < min_length:
-            raise ValueError(f"L={l} cannot embed {train_ds.num_classes} classes "
-                             f"(need at least {min_length})")
+        _check_string_length(train_ds.num_classes, l)
     points = []
     for l in l_values:
         result = train_lh(base, train_ds, replace(config, L=l), test_ds=test_ds)
@@ -748,7 +755,7 @@ def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig
     try:
         config = RunConfig.from_dict(meta["config"])
     except ValueError as exc:
-        raise CheckpointError(f"{path}: bad run config: {exc}") from exc
+        raise CheckpointError(f"{path}: bad checkpoint metadata: config: {exc}") from exc
     return params, meta, config
 
 
@@ -850,16 +857,16 @@ def _adopt(dst: ParameterSet, src: ParameterSet) -> None:
 def gradcheck_report(seed: int, num_classes: int = 4, string_length: int = 2,
                      lstm_hidden: int = 5, feature_dim: int = 6,
                      batch: int = 2) -> dict[str, float]:
-    """Max relative gradient error per loss term on a toy instance."""
+    """Max relative gradient error per loss term on a toy instance, at RunConfig's weights."""
     from .autodiff import check_param_gradients
 
+    _check_string_length(num_classes, string_length)
     rng = np.random.default_rng(seed)
     params = ParameterSet()
     class2str = Class2StrNet(params, num_classes, string_length, rng, hidden_dim=8)
     str2class = Str2ClassNet(params, num_classes, string_length, rng, hidden_dim=8)
     lh = LhClassifierNet(params, feature_dim, lstm_hidden, string_length, rng)
-    hp = HyperParams(string_length=string_length, num_classes=num_classes,
-                     alpha=1.0, beta=1.0, gamma=0.1, delta=1e-4, mu=0.8)
+    config = RunConfig(L=string_length)
 
     feats = np.asarray(rng.standard_normal((batch, feature_dim)))
     labels = one_hot(rng.integers(0, num_classes, size=batch), num_classes)
@@ -869,22 +876,22 @@ def gradcheck_report(seed: int, num_classes: int = 4, string_length: int = 2,
 
     def loss_class():
         l, l_prime, _, _ = graph()
-        return scale(class_loss(l, l_prime), hp.alpha)
+        return scale(class_loss(l, l_prime), config.alpha)
 
     def loss_string():
         _, _, p, q = graph()
-        return scale(structured_string_loss(p, q, hp.mu), hp.beta)
+        return scale(structured_string_loss(p, q, config.mu), config.beta)
 
     def loss_bias():
         _, _, _, q = graph()
-        return scale(bias_regularizer(q), -hp.gamma)
+        return scale(bias_regularizer(q), -config.gamma)
 
     def loss_l2():
-        return scale(l2_penalty(params), hp.delta)
+        return scale(l2_penalty(params), config.delta)
 
     def loss_total():
         l, l_prime, p, q = graph()
-        return total_loss(l, l_prime, p, q, params, hp)[0]
+        return total_loss(l, l_prime, p, q, params, config)[0]
 
     tensors = [t for _, t in params.trainable()]
     return {

@@ -1,7 +1,9 @@
+import csv
 import json
 
 import pytest
 
+from lhc import training
 from lhc.cli import main
 from lhc.tree import tree_from_json
 
@@ -94,12 +96,60 @@ def test_missing_required_argument_exits_2(argv, capsys):
     assert exc.value.code == 2
 
 
-def test_out_of_range_config_exits_1_before_training(tmp_path, capsys):
+@pytest.mark.parametrize("command, edit, flags, field", [
+    ("train-lh", {"gamma_decay_every": 0}, [], "gamma_decay_every"),
+    ("train-base", {"delta": -1}, [], "delta"),
+    ("train-base", {"mu": 1.5}, [], "mu"),
+    ("train-lh", {}, ["--mu", "1.5"], "mu"),
+], ids=["train-lh gamma_decay_every 0", "train-base delta -1", "train-base mu 1.5",
+        "train-lh --mu 1.5"])
+def test_out_of_range_config_exits_1_before_training(tmp_path, capsys, command, edit, flags,
+                                                     field):
     config = tmp_path / "config.json"
-    config.write_text(json.dumps({**CONFIG, "gamma_decay_every": 0}))
-    code = main(["train-lh", "--config", str(config), "--data-dir", str(tmp_path),
-                 "--checkpoint", str(tmp_path / "model.lhc1"), "--out", str(tmp_path / "out")])
+    config.write_text(json.dumps({**CONFIG, **edit}))
+    checkpoint = ["--checkpoint", str(tmp_path / "model.lhc1")] if command == "train-lh" else []
+    code = main([command, "--config", str(config), "--data-dir", str(tmp_path), *checkpoint,
+                 "--out", str(tmp_path / "out"), *flags])
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:") and "gamma_decay_every" in err
+    assert err.startswith("error:") and field in err
     assert not (tmp_path / "out").exists()
+
+
+def test_sweep_l_writes_one_row_per_length(run):
+    root, _ = run
+    code = main(["sweep-l", "--config", str(root / "config.json"), "--data-dir",
+                 str(root / "data"), "--checkpoint", str(root / "base" / "model.lhc1"),
+                 "--out", str(root / "sweep"), "--l-values", "2,3"])
+    assert code == 0
+    with open(root / "sweep" / "sweep.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["L"] for row in rows] == ["2", "3"]
+    assert all(0.0 <= float(row["accuracy"]) <= 1.0 and row["collision"] in "01"
+               for row in rows)
+
+
+def test_sweep_l_rejects_a_too_short_length_before_any_training(run, monkeypatch, capsys):
+    root, _ = run
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("train_lh ran before every length was checked")
+
+    monkeypatch.setattr(training, "train_lh", no_work)
+    capsys.readouterr()
+    code = main(["sweep-l", "--config", str(root / "config.json"), "--data-dir",
+                 str(root / "data"), "--checkpoint", str(root / "base" / "model.lhc1"),
+                 "--out", str(root / "sweep-short"), "--l-values", "1,3"])
+    assert code == 1
+    assert "L=1 cannot embed 4 classes" in capsys.readouterr().err
+    assert not (root / "sweep-short").exists()
+
+
+def test_ablate_writes_learned_minus_random(run):
+    root, _ = run
+    code = main(["ablate", "--config", str(root / "config.json"), "--data-dir",
+                 str(root / "data"), "--checkpoint", str(root / "base" / "model.lhc1"),
+                 "--out", str(root / "ablate")])
+    assert code == 0
+    result = json.loads((root / "ablate" / "ablation.json").read_text())
+    assert result["delta"] == result["learned_accuracy"] - result["random_accuracy"]

@@ -262,6 +262,11 @@ class TestLabeledDatasetValidation:
         with pytest.raises(DataFormatError, match="labels outside"):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 5]), num_classes=3)
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_rejects_class_names_of_the_wrong_length(self, names):
+        with pytest.raises(DataFormatError, match="class names for 2 classes"):
+            LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), num_classes=2, class_names=names)
+
     def test_rejects_non_finite_rows(self):
         feats = np.zeros((3, 2))
         feats[1, 0] = np.inf

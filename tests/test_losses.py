@@ -5,41 +5,16 @@ import pytest
 
 from lhc.autodiff import ShapeError, Tape, Tensor, check_param_gradients
 from lhc.data import one_hot
-from lhc.losses import (HyperParams, bias_regularizer, class_loss, l2_penalty,
-                        string_target_loss, structured_string_loss, total_loss)
+from lhc.losses import (bias_regularizer, class_loss, l2_penalty, string_target_loss,
+                        structured_string_loss, total_loss)
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet
 from lhc.nn import ParameterSet
-from lhc.training import phase2_forward
+from lhc.training import CSV_COLUMNS, RunConfig, phase2_forward
 
 
 def bit_rows(*pairs):
     """One packed (1, 2L) bit-distribution row, a pair per string position."""
     return Tensor(np.array([[v for pair in pairs for v in pair]], dtype=float))
-
-
-class TestHyperParams:
-    def test_accepts_valid(self):
-        hp = HyperParams(string_length=4, num_classes=10)
-        assert hp.mu == 0.8
-
-    def test_mu_must_be_strictly_inside_unit_interval(self):
-        for mu in (0.0, 1.0, -0.1, 1.5):
-            with pytest.raises(ValueError):
-                HyperParams(string_length=4, num_classes=10, mu=mu)
-
-    def test_string_length_must_admit_a_bijection(self):
-        with pytest.raises(ValueError):
-            HyperParams(string_length=3, num_classes=10)  # 2^3 < 10
-        HyperParams(string_length=4, num_classes=10)
-        HyperParams(string_length=1, num_classes=2)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            HyperParams(string_length=4, num_classes=10, gamma=-1.0)
-
-    def test_needs_at_least_two_classes(self):
-        with pytest.raises(ValueError):
-            HyperParams(string_length=1, num_classes=1)
 
 
 class TestBiasRegularizer:
@@ -129,10 +104,10 @@ class TestTotalLoss:
 
     def test_all_zero_weights_give_zero(self):
         params, labels, l_prime, p, q = self.toy()
-        hp = HyperParams(string_length=2, num_classes=4, alpha=0, beta=0, gamma=0, delta=0)
-        loss, report = total_loss(labels, l_prime, p, q, params, hp)
+        config = RunConfig(L=2, alpha=0, beta=0, gamma=0, delta=0)
+        loss, terms = total_loss(labels, l_prime, p, q, params, config)
         assert loss.item() == 0.0
-        assert report.total == 0.0
+        assert terms["total"] == 0.0
 
     def test_pure_bias_term_on_uniform_bits(self):
         params = ParameterSet()
@@ -140,62 +115,61 @@ class TestTotalLoss:
         l_prime = Tensor(np.full((1, 4), 0.25))
         q = bit_rows(*[(0.5, 0.5)] * 4)
         p = bit_rows(*[(0.5, 0.5)] * 4)
-        hp = HyperParams(string_length=4, num_classes=4, alpha=0, beta=0, gamma=1.0, delta=0)
-        loss, report = total_loss(labels, l_prime, p, q, params, hp)
+        config = RunConfig(L=4, alpha=0, beta=0, gamma=1.0, delta=0)
+        loss, terms = total_loss(labels, l_prime, p, q, params, config)
         assert loss.item() == pytest.approx(-2.0)
-        assert report.term_bias == pytest.approx(-2.0)
+        assert terms["term_bias"] == pytest.approx(-2.0)
 
     def test_matches_scalar_recomputation_oracle(self):
         # independent oracle: plain-float accumulation over the same arrays
         params, labels, l_prime, p, q = self.toy(seed=5)
-        hp = HyperParams(string_length=2, num_classes=4, alpha=1.3, beta=0.7,
-                         gamma=0.2, delta=1e-3, mu=0.6)
-        loss, report = total_loss(labels, l_prime, p, q, params, hp)
+        config = RunConfig(L=2, alpha=1.3, beta=0.7, gamma=0.2, delta=1e-3, mu=0.6)
+        loss, terms = total_loss(labels, l_prime, p, q, params, config)
 
         batch = labels.shape[0]
         t_class = 0.0
         for b in range(batch):
             for c in range(4):
                 t_class -= labels.data[b, c] * math.log(max(l_prime.data[b, c], 1e-12))
-        t_class = hp.alpha * t_class / batch
+        t_class = config.alpha * t_class / batch
 
         t_string = 0.0
         for i in range(2):
             for b in range(batch):
                 for v in range(2):
-                    t_string -= (hp.mu ** (i + 1)) * p.data[b, 2 * i + v] * math.log(
+                    t_string -= (config.mu ** (i + 1)) * p.data[b, 2 * i + v] * math.log(
                         max(q.data[b, 2 * i + v], 1e-12))
-        t_string = hp.beta * t_string / batch
+        t_string = config.beta * t_string / batch
 
         t_bias = 0.0
         for i in range(2):
             for b in range(batch):
                 t_bias += q.data[b, 2 * i] ** 2 + q.data[b, 2 * i + 1] ** 2
-        t_bias = -hp.gamma * t_bias / batch
+        t_bias = -config.gamma * t_bias / batch
 
-        t_l2 = hp.delta * sum(float((t.data ** 2).sum()) for _, t in params.trainable())
+        t_l2 = config.delta * sum(float((t.data ** 2).sum()) for _, t in params.trainable())
 
-        assert report.term_class == pytest.approx(t_class, abs=1e-12)
-        assert report.term_string == pytest.approx(t_string, abs=1e-12)
-        assert report.term_bias == pytest.approx(t_bias, abs=1e-12)
-        assert report.term_l2 == pytest.approx(t_l2, abs=1e-12)
+        assert terms["term_class"] == pytest.approx(t_class, abs=1e-12)
+        assert terms["term_string"] == pytest.approx(t_string, abs=1e-12)
+        assert terms["term_bias"] == pytest.approx(t_bias, abs=1e-12)
+        assert terms["term_l2"] == pytest.approx(t_l2, abs=1e-12)
         assert loss.item() == pytest.approx(t_class + t_string + t_bias + t_l2, abs=1e-12)
 
     def test_report_terms_sum_to_total(self):
         for seed in range(5):
             params, labels, l_prime, p, q = self.toy(seed=seed)
-            hp = HyperParams(string_length=2, num_classes=4)
-            _, report = total_loss(labels, l_prime, p, q, params, hp)
-            parts = (report.term_class + report.term_string
-                     + report.term_bias + report.term_l2)
-            assert report.total == pytest.approx(parts, abs=1e-9)
+            _, terms = total_loss(labels, l_prime, p, q, params, RunConfig(L=2))
+            parts = (terms["term_class"] + terms["term_string"]
+                     + terms["term_bias"] + terms["term_l2"])
+            assert terms["total"] == pytest.approx(parts, abs=1e-9)
+            assert list(terms) == CSV_COLUMNS[1:6]
 
     def test_gamma_override_scales_bias_term(self):
         params, labels, l_prime, p, q = self.toy(seed=2)
-        hp = HyperParams(string_length=2, num_classes=4, gamma=0.4)
-        _, full = total_loss(labels, l_prime, p, q, params, hp)
-        _, half = total_loss(labels, l_prime, p, q, params, hp, gamma=0.2)
-        assert half.term_bias == pytest.approx(full.term_bias / 2.0)
+        config = RunConfig(L=2, gamma=0.4)
+        _, full = total_loss(labels, l_prime, p, q, params, config)
+        _, half = total_loss(labels, l_prime, p, q, params, config, gamma=0.2)
+        assert half["term_bias"] == pytest.approx(full["term_bias"] / 2.0)
 
     def test_gradients_flow_through_all_four_terms(self):
         for num_layers in (1, 2):
@@ -204,14 +178,15 @@ class TestTotalLoss:
             c2s = Class2StrNet(params, 4, 2, rng, hidden_dim=6)
             s2c = Str2ClassNet(params, 4, 2, rng, hidden_dim=6)
             lh = LhClassifierNet(params, 5, 4, 2, rng, num_layers=num_layers)
-            hp = HyperParams(string_length=2, num_classes=4)
+            config = RunConfig(L=2)
             labels = one_hot(np.array([1, 2]), 4)
             feats = rng.standard_normal((2, 5))
 
             def loss():
                 l = Tensor(labels)
                 q = c2s.forward(l)
-                return total_loss(l, s2c.forward(q), lh.forward(Tensor(feats)), q, params, hp)[0]
+                return total_loss(l, s2c.forward(q), lh.forward(Tensor(feats)), q, params,
+                                  config)[0]
 
             err = check_param_gradients(loss, [t for _, t in params.trainable()])
             assert err < 1e-5
@@ -228,11 +203,10 @@ class TestTotalLoss:
             c2s = Class2StrNet(params, num_classes, length, rng, hidden_dim=16)
             s2c = Str2ClassNet(params, num_classes, length, rng, hidden_dim=16)
             lh = LhClassifierNet(params, 6, 8, length, rng)
-            hp = HyperParams(string_length=length, num_classes=num_classes)
             labels = one_hot(rng.integers(0, num_classes, 5), num_classes)
             with Tape() as tape:
                 l_prime, p, q = phase2_forward(c2s, s2c, lh, labels, rng.standard_normal((5, 6)))
-                total_loss(Tensor(labels), l_prime, p, q, params, hp)
+                total_loss(Tensor(labels), l_prime, p, q, params, RunConfig(L=length))
             assert len(tape) == expected
 
 

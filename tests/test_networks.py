@@ -309,6 +309,11 @@ class TestLookupTable:
         with pytest.raises(CollisionError):
             StringLookupTable({0: "01", 1: "01"})
 
+    @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
+    def test_class_names_must_name_each_class(self, names):
+        with pytest.raises(ValueError, match="class names for 2 classes"):
+            StringLookupTable({0: "0", 1: "1"}, class_names=names)
+
     def test_json_round_trip(self):
         table = StringLookupTable({0: "00", 1: "01", 2: "10"},
                                   class_names=["cat", "dog", "eel"])

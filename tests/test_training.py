@@ -7,7 +7,7 @@ import pytest
 from lhc import training
 from lhc.autodiff import Tape, Tensor, sum_squares
 from lhc.data import LabeledDataset, PlantedHierarchySpec, generate_planted, one_hot
-from lhc.losses import HyperParams, total_loss
+from lhc.losses import total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
 from lhc.nn import Adam, CheckpointError, ParameterSet, save_checkpoint, xavier_uniform
 
@@ -160,6 +160,7 @@ META_EDITS = {
     "int class_names": ("class_names", 3),
     "no sizes": ("sizes", DROP),
     "str sizes": ("sizes", "x"),
+    "config with mu 1.5": ("config.mu", 1.5),
 }
 
 
@@ -184,7 +185,9 @@ def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_pa
     field, value = META_EDITS[edit]
     if field == "sizes":
         field = "fc_dims" if kind == "base" else "feature_dim"
-    if value is DROP:
+    if field == "config.mu":
+        meta["config"]["mu"] = value
+    elif value is DROP:
         del meta[field]
     else:
         meta[field] = value
@@ -202,9 +205,8 @@ def step_gradients(forward, labels: np.ndarray, feats: np.ndarray, seed: int = 7
     nets = (Class2StrNet(params, num_classes, 3, rng, hidden_dim=12),
             Str2ClassNet(params, num_classes, 3, rng, hidden_dim=10),
             LhClassifierNet(params, feats.shape[1], 5, 3, rng))
-    hp = HyperParams(string_length=3, num_classes=num_classes)
     with Tape() as tape:
-        loss, _ = total_loss(Tensor(labels), *forward(nets), params, hp)
+        loss, _ = total_loss(Tensor(labels), *forward(nets), params, training.RunConfig(L=3))
     tape.backward(loss)
     return loss.item(), {name: t.grad for name, t in params.trainable()}
 
@@ -352,7 +354,9 @@ def test_every_trainer_reports_the_epoch_it_returns(planted):
     ("lstm_hidden", 0), ("c2s_hidden", 0), ("s2c_hidden", 2.0), ("lr", "x"), ("lr", 0.0),
     ("mu", float("nan")), ("alpha", True), ("beta", None), ("gamma", float("inf")),
     ("delta", "1e-4"), ("gamma_decay", [0.5]), ("extractor_dims", [784]),
-    ("extractor_dims", [784, 0]), ("dataset", None), ("string_ce_order", 1)])
+    ("extractor_dims", [784, 0]), ("dataset", None), ("string_ce_order", 1),
+    ("mu", 1.0), ("mu", 0.0), ("mu", -0.1), ("mu", 1.5), ("alpha", -1.0), ("gamma", -1.0),
+    ("delta", -1e-4), ("string_ce_order", "xx")])
 def test_run_config_rejects_out_of_range_counts(name, value):
     with pytest.raises(ValueError, match=name):
         training.RunConfig(**{name: value})
@@ -367,8 +371,22 @@ def test_run_config_accepts_the_smallest_counts():
                                 gamma_decay_every=1, val_size=0)
     assert training.RunConfig.from_dict(config.to_dict()) == config
     config = training.RunConfig(seed=0, L=1, lstm_hidden=1, lstm_layers=1, c2s_hidden=1,
-                                s2c_hidden=1, lr=5e-324, mu=2, gamma_decay=0)
+                                s2c_hidden=1, lr=5e-324, mu=5e-324, alpha=0, beta=0, gamma=0,
+                                delta=0, string_ce_order="qp", gamma_decay=0)
     assert training.RunConfig.from_dict(config.to_dict()) == config
+
+
+@pytest.mark.parametrize("num_classes, length", [(10, 3), (1, 1), (1, 4)])
+def test_random_lookup_table_needs_two_classes_and_a_string_each(num_classes, length):
+    with pytest.raises(ValueError, match="classes"):
+        training.random_lookup_table(num_classes, length, seed=0)
+
+
+@pytest.mark.parametrize("num_classes, length", [(10, 4), (2, 1), (4, 2)])
+def test_random_lookup_table_is_one_to_one_at_the_shortest_length(num_classes, length):
+    table = training.random_lookup_table(num_classes, length, seed=0)
+    assert (table.num_classes, table.string_length) == (num_classes, length)
+    assert len(set(table.class_to_string.values())) == num_classes
 
 
 # -------------------------------------------------------------------- models
