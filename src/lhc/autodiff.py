@@ -31,6 +31,7 @@ takes one exp where `sigmoid`'s takes two.
 
 from __future__ import annotations
 
+import functools
 import threading
 from typing import Callable, Sequence
 
@@ -294,6 +295,18 @@ def sigmoid(a: Tensor) -> Tensor:
     return out
 
 
+@functools.lru_cache(maxsize=16)
+def _ifog(n: int) -> np.ndarray:
+    """Row order taking (i, f, g, o) gate blocks of n rows each to (i, f, o, g).
+
+    A block swap, so its own inverse. Read-only, since every call with this
+    n shares the one array.
+    """
+    order = np.r_[:2 * n, 3 * n:4 * n, 2 * n:3 * n]
+    order.setflags(write=False)
+    return order
+
+
 def _logistic_(z: np.ndarray) -> None:
     """z <- 1/(1+exp(-z)) in place, one exp; call under np.errstate(over="ignore").
 
@@ -332,7 +345,7 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
         raise ShapeError(f"lstm_sequence: got xw {xw.shape}, w_h {w_h.shape}, steps {steps} "
                          f"and per_step {per_step}")
     batch = rows // steps if per_step else rows
-    ifog = np.r_[:2 * n, 3 * n:4 * n, 2 * n:3 * n]  # a block swap: its own inverse
+    ifog = _ifog(n)
     if per_step:  # (steps, 4n, B)
         xs = np.ascontiguousarray(xw.data.reshape(batch, steps, 4 * n).transpose(1, 2, 0))
         xs = np.take(xs, ifog, axis=1)

@@ -4,6 +4,16 @@ A batch of bit distributions travels as one (B, 2L) tensor: columns
 (2i, 2i+1) hold P(bit i = 0) and P(bit i = 1), and each pair sums to one.
 A single example's distribution sequence is its row reshaped to (L, 2),
 which is what string_of and the lookup table consume.
+
+Inference runs in row blocks (run_in_row_blocks) whose widest float64
+slab, such as the LSTM's (4n, rows) gates, fits in about
+INFERENCE_BLOCK_BYTES, so the working set stays in a per-core L2 cache
+whatever the caller's batch. Rows are independent, so blocking changes
+only which BLAS kernel a product runs on. OpenBLAS rounds some rows one
+ulp differently in products of a few rows or of a row count that is not
+a multiple of 8, so blocks are multiples of 8 rows and a short tail joins
+the block before it; the tests find the blocked outputs bitwise equal to
+one whole-array forward.
 """
 
 from __future__ import annotations
@@ -17,6 +27,12 @@ from .autodiff import ShapeError, Tensor, lstm_sequence, pair_softmax, reshape, 
 from .nn import Linear, LstmCell, ParameterSet
 
 LOOKUP_VERSION = 1
+# Measured for predict_bits over 200k rows at n = 32, L = 4 and 8, one and
+# two layers, on a 2-vCPU x86-64 Xeon (2 MiB L2 per core) with one BLAS
+# thread: blocks of 128-1024 rows ran 1.5-1.9x faster than one forward per
+# evaluate chunk, and 512 rows, a 512 KiB gate slab, was at or near the
+# fastest in each case.
+INFERENCE_BLOCK_BYTES = 512 * 1024
 
 
 class CollisionError(ValueError):
@@ -31,6 +47,27 @@ class CollisionError(ValueError):
 def hard_bits(dist: np.ndarray) -> np.ndarray:
     """Per-bit argmax of (B, 2L) distributions as a (B, L) 0/1 matrix; ties go to 0."""
     return (dist[:, 1::2] > dist[:, 0::2]).astype(np.int64)
+
+
+def run_in_row_blocks(fn, x: np.ndarray, in_dim: int, width: int,
+                      out: np.ndarray) -> np.ndarray:
+    """Fill out[lo:hi] with fn(x[lo:hi]) over the row blocks of an (N, in_dim) x.
+
+    A block has INFERENCE_BLOCK_BYTES // (8 * width) rows, rounded down to a
+    multiple of 8, so a (width, rows) float64 slab fits the budget; width is
+    the widest per-row slab fn builds. A tail shorter than half a block
+    joins the block before it. With N = 0 fn is never called and out, of
+    length 0, is returned as it is.
+    """
+    if x.ndim != 2 or x.shape[1] != in_dim:
+        raise ShapeError(f"expected (N, {in_dim}) rows, got {x.shape}")
+    rows = max(8, INFERENCE_BLOCK_BYTES // (8 * width) // 8 * 8)
+    starts = list(range(0, x.shape[0], rows))
+    if len(starts) > 1 and x.shape[0] - starts[-1] < rows // 2:
+        starts.pop()
+    for lo, hi in zip(starts, starts[1:] + [x.shape[0]]):
+        out[lo:hi] = fn(x[lo:hi])
+    return out
 
 
 def string_of(dist: np.ndarray) -> str:
@@ -223,8 +260,16 @@ class LhClassifierNet:
         return pair_softmax(reshape(logits, (features.shape[0], 2 * self.string_length)))
 
     def predict_bits(self, features: np.ndarray) -> np.ndarray:
-        """Hard (N, L) bit matrix for a feature batch, no grad recording."""
-        return hard_bits(self.forward(Tensor(np.atleast_2d(features))).data)
+        """Hard (N, L) int64 bit matrix for a feature batch, no grad recording.
+
+        forward runs over row blocks whose (4n, rows) gate slab fits
+        INFERENCE_BLOCK_BYTES, and equals one forward over the whole batch.
+        A single (D,) feature vector is one row; N = 0 gives a (0, L) matrix.
+        """
+        features = np.atleast_2d(features)
+        return run_in_row_blocks(lambda x: hard_bits(self.forward(Tensor(x)).data), features,
+                                 self.feature_dim, 4 * self.hidden_dim,
+                                 np.empty((features.shape[0], self.string_length), np.int64))
 
     def tensors(self):
         out = self.projection.tensors()

@@ -36,9 +36,15 @@ from .losses import (class_loss, l2_penalty, string_target_loss, total_loss,
                      structured_string_loss, bias_regularizer)
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
                        Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
-                       string_of)
+                       run_in_row_blocks, string_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
                  save_checkpoint)
+
+# Rows per predict_bits call in evaluate and _string_match. predict_bits
+# blocks its own work, so this chunk only fixes the call count, which
+# bench/test_bench.py::test_tiny_run_emits_every_metric pins at two calls
+# per chunk of evaluate.
+PREDICT_CHUNK = 4096
 
 CSV_COLUMNS = ["epoch", "term_class", "term_string", "term_bias", "term_l2",
                "total", "train_acc", "val_acc"]
@@ -182,7 +188,11 @@ class TrainReport:
 # ------------------------------------------------------------------ models
 
 class MlpExtractor:
-    """Feature extractor: Linear layers with tanh between them, linear output."""
+    """Feature extractor: Linear layers with tanh between them, linear output.
+
+    feature_matrix runs forward over row blocks whose widest (dim, rows)
+    activation fits networks.INFERENCE_BLOCK_BYTES.
+    """
 
     def __init__(self, params: ParameterSet, dims: list[int], rng: np.random.Generator,
                  prefix: str = "extractor"):
@@ -202,11 +212,11 @@ class MlpExtractor:
             out = tanh(layer(out))
         return self.layers[-1](out)
 
-    def feature_matrix(self, features: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        rows = []
-        for lo in range(0, features.shape[0], chunk):
-            rows.append(self.forward(Tensor(features[lo:lo + chunk])).data)
-        return np.vstack(rows)
+    def feature_matrix(self, features: np.ndarray) -> np.ndarray:
+        """(N, dims[-1]) outputs of an (N, dims[0]) array, no grad recording."""
+        return run_in_row_blocks(lambda x: self.forward(Tensor(x)).data, features,
+                                 self.dims[0], max(self.dims),
+                                 np.empty((features.shape[0], self.dims[-1])))
 
     def tensors(self):
         return [t for layer in self.layers for t in layer.tensors()]
@@ -236,12 +246,12 @@ class BaseModel:
     def forward(self, x: Tensor) -> Tensor:
         return self.fc.forward(self.extractor.forward(x))
 
-    def predict_classes(self, features: np.ndarray, chunk: int = 4096) -> np.ndarray:
-        out = []
-        for lo in range(0, features.shape[0], chunk):
-            probs = self.forward(Tensor(features[lo:lo + chunk])).data
-            out.append(probs.argmax(axis=1))
-        return np.concatenate(out)
+    def predict_classes(self, features: np.ndarray) -> np.ndarray:
+        """(N,) argmax class ids of an (N, D) array, in row blocks as feature_matrix."""
+        return run_in_row_blocks(lambda x: self.forward(Tensor(x)).data.argmax(axis=1),
+                                 features, self.extractor.dims[0],
+                                 max(self.extractor.dims + self.fc.dims),
+                                 np.empty(features.shape[0], np.intp))
 
 
 _VAL_STREAM = 2_147_483_647  # keeps the split stream clear of epoch streams
@@ -450,18 +460,23 @@ def phase2_forward(class2str: Class2StrNet, str2class: Str2ClassNet, lh: LhClass
     return l_prime, lh.forward(Tensor(features)), q
 
 
+def _predict_chunks(lh: LhClassifierNet, feats: np.ndarray) -> np.ndarray:
+    """lh.predict_bits over the whole of feats, one call per PREDICT_CHUNK rows."""
+    bits = np.empty((feats.shape[0], lh.string_length), np.int64)
+    for lo in range(0, feats.shape[0], PREDICT_CHUNK):
+        bits[lo:lo + PREDICT_CHUNK] = lh.predict_bits(feats[lo:lo + PREDICT_CHUNK])
+    return bits
+
+
 def _string_match(lh: LhClassifierNet, feats: np.ndarray, labels: np.ndarray,
-                  bits_by_class: np.ndarray, chunk: int = 4096):
+                  bits_by_class: np.ndarray):
     """Exact-match accuracy and per-bit accuracy of predicted strings.
 
     A sample whose class shares its string with another class can never be
     uniquely credited by table lookup, so it scores as incorrect; with a
     bijective encoding this is plain all-bits-match scoring.
     """
-    preds = []
-    for lo in range(0, feats.shape[0], chunk):
-        preds.append(lh.predict_bits(feats[lo:lo + chunk]))
-    predicted = np.vstack(preds)
+    predicted = _predict_chunks(lh, feats)
     target = bits_by_class[labels]
     bit_hits = predicted == target
     codes = bits_by_class @ (1 << np.arange(bits_by_class.shape[1]))
@@ -575,12 +590,10 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
     bits_by_class = _table_bits(table)
     acc, per_bit = _string_match(lh, feats, data.labels, bits_by_class)
 
-    preds = []
-    for lo in range(0, feats.shape[0], 4096):
-        preds.append(lh.predict_bits(feats[lo:lo + 4096]))
     # strings as integer codes: bit i weighs 2^i, the same on both sides
     weights = 1 << np.arange(table.string_length)
-    no_match = int((~np.isin(np.vstack(preds) @ weights, bits_by_class @ weights)).sum())
+    no_match = int((~np.isin(_predict_chunks(lh, feats) @ weights,
+                             bits_by_class @ weights)).sum())
     return EvalResult(accuracy=acc, per_bit_accuracy=[float(x) for x in per_bit],
                       num_samples=len(data), num_no_match=no_match)
 

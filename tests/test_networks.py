@@ -4,14 +4,22 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lhc.autodiff import (ShapeError, Tape, Tensor, check_param_gradients, concat, mul,
-                          pair_softmax, sum_)
+from lhc import networks
+from lhc.autodiff import (ShapeError, Tape, Tensor, check_param_gradients, concat,
+                          lstm_sequence, mul, pair_softmax, sum_)
 from lhc.data import one_hot
 from lhc.networks import (Class2StrNet, CollisionError, LhClassifierNet,
-                          Str2ClassNet, StringLookupTable, freeze_lookup,
+                          Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
                           lookup_predict, string_of)
 from lhc.nn import Adam, ParameterSet
 from lhc.training import _encoding_bits
+
+
+# the rows of each forward call that blocked inference makes, for B-row blocks:
+# a tail shorter than B/2 joins the block before it
+BLOCK_CASES = {"1": lambda b: [1], "B-1": lambda b: [b - 1], "B": lambda b: [b],
+               "B+1": lambda b: [b + 1], "2B+B/2": lambda b: [b, b, b // 2],
+               "3B+7": lambda b: [b, b, b + 7]}
 
 
 def build_nets(seed=0, num_classes=4, length=2, feature_dim=6, hidden=5):
@@ -192,21 +200,69 @@ class TestLhClassifier:
         for a, b in zip(g_seq, g_ref):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-    def test_predict_bits_memory_grows_by_less_than_a_gate_block_per_step(self):
+    def test_untaped_lstm_sequence_memory_grows_by_less_than_a_gate_block_per_step(self):
         # an unroll that kept every step's (4n, B) gates would add 4n*B*8
-        # bytes per step; inference keeps one step of gate and cell buffers
+        # bytes per step; with no tape one step of gate and cell buffers is
+        # kept, and only the (B, steps, n) output grows
         batch, hidden = 4096, 32
-        feats = np.random.default_rng(0).standard_normal((batch, 16))
+        rng = np.random.default_rng(0)
+        xw = Tensor(rng.standard_normal((batch, 4 * hidden)))
+        w_h = Tensor(rng.standard_normal((4 * hidden, hidden)) * 0.1)
         peaks = {}
         for length in (2, 16):
-            lh = LhClassifierNet(ParameterSet(), 16, hidden, length, np.random.default_rng(0))
             tracemalloc.start()
             try:
-                lh.predict_bits(feats)
+                lstm_sequence(xw, w_h, length)
                 peaks[length] = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
         assert (peaks[16] - peaks[2]) / 14 < 4 * hidden * batch * 8
+
+    def test_predict_bits_peaks_below_one_whole_batch_gate_block(self):
+        # blocked inference never builds the (4n, B) gate slab of the whole batch
+        batch, hidden = 4096, 32
+        feats = np.random.default_rng(0).standard_normal((batch, 16))
+        lh = LhClassifierNet(ParameterSet(), 16, hidden, 2, np.random.default_rng(0))
+        tracemalloc.start()
+        try:
+            lh.predict_bits(feats)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * hidden * batch * 8
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    @pytest.mark.parametrize("length", [1, 4, 8])
+    @pytest.mark.parametrize("case", list(BLOCK_CASES))
+    def test_predict_bits_in_blocks_equals_one_whole_forward(self, monkeypatch, num_layers,
+                                                             length, case):
+        hidden = 32
+        expected_calls = BLOCK_CASES[case](networks.INFERENCE_BLOCK_BYTES // (8 * 4 * hidden))
+        rows = sum(expected_calls)
+        rng = np.random.default_rng(10 * num_layers + length)
+        lh = LhClassifierNet(ParameterSet(), 6, hidden, length, rng, num_layers=num_layers)
+        feats = rng.standard_normal((rows, 6)) * 3.0
+        whole = lh.forward(Tensor(feats)).data
+        assert 0 < hard_bits(whole).mean() < 1 or rows == 1
+
+        blocks = []
+        forward = LhClassifierNet.forward
+        monkeypatch.setattr(LhClassifierNet, "forward",
+                            lambda net, x: blocks.append(forward(net, x)) or blocks[-1])
+        bits = lh.predict_bits(feats)
+        assert [p.shape[0] for p in blocks] == expected_calls
+        # the soft distributions too, not only the bits drawn from them
+        assert np.vstack([p.data for p in blocks]).tobytes() == whole.tobytes()
+        assert bits.dtype == np.int64 and bits.tobytes() == hard_bits(whole).tobytes()
+
+    @pytest.mark.parametrize("num_layers", [1, 2])
+    def test_predict_bits_of_no_rows_is_an_empty_bit_matrix(self, num_layers):
+        lh = LhClassifierNet(ParameterSet(), 6, 5, 3, np.random.default_rng(0),
+                             num_layers=num_layers)
+        bits = lh.predict_bits(np.empty((0, 6)))
+        assert bits.shape == (0, 3) and bits.dtype == np.int64
+        with pytest.raises(ShapeError):
+            lh.predict_bits(np.empty((0, 5)))
 
 
 def step_forward(lh: LhClassifierNet, features: Tensor) -> Tensor:

@@ -4,12 +4,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lhc import training
-from lhc.autodiff import Tape, Tensor, sum_squares
+from lhc import networks, training
+from lhc.autodiff import ShapeError, Tape, Tensor, sum_squares
 from lhc.data import LabeledDataset, PlantedHierarchySpec, generate_planted, one_hot
 from lhc.losses import total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
 from lhc.nn import Adam, CheckpointError, ParameterSet, save_checkpoint, xavier_uniform
+from test_networks import BLOCK_CASES
 
 STRINGS = ["011", "100", "110", "001"]
 
@@ -414,3 +415,41 @@ def test_base_model_keeps_its_parameter_layout_and_forward():
     expected = np.exp(h - h.max(axis=1, keepdims=True))
     expected /= expected.sum(axis=1, keepdims=True)
     np.testing.assert_allclose(model.forward(Tensor(x)).data, expected, rtol=1e-13)
+
+
+@pytest.mark.parametrize("case", list(BLOCK_CASES))
+def test_feature_matrix_and_predict_classes_in_blocks_equal_one_whole_forward(monkeypatch,
+                                                                              case):
+    model = training.BaseModel(ParameterSet(), [6, 64, 4], 8, np.random.default_rng(0),
+                               fc_dims=[4, 32, 8])
+    expected_calls = BLOCK_CASES[case](networks.INFERENCE_BLOCK_BYTES // (8 * 64))  # widest: 64
+    x = np.random.default_rng(1).standard_normal((sum(expected_calls), 6)) * 3.0
+    whole_feats = model.extractor.forward(Tensor(x)).data
+    whole_classes = model.forward(Tensor(x)).data.argmax(axis=1)
+
+    for cls, run, whole in ((training.MlpExtractor, model.extractor.feature_matrix, whole_feats),
+                            (training.BaseModel, model.predict_classes, whole_classes)):
+        calls = []
+        forward = cls.forward
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "forward", lambda net, t, f=forward: calls.append(t.shape[0])
+                          or f(net, t))
+            out = run(x)
+        assert calls == expected_calls
+        assert out.dtype == whole.dtype and out.tobytes() == whole.tobytes()
+
+
+def test_feature_matrix_of_no_rows_is_an_empty_feature_matrix():
+    extractor = training.MlpExtractor(ParameterSet(), [6, 5, 4], np.random.default_rng(0))
+    feats = extractor.feature_matrix(np.empty((0, 6)))
+    assert feats.shape == (0, 4) and feats.dtype == np.float64
+    with pytest.raises(ShapeError):
+        extractor.feature_matrix(np.empty((0, 5)))
+
+
+def test_predict_classes_of_no_rows_is_an_empty_class_vector():
+    model = training.BaseModel(ParameterSet(), [6, 5, 4], 3, np.random.default_rng(0))
+    classes = model.predict_classes(np.empty((0, 6)))
+    assert classes.shape == (0,) and classes.dtype == np.intp
+    with pytest.raises(ShapeError):
+        model.predict_classes(np.empty((0, 5)))
