@@ -1,10 +1,19 @@
 """Dataset ingestion (MNIST IDX, LHF1 feature files), synthetic planted
-hierarchies, and deterministic batching."""
+hierarchies, and deterministic batching.
+
+LHF1 I/O makes no full-size temporary. save_features writes the feature
+matrix from its own float64 buffer, with no copy. load_features checks the
+header's N and D against the file size before it allocates anything, then
+reads the payload straight into the one (N, D) array the dataset keeps. The
+non-finite scan runs once per dataset, in LabeledDataset, and allocates
+nothing unless a value is not finite.
+"""
 
 from __future__ import annotations
 
 import gzip
 import math
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -20,6 +29,18 @@ FEATURE_MAGIC = b"LHF1"
 
 class DataFormatError(ValueError):
     """A dataset file violates its declared format."""
+
+
+def _check_finite(features: np.ndarray) -> None:
+    """Raise DataFormatError naming the first row that holds a NaN or an inf.
+
+    min and max propagate NaN and reach +-inf, so two reductions clear a
+    finite matrix without the (N, D) mask the row scan builds.
+    """
+    if features.size == 0 or (np.isfinite(features.min()) and np.isfinite(features.max())):
+        return
+    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
+    raise DataFormatError(f"non-finite feature value at row {bad[0]}")
 
 
 @dataclass
@@ -47,9 +68,7 @@ class LabeledDataset:
             raise DataFormatError(
                 f"labels outside [0, {self.num_classes}): range "
                 f"[{self.labels.min()}, {self.labels.max()}]")
-        bad = np.flatnonzero(~np.isfinite(self.features).all(axis=1))
-        if bad.size:
-            raise DataFormatError(f"non-finite feature value at row {bad[0]}")
+        _check_finite(self.features)
         if self.class_names is not None and len(self.class_names) != self.num_classes:
             raise DataFormatError(f"{len(self.class_names)} class names for "
                                   f"{self.num_classes} classes")
@@ -211,36 +230,47 @@ def train_test_split(ds: LabeledDataset, test_fraction: float,
 # ------------------------------------------------------------ feature files
 #
 # LHF1 layout: b"LHF1" | u32le N | u32le D | u32le C | N*D little-endian f64
-# features (row-major) | N u16le labels.
+# features (row-major) | N u16le labels. The file size is exactly
+# 16 + 8*N*D + 2*N bytes; a reader checks it against the header before it
+# allocates, so a damaged header can claim any N and D without a MemoryError.
 
 def save_features(path, ds: LabeledDataset) -> None:
+    """Write ds as LHF1, straight from its C-contiguous float64 buffer."""
     if ds.num_classes > 0xFFFF:
         raise DataFormatError("LHF1 labels are u16; too many classes")
+    features = np.ascontiguousarray(ds.features, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)
         fh.write(struct.pack("<III", len(ds), ds.feature_dim, ds.num_classes))
-        fh.write(np.ascontiguousarray(ds.features).astype("<f8").tobytes())
-        fh.write(ds.labels.astype("<u2").tobytes())
+        fh.write(features.data)
+        fh.write(ds.labels.astype("<u2").data)
 
 
 def load_features(path) -> LabeledDataset:
+    """Read an LHF1 file into one (N, D) array; a malformed file raises DataFormatError."""
     with open(path, "rb") as fh:
-        raw = fh.read()
-    if raw[:4] != FEATURE_MAGIC:
-        raise DataFormatError(f"{path}: bad magic {raw[:4]!r}, expected {FEATURE_MAGIC!r}")
-    if len(raw) < 16:
-        raise DataFormatError(f"{path}: truncated header")
-    n, d, c = struct.unpack("<III", raw[4:16])
-    expected = 16 + n * d * 8 + n * 2
-    if len(raw) != expected:
-        raise DataFormatError(f"{path}: expected {expected} bytes for N={n} D={d}, "
-                              f"got {len(raw)}")
-    features = np.frombuffer(raw, dtype="<f8", count=n * d, offset=16).reshape(n, d)
-    labels = np.frombuffer(raw, dtype="<u2", count=n, offset=16 + n * d * 8).astype(np.int64)
-    bad = np.flatnonzero(~np.isfinite(features).all(axis=1))
-    if bad.size:
-        raise DataFormatError(f"{path}: non-finite feature value at row {bad[0]}")
-    return LabeledDataset(features.copy(), labels, num_classes=c)
+        header = fh.read(16)
+        if header[:4] != FEATURE_MAGIC:
+            raise DataFormatError(f"{path}: bad magic {header[:4]!r}, "
+                                  f"expected {FEATURE_MAGIC!r}")
+        if len(header) < 16:
+            raise DataFormatError(f"{path}: truncated header")
+        n, d, c = struct.unpack("<III", header[4:16])
+        expected = 16 + n * d * 8 + n * 2
+        size = os.fstat(fh.fileno()).st_size
+        if size != expected:
+            raise DataFormatError(f"{path}: expected {expected} bytes for N={n} D={d}, "
+                                  f"got {size}")
+        features = np.empty((n, d), dtype="<f8")
+        got = fh.readinto(features)
+        label_bytes = fh.read(2 * n)
+    if got != features.nbytes or len(label_bytes) != 2 * n:
+        raise DataFormatError(f"{path}: file shrank while it was read")
+    labels = np.frombuffer(label_bytes, dtype="<u2").astype(np.int64)
+    try:
+        return LabeledDataset(features, labels, num_classes=c)
+    except DataFormatError as exc:
+        raise DataFormatError(f"{path}: {exc}") from None
 
 
 # ----------------------------------------------------------------- batching

@@ -183,7 +183,9 @@ class Adam:
     buffer, and each tensor's data becomes a view of its stretch of it, so
     a step updates them all with one pass of elementwise numpy calls. The
     arithmetic is elementwise, so the result equals, bit for bit, the same
-    update applied tensor by tensor.
+    update applied tensor by tensor. The gradient vector and two scratch
+    vectors are allocated once, here, so a step allocates nothing the size
+    of the buffer.
     """
 
     def __init__(self, params: ParameterSet, lr: float = 1e-3, beta1: float = 0.9,
@@ -203,21 +205,40 @@ class Adam:
             offset += t.data.size
         self._m = np.zeros_like(self._flat)
         self._v = np.zeros_like(self._flat)
+        self._g = np.empty_like(self._flat)
+        self._a = np.empty_like(self._flat)
+        self._b = np.empty_like(self._flat)
 
     def step(self) -> None:
+        """theta -= lr * m_hat / (sqrt(v_hat) + eps), computed in place.
+
+        The operations and their order are those of the textbook form
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g), m_hat = m / (1 - b1^t),
+        v_hat = v / (1 - b2^t), so each update is bitwise that form's.
+        """
         self.t += 1
         for name, p in self._trainable:
             if p.grad is None:
                 raise MissingGradientError(f"no gradient for trainable parameter {name!r}")
-        g = np.concatenate([p.grad.ravel() for _, p in self._trainable] or [np.zeros(0)])
-        m, v = self._m, self._v
+        g, a, b, m, v = self._g, self._a, self._b, self._m, self._v
+        offset = 0
+        for _, p in self._trainable:
+            g[offset:offset + p.data.size] = p.grad.ravel()
+            offset += p.data.size
         m *= self.beta1
-        m += (1.0 - self.beta1) * g
+        np.multiply(g, 1.0 - self.beta1, out=a)
+        m += a
         v *= self.beta2
-        v += (1.0 - self.beta2) * (g * g)
-        m_hat = m / (1.0 - self.beta1 ** self.t)
-        v_hat = v / (1.0 - self.beta2 ** self.t)
-        self._flat -= self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        np.multiply(g, g, out=a)
+        a *= 1.0 - self.beta2
+        v += a
+        np.divide(m, 1.0 - self.beta1 ** self.t, out=a)
+        a *= self.lr
+        np.divide(v, 1.0 - self.beta2 ** self.t, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self._flat -= a
 
     def zero_grad(self) -> None:
         self.params.zero_grad()

@@ -201,6 +201,27 @@ class TestFeatureFiles:
         with pytest.raises(DataFormatError, match="expected"):
             load_features(path)
 
+    def test_payload_longer_than_the_header_says_rejected(self, tmp_path):
+        path = tmp_path / "feats.lhf1"
+        save_features(path, self.dataset())
+        path.write_bytes(path.read_bytes() + bytes(8))
+        with pytest.raises(DataFormatError, match="expected"):
+            load_features(path)
+
+    def test_huge_header_over_a_small_file_raises_before_allocating(self, tmp_path,
+                                                                    peak_traced_bytes):
+        # N = D = 2^32 - 1 would be a 147-exabyte matrix: the size check must
+        # come first, so the error is DataFormatError and not MemoryError
+        path = tmp_path / "feats.lhf1"
+        path.write_bytes(b"LHF1" + struct.pack("<III", 2**32 - 1, 2**32 - 1, 2) + bytes(24))
+
+        def load():
+            with pytest.raises(DataFormatError, match="expected"):
+                load_features(path)
+
+        _, peak = peak_traced_bytes(load)
+        assert peak < 1 << 20
+
     def test_nan_payload_reports_row(self, tmp_path):
         path = tmp_path / "feats.lhf1"
         n, d = 4, 3
@@ -209,8 +230,28 @@ class TestFeatureFiles:
         blob = (b"LHF1" + struct.pack("<III", n, d, 2) + feats.tobytes()
                 + np.zeros(n, dtype="<u2").tobytes())
         path.write_bytes(blob)
-        with pytest.raises(DataFormatError, match="row 2"):
+        with pytest.raises(DataFormatError, match="row 2") as exc:
             load_features(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
+    def large_dataset(self):
+        rng = np.random.default_rng(3)
+        return LabeledDataset(rng.standard_normal((20000, 64)),
+                              rng.integers(0, 7, size=20000), num_classes=7)
+
+    def test_save_makes_no_copy_of_the_features(self, tmp_path, peak_traced_bytes):
+        ds = self.large_dataset()
+        _, peak = peak_traced_bytes(lambda: save_features(tmp_path / "feats.lhf1", ds))
+        assert peak < 0.05 * ds.features.nbytes
+
+    def test_load_allocates_the_features_once(self, tmp_path, peak_traced_bytes):
+        ds = self.large_dataset()
+        path = tmp_path / "feats.lhf1"
+        save_features(path, ds)
+        loaded, peak = peak_traced_bytes(lambda: load_features(path))
+        assert loaded.features.tobytes() == ds.features.tobytes()
+        assert loaded.labels.tolist() == ds.labels.tolist()
+        assert peak < 1.1 * ds.features.nbytes
 
 
 class TestBatching:
@@ -267,8 +308,16 @@ class TestLabeledDatasetValidation:
         with pytest.raises(DataFormatError, match="class names for 2 classes"):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), num_classes=2, class_names=names)
 
-    def test_rejects_non_finite_rows(self):
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_rows(self, value):
         feats = np.zeros((3, 2))
-        feats[1, 0] = np.inf
+        feats[1, 0] = value
         with pytest.raises(DataFormatError, match="row 1"):
             LabeledDataset(feats, np.zeros(3, dtype=int), num_classes=2)
+
+    def test_finite_check_of_a_finite_matrix_allocates_no_mask(self, peak_traced_bytes):
+        rng = np.random.default_rng(4)
+        feats = rng.standard_normal((20000, 64))
+        labels = rng.integers(0, 7, size=20000)
+        _, peak = peak_traced_bytes(lambda: LabeledDataset(feats, labels, num_classes=7))
+        assert peak < 0.05 * feats.nbytes

@@ -1,5 +1,4 @@
 import json
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -200,7 +199,8 @@ class TestLhClassifier:
         for a, b in zip(g_seq, g_ref):
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
-    def test_untaped_lstm_sequence_memory_grows_by_less_than_a_gate_block_per_step(self):
+    def test_untaped_lstm_sequence_memory_grows_by_less_than_a_gate_block_per_step(
+            self, peak_traced_bytes):
         # an unroll that kept every step's (4n, B) gates would add 4n*B*8
         # bytes per step; with no tape one step of gate and cell buffers is
         # kept, and only the (B, steps, n) output grows
@@ -210,25 +210,15 @@ class TestLhClassifier:
         w_h = Tensor(rng.standard_normal((4 * hidden, hidden)) * 0.1)
         peaks = {}
         for length in (2, 16):
-            tracemalloc.start()
-            try:
-                lstm_sequence(xw, w_h, length)
-                peaks[length] = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            _, peaks[length] = peak_traced_bytes(lambda: lstm_sequence(xw, w_h, length))
         assert (peaks[16] - peaks[2]) / 14 < 4 * hidden * batch * 8
 
-    def test_predict_bits_peaks_below_one_whole_batch_gate_block(self):
+    def test_predict_bits_peaks_below_one_whole_batch_gate_block(self, peak_traced_bytes):
         # blocked inference never builds the (4n, B) gate slab of the whole batch
         batch, hidden = 4096, 32
         feats = np.random.default_rng(0).standard_normal((batch, 16))
         lh = LhClassifierNet(ParameterSet(), 16, hidden, 2, np.random.default_rng(0))
-        tracemalloc.start()
-        try:
-            lh.predict_bits(feats)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = peak_traced_bytes(lambda: lh.predict_bits(feats))
         assert peak < 4 * hidden * batch * 8
 
     @pytest.mark.parametrize("num_layers", [1, 2])

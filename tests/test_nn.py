@@ -189,9 +189,10 @@ class TestAdam:
         v = {n: np.zeros_like(d) for n, d in ref.items()}
         frozen_before = params.tobytes(["frozen"])
         adam = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
-        for t in range(1, 6):
+        for t in range(1, 26):
             for name, p in params.trainable():
-                p.grad = rng.standard_normal(shapes[name])
+                # a transposed gradient is a non-contiguous view of its buffer
+                p.grad = rng.standard_normal(shapes[name][::-1]).T
                 g = p.grad
                 m[name] = m[name] * b1 + (1.0 - b1) * g
                 v[name] = v[name] * b2 + (1.0 - b2) * (g * g)
@@ -204,6 +205,16 @@ class TestAdam:
                 assert p.data.shape == shapes[name]
                 assert p.data.tobytes() == ref[name].tobytes()
         assert params.tobytes(["frozen"]) == frozen_before
+
+    def test_step_peak_is_under_one_flat_buffer(self, peak_traced_bytes):
+        rng = np.random.default_rng(12)
+        params = ParameterSet()
+        for name, shape in (("a", (64, 128)), ("b", (128,)), ("c", (32, 64))):
+            params.add(name, rng.standard_normal(shape)).grad = rng.standard_normal(shape)
+        adam = Adam(params)
+        adam.step()
+        _, peak = peak_traced_bytes(adam.step)
+        assert peak < adam._flat.nbytes
 
     def test_step_counter_increments_once_per_update(self):
         params = ParameterSet()
