@@ -9,10 +9,10 @@ from .autodiff import Tape, Tensor
 from .data import (BatchIterator, LabeledDataset, PlantedHierarchySpec,
                    generate_planted, load_features, load_mnist, save_features,
                    train_test_split)
-from .losses import bias_regularizer, structured_string_loss, total_loss
+from .losses import (base_loss, bias_regularizer, fixed_table_loss,
+                     structured_string_loss, total_loss)
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
-                       Str2ClassNet, StringLookupTable, freeze_lookup,
-                       lookup_predict, string_of)
+                       Str2ClassNet, StringLookupTable, freeze_lookup, strings_of)
 from .nn import Adam, LstmCell, Linear, ParameterSet, load_checkpoint, save_checkpoint
 from .tree import (CanonicalForm, PrefixTree, build_tree, canonicalize,
                    export_tree, tree_distance, tree_from_json)

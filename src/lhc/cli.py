@@ -109,7 +109,7 @@ def cmd_ablate(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
     base, _ = training.load_base_model(args.checkpoint)
-    result = training.ablate_random_embedding(base, train, test, config, config.seed)
+    result = training.ablate_random_embedding(base, train, test, config)
     print(f"learned embedding accuracy {result.learned_accuracy:.4f}, "
           f"random embedding accuracy {result.random_accuracy:.4f}, "
           f"delta {result.delta:+.4f}")

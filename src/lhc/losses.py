@@ -1,14 +1,23 @@
-"""The combined training objective and its four constituent terms.
+"""The three training objectives and their four constituent terms.
+
+The paper's joint objective (phase 2, train_lh):
 
 total = alpha * H(l, l') + beta * sum_i mu^i H(p_i, q_i)
         - gamma * sum_i (q_i(0)^2 + q_i(1)^2) + delta * L2(W)
+
+summed as (class + string) + (bias + L2). The phase-1 objective (base_loss)
+is H(l, l') + delta * L2(W), and the fixed-table objective
+(fixed_table_loss) is beta * sum_i mu^i H(t_i, p_i) + delta * L2(W) against
+one-hot targets t; each adds its term to the L2 term. Every objective
+returns the loss tensor and its scaled term values as floats keyed by the
+columns of TERMS it has, in TERMS order, "total" last.
 
 The bias term enters negated because it is a reward: it peaks when every
 bit distribution commits to 0 or 1. All batch inputs are rank-2, and bit
 distributions p and q are packed (B, 2L) tensors whose columns (2i, 2i+1)
 belong to bit i (see networks). Every term except the L2 penalty is
-averaged over the batch. total_loss reads the weights alpha, beta, gamma,
-delta and mu, and the string term's argument order, from a
+averaged over the batch. The objectives read the weights alpha, beta,
+gamma, delta and mu, and the string term's argument order, from a
 training.RunConfig, which owns the checks on their ranges.
 """
 
@@ -23,6 +32,8 @@ from .nn import ParameterSet
 
 if TYPE_CHECKING:  # training imports this module
     from .training import RunConfig
+
+TERMS = ("term_class", "term_string", "term_bias", "term_l2", "total")
 
 
 def _check_bits(p: Tensor, q: Tensor) -> tuple[int, int]:
@@ -70,21 +81,53 @@ def l2_penalty(params: ParameterSet) -> Tensor:
     return sum_squares([t for _, t in trainable])
 
 
+def _plus_l2(key: str, term: Tensor, params: ParameterSet,
+             config: RunConfig) -> tuple[Tensor, dict[str, float]]:
+    """One scaled term plus the delta-weighted L2 penalty, and their values."""
+    t_l2 = scale(l2_penalty(params), config.delta)
+    loss = add(term, t_l2)
+    return loss, {key: term.item(), "term_l2": t_l2.item(), "total": loss.item()}
+
+
+def base_loss(labels: Tensor, predicted: Tensor, params: ParameterSet,
+              config: RunConfig) -> tuple[Tensor, dict[str, float]]:
+    """Phase-1 objective: H(l, l') + delta * L2(W); alpha weighs the joint objective only."""
+    return _plus_l2("term_class", class_loss(labels, predicted), params, config)
+
+
+def fixed_table_loss(target_bits: np.ndarray, p: Tensor, params: ParameterSet,
+                     config: RunConfig) -> tuple[Tensor, dict[str, float]]:
+    """Fixed-table objective for (B, L) 0/1 target bits: beta * string term + delta * L2(W)."""
+    batch, length = target_bits.shape
+    target = np.zeros((batch, 2 * length))
+    target[np.arange(batch)[:, np.newaxis], 2 * np.arange(length) + target_bits] = 1.0
+    term = scale(string_target_loss(Tensor(target), p, config.mu), config.beta)
+    return _plus_l2("term_string", term, params, config)
+
+
+def joint_terms(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
+                params: ParameterSet, config: RunConfig,
+                gamma: float | None = None) -> dict[str, Tensor]:
+    """The joint objective's four scaled terms, keyed by TERMS; gamma overrides config's."""
+    effective_gamma = config.gamma if gamma is None else gamma
+    return {
+        "term_class": scale(class_loss(labels, predicted), config.alpha),
+        "term_string": scale(structured_string_loss(p, q, config.mu, config.string_ce_order),
+                             config.beta),
+        "term_bias": scale(bias_regularizer(q), -effective_gamma),
+        "term_l2": scale(l2_penalty(params), config.delta),
+    }
+
+
 def total_loss(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
                params: ParameterSet, config: RunConfig,
                gamma: float | None = None) -> tuple[Tensor, dict[str, float]]:
-    """Combined objective; gamma may be overridden for scheduled decay.
+    """Joint objective; gamma may be overridden for scheduled decay.
 
-    Returns the scalar loss tensor (for backward) and the scaled term values
-    keyed by CSV column: term_class, term_string, term_bias, term_l2 and
-    total, their sum.
+    Returns the scalar loss tensor (for backward) and the values of
+    joint_terms plus "total", their sum, keyed by TERMS.
     """
-    effective_gamma = config.gamma if gamma is None else gamma
-    t_class = scale(class_loss(labels, predicted), config.alpha)
-    t_string = scale(structured_string_loss(p, q, config.mu, config.string_ce_order),
-                     config.beta)
-    t_bias = scale(bias_regularizer(q), -effective_gamma)
-    t_l2 = scale(l2_penalty(params), config.delta)
-    total = add(add(t_class, t_string), add(t_bias, t_l2))
-    return total, {"term_class": t_class.item(), "term_string": t_string.item(),
-                   "term_bias": t_bias.item(), "term_l2": t_l2.item(), "total": total.item()}
+    terms = joint_terms(labels, predicted, p, q, params, config, gamma)
+    total = add(add(terms["term_class"], terms["term_string"]),
+                add(terms["term_bias"], terms["term_l2"]))
+    return total, {**{k: t.item() for k, t in terms.items()}, "total": total.item()}

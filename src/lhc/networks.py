@@ -1,9 +1,12 @@
 """The class-to-string encoder, string decoder, and LSTM string classifier.
 
-A batch of bit distributions travels as one (B, 2L) tensor: columns
-(2i, 2i+1) hold P(bit i = 0) and P(bit i = 1), and each pair sums to one.
-A single example's distribution sequence is its row reshaped to (L, 2),
-which is what string_of and the lookup table consume.
+Bit distributions have one layout, packed (B, 2L) rows: columns (2i, 2i+1)
+hold P(bit i = 0) and P(bit i = 1), and each pair sums to one. A single
+example or class is one such row. The string codec reads this layout only:
+hard_bits takes each bit's argmax (ties go to 0) as a (B, L) 0/1 matrix,
+strings_of spells those rows as L-character strings, and a
+StringLookupTable holds the frozen class-to-string bijection, with its
+strings also as a (C, L) bit matrix, bits.
 
 Inference runs in row blocks (run_in_row_blocks) whose widest float64
 slab, such as the LSTM's (4n, rows) gates, fits in about
@@ -70,18 +73,20 @@ def run_in_row_blocks(fn, x: np.ndarray, in_dim: int, width: int,
     return out
 
 
-def string_of(dist: np.ndarray) -> str:
-    """Per-bit argmax of an (L, 2) distribution sequence; ties go to 0."""
+def strings_of(dist: np.ndarray) -> dict[int, str]:
+    """Row index -> hard_bits string of each row of (B, 2L) distributions."""
     dist = np.asarray(dist, dtype=np.float64)
-    if dist.ndim != 2 or dist.shape[1] != 2:
-        raise ShapeError(f"expected an (L, 2) distribution sequence, got {dist.shape}")
-    return "".join("1" if p1 > p0 else "0" for p0, p1 in dist)
+    if dist.ndim != 2 or dist.shape[1] == 0 or dist.shape[1] % 2:
+        raise ShapeError(f"expected (B, 2L) bit distributions, got {dist.shape}")
+    return {i: "".join(map(str, row)) for i, row in enumerate(hard_bits(dist).tolist())}
 
 
 class StringLookupTable:
     """Frozen bijection between class ids and distinct L-bit strings.
 
-    class_names, if given, holds one name per class in class-id order.
+    class_names, if given, holds one name per class in class-id order. bits
+    is the read-only (C, L) int64 matrix of the strings, one row per class
+    in class-id order, so row c is class c when the ids are 0..C-1.
     """
 
     def __init__(self, class_to_string: dict[int, str], class_names: list[str] | None = None):
@@ -109,6 +114,9 @@ class StringLookupTable:
         self.num_classes = len(self.class_to_string)
         self.class_names = (list(class_names) if class_names is not None
                             else [str(c) for c in self.class_to_string])
+        self.bits = np.array([list(map(int, s)) for s in self.class_to_string.values()],
+                             dtype=np.int64)
+        self.bits.flags.writeable = False
 
     def lookup(self, bits: str) -> int | None:
         return self.string_to_class.get(bits)
@@ -155,11 +163,6 @@ class StringLookupTable:
         return table
 
 
-def lookup_predict(table: StringLookupTable, p: np.ndarray) -> int | None:
-    """Exact-match prediction; None means no class owns the extracted string."""
-    return table.lookup(string_of(p))
-
-
 class Class2StrNet:
     """One-hot class label -> (B, 2L) bit distributions q via a shared trunk.
 
@@ -188,10 +191,10 @@ class Class2StrNet:
         return self.forward(Tensor(np.eye(self.num_classes))).data
 
     def encode(self, class_id: int) -> np.ndarray:
-        """Soft (L, 2) distribution sequence for one class: row class_id of table()."""
+        """Soft (2L,) bit distributions of one class: row class_id of table()."""
         if not 0 <= class_id < self.num_classes:
             raise ValueError(f"class id {class_id} outside [0, {self.num_classes})")
-        return self.table()[class_id].reshape(self.string_length, 2)
+        return self.table()[class_id]
 
     def tensors(self):
         return self.trunk.tensors() + self.heads.tensors()
@@ -280,5 +283,4 @@ class LhClassifierNet:
 
 def freeze_lookup(net: Class2StrNet, class_names: list[str] | None = None) -> StringLookupTable:
     """Materialize the learned encoding; raises CollisionError if not one-to-one."""
-    mapping = {c: string_of(row.reshape(-1, 2)) for c, row in enumerate(net.table())}
-    return StringLookupTable(mapping, class_names=class_names)
+    return StringLookupTable(strings_of(net.table()), class_names=class_names)

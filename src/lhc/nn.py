@@ -25,9 +25,6 @@ from .autodiff import Tensor, linear, lstm_cell
 
 CHECKPOINT_MAGIC = b"LHC1"
 CHECKPOINT_VERSION = 2
-# Version 1 stored Class2Str's bit heads as L separate "class2str.head{i}"
-# layers; version 2 stores them as one stacked "class2str.heads" layer.
-READABLE_VERSIONS = (1, 2)
 
 
 class MissingGradientError(RuntimeError):
@@ -318,7 +315,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict]:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")
-    if manifest.get("format_version") not in READABLE_VERSIONS:
+    if manifest.get("format_version") != CHECKPOINT_VERSION:
         raise CheckpointError(f"{path}: unsupported format version {manifest.get('format_version')}")
     entries, hyperparams = manifest.get("parameters"), manifest.get("hyperparameters")
     if not isinstance(entries, list) or not isinstance(hyperparams, dict):

@@ -10,13 +10,17 @@ non-finite check, backward and the optimizer step, the per-epoch rows and
 early stopping. A trainer supplies only:
 
 - step(x, y, epoch) -> (loss, terms, hits), run inside the tape on one batch
-  of rows and one-hot labels: the loss tensor, the scaled term values keyed
-  by CSV column ("total" included), and the batch's correct predictions;
+  of rows and one-hot labels: the (loss, terms) of its losses objective
+  (losses.base_loss, losses.total_loss or losses.fixed_table_loss, whose
+  terms are keyed by losses.TERMS, "total" included), and the batch's
+  correct predictions;
 - validate(ds) -> float, the score early stopping compares.
 
-A RunConfig holds every setting of a run, the loss weights that
-losses.total_loss reads included, and checks each one's type and range when
-it is built, so a bad setting fails before any data is read.
+The objectives and their weighting live in losses, and the string codec
+(hard bits, strings, a table's bit matrix) in networks; this module defines
+neither. A RunConfig holds every setting of a run, the loss weights the
+objectives read included, and checks each one's type and range when it is
+built, so a bad setting fails before any data is read.
 """
 
 from __future__ import annotations
@@ -30,13 +34,12 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .autodiff import Tape, Tensor, add, matmul, scale, softmax, tanh
+from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
 from .data import BatchIterator, LabeledDataset, one_hot
-from .losses import (class_loss, l2_penalty, string_target_loss, total_loss,
-                     structured_string_loss, bias_regularizer)
+from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
                        Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
-                       run_in_row_blocks, string_of)
+                       run_in_row_blocks, strings_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
                  save_checkpoint)
 
@@ -46,8 +49,7 @@ from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
 # per chunk of evaluate.
 PREDICT_CHUNK = 4096
 
-CSV_COLUMNS = ["epoch", "term_class", "term_string", "term_bias", "term_l2",
-               "total", "train_acc", "val_acc"]
+CSV_COLUMNS = ["epoch", *TERMS, "train_acc", "val_acc"]
 
 
 class TrainingDivergence(RuntimeError):
@@ -149,6 +151,8 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        if not isinstance(obj, dict):
+            raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
         known = set(cls.__dataclass_fields__)
         unknown = set(obj) - known
         if unknown:
@@ -291,7 +295,7 @@ def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | N
     best_val, best_epoch, best_snap, stale = -math.inf, None, None, 0
     stop_reason = "epochs"
     for epoch in range(1, epochs + 1):
-        sums = dict.fromkeys(CSV_COLUMNS[1:6], 0.0)
+        sums = dict.fromkeys(TERMS, 0.0)
         seen = 0
         correct = 0
         for x_np, y_np in batches.epoch(epoch):
@@ -329,13 +333,6 @@ def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | N
     return rows, best_epoch, stop_reason
 
 
-def _plus_l2(params: ParameterSet, config: RunConfig, key: str, term: Tensor):
-    """A step's (loss, terms) for one scaled term plus the delta-weighted L2 penalty."""
-    t_l2 = scale(l2_penalty(params), config.delta)
-    loss = add(term, t_l2)
-    return loss, {key: term.item(), "term_l2": t_l2.item(), "total": loss.item()}
-
-
 def _report(rows: list[dict], final_train: float, final_test: float | None, start: float,
             config: RunConfig, **extras) -> TrainReport:
     """The report of a run that began at perf_counter() time start."""
@@ -358,7 +355,7 @@ def _check_test_split(train_ds: LabeledDataset, test_ds: LabeledDataset | None) 
 
 def train_base(train_ds: LabeledDataset, config: RunConfig,
                test_ds: LabeledDataset | None = None) -> tuple[BaseModel, TrainReport]:
-    """Train extractor + FC classifier with cross entropy plus the L2 term.
+    """Train extractor + FC classifier on losses.base_loss.
 
     An extractor that does not fit the data, or a test split that does not
     match the training split, raises ValueError before any work.
@@ -374,7 +371,7 @@ def train_base(train_ds: LabeledDataset, config: RunConfig,
 
     def step(x_np, y_np, epoch):
         probs = model.forward(Tensor(x_np))
-        loss, terms = _plus_l2(params, config, "term_class", class_loss(Tensor(y_np), probs))
+        loss, terms = base_loss(Tensor(y_np), probs, params, config)
         return loss, terms, int((probs.data.argmax(axis=1) == y_np.argmax(axis=1)).sum())
 
     def accuracy(ds):
@@ -434,12 +431,6 @@ def _check_table_fits(table: StringLookupTable, data_classes: int, net_length: i
         raise ValueError(f"lookup table has C={table.num_classes} classes and L="
                          f"{table.string_length} bits, but the data has C={data_classes} "
                          f"classes and the net emits L={net_length} bits")
-
-
-def _table_bits(table: StringLookupTable) -> np.ndarray:
-    """A lookup table's strings as a (C, L) bit matrix, row c for class c."""
-    return np.array([[int(b) for b in table.class_to_string[c]]
-                     for c in range(table.num_classes)])
 
 
 def phase2_forward(class2str: Class2StrNet, str2class: Str2ClassNet, lh: LhClassifierNet,
@@ -539,7 +530,7 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
         raise FrozenExtractorChanged("frozen extractor changed during phase 2")
 
     soft = class2str.table()  # the one read of the final encoding
-    strings = {c: string_of(row.reshape(-1, 2)) for c, row in enumerate(soft)}
+    strings = strings_of(soft)
     table = None
     collision = None
     try:
@@ -547,12 +538,12 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     except CollisionError as exc:
         collision = str(exc)
 
-    mean_bit_bias = float(soft.reshape(num_classes, -1, 2).max(axis=2).mean())
+    mean_bit_bias = float(np.maximum(soft[:, 0::2], soft[:, 1::2]).mean())
     final_test = _test_string_match(lh, extractor, test_ds, hard_bits(soft))
 
     # the inference-time classifiers: the base FC head against projection,
     # LSTM and bit head; Class2Str and Str2Class only train
-    sizes = count_params({"base_fc": base.fc, "lh_classifier": lh}).per_part
+    sizes = count_params({"base_fc": base.fc, "lh_classifier": lh})
     report = _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start, config,
                      mean_bit_bias=mean_bit_bias, collision=collision,
                      base_fc_params=sizes["base_fc"],
@@ -587,7 +578,7 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
     _check_table_fits(table, data.num_classes, lh.string_length)
     extractor = getattr(base, "extractor", base)
     feats = extractor.feature_matrix(data.features)
-    bits_by_class = _table_bits(table)
+    bits_by_class = table.bits
     acc, per_bit = _string_match(lh, feats, data.labels, bits_by_class)
 
     # strings as integer codes: bit i weighs 2^i, the same on both sides
@@ -617,21 +608,14 @@ def random_lookup_table(num_classes: int, string_length: int, seed: int,
     return StringLookupTable(mapping, class_names=class_names)
 
 
-def _target_bits(bits: np.ndarray) -> Tensor:
-    """(B, L) hard bits -> constant one-hot (B, 2L) bit distributions."""
-    batch, length = bits.shape
-    out = np.zeros((batch, 2 * length))
-    out[np.arange(batch)[:, np.newaxis], 2 * np.arange(length) + bits] = 1.0
-    return Tensor(out)
-
-
 def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
                           table: StringLookupTable, config: RunConfig,
                           test_ds: LabeledDataset | None = None) -> tuple[LhClassifierNet, TrainReport]:
     """Train only the LH classifier against a fixed string table.
 
-    Loss keeps the beta- and mu-weighted string term plus the L2 penalty;
-    the class and bias terms have no role without Class2Str/Str2Class. A
+    The loss is losses.fixed_table_loss: the beta- and mu-weighted string
+    term against the table's bits plus the L2 penalty; the class and bias
+    terms have no role without Class2Str/Str2Class. A
     table that does not fit the data's classes or config.L, or a test split
     that does not match train_ds, raises ValueError before any work.
     """
@@ -643,13 +627,12 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     extractor = _clone_extractor(base, params, rng)
     lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L,
                          rng, num_layers=config.lstm_layers)
-    bits_by_class = _table_bits(table)
+    bits_by_class = table.bits
 
     def step(f_np, y_np, epoch):
         target = bits_by_class[y_np.argmax(axis=1)]
         p = lh.forward(Tensor(f_np))
-        loss, terms = _plus_l2(params, config, "term_string", scale(
-            string_target_loss(_target_bits(target), p, config.mu), config.beta))
+        loss, terms = fixed_table_loss(target, p, params, config)
         return loss, terms, int((hard_bits(p.data) == target).all(axis=1).sum())
 
     def validate(ds):
@@ -673,31 +656,21 @@ class AblationResult:
 
 
 def ablate_random_embedding(base: BaseModel, train_ds: LabeledDataset,
-                            test_ds: LabeledDataset, config: RunConfig,
-                            seed: int) -> AblationResult:
-    """Learned embedding vs a fixed random bijective embedding, same budget."""
-    cfg = replace(config, seed=seed)
-    learned = train_lh(base, train_ds, cfg, test_ds=test_ds)
-    table = random_lookup_table(train_ds.num_classes, config.L, seed,
+                            test_ds: LabeledDataset, config: RunConfig) -> AblationResult:
+    """Learned embedding vs a fixed random bijective embedding, same budget and seed."""
+    learned = train_lh(base, train_ds, config, test_ds=test_ds)
+    table = random_lookup_table(train_ds.num_classes, config.L, config.seed,
                                 class_names=train_ds.class_names)
-    _, random_report = train_fixed_embedding(base, train_ds, table, cfg, test_ds=test_ds)
+    _, random_report = train_fixed_embedding(base, train_ds, table, config, test_ds=test_ds)
     return AblationResult(learned_accuracy=learned.report.final_test_accuracy,
                           random_accuracy=random_report.final_test_accuracy)
 
 
 # ------------------------------------------------------ parameter accounting
 
-@dataclass
-class ParamCount:
-    per_part: dict[str, int]
-    total: int
-
-
-def count_params(parts: dict) -> ParamCount:
+def count_params(parts: dict) -> dict[str, int]:
     """Exact weight+bias counts per named part; each part has tensors()."""
-    per_part = {name: int(sum(t.data.size for t in part.tensors()))
-                for name, part in parts.items()}
-    return ParamCount(per_part=per_part, total=sum(per_part.values()))
+    return {name: int(sum(t.data.size for t in part.tensors())) for name, part in parts.items()}
 
 
 def parameter_reduction(reference: int, compressed: int) -> float:
@@ -805,36 +778,8 @@ class LhArtifacts:
     meta: dict
 
 
-def _stack_v1_heads(params: ParameterSet, length: int) -> ParameterSet:
-    """Stack a version-1 checkpoint's L "class2str.head{i}" layers into "class2str.heads".
-
-    The stacked weight is the vstack of the per-bit weights and its bias
-    their concatenation, the layout Class2StrNet uses since version 2.
-    Other checkpoints are returned unchanged.
-    """
-    heads = [f"class2str.head{i}" for i in range(length)]
-    if heads[0] + ".weight" not in params:
-        return params
-    old = {f"{h}.{kind}" for h in heads for kind in ("weight", "bias")}
-    missing = sorted(old - set(params.names()))
-    if missing:
-        raise CheckpointError(f"version-1 Class2Str heads missing: {missing}")
-    out = ParameterSet()
-    for name, t in params.items():
-        if name == heads[0] + ".weight":
-            out.add("class2str.heads.weight",
-                    np.vstack([params[h + ".weight"].data for h in heads]))
-            out.add("class2str.heads.bias",
-                    np.concatenate([params[h + ".bias"].data for h in heads]))
-        elif name not in old:
-            out.add(name, t.data)
-    out.freeze(params.frozen_names() - old)
-    return out
-
-
 def load_lh_result(path) -> LhArtifacts:
     params, meta, config = _load_run_checkpoint(path, "lh")
-    params = _stack_v1_heads(params, config.L)
     num_classes = meta["num_classes"]
     rng = np.random.default_rng(0)
     fresh = ParameterSet()
@@ -870,9 +815,11 @@ def _adopt(dst: ParameterSet, src: ParameterSet) -> None:
 def gradcheck_report(seed: int, num_classes: int = 4, string_length: int = 2,
                      lstm_hidden: int = 5, feature_dim: int = 6,
                      batch: int = 2) -> dict[str, float]:
-    """Max relative gradient error per loss term on a toy instance, at RunConfig's weights."""
-    from .autodiff import check_param_gradients
+    """Max relative gradient error per loss term on a toy instance, at RunConfig's weights.
 
+    Each term is checked through losses.joint_terms and the sum through
+    losses.total_loss, the code train_lh runs.
+    """
     _check_string_length(num_classes, string_length)
     rng = np.random.default_rng(seed)
     params = ParameterSet()
@@ -887,30 +834,13 @@ def gradcheck_report(seed: int, num_classes: int = 4, string_length: int = 2,
     def graph():
         return (Tensor(labels),) + phase2_forward(class2str, str2class, lh, labels, feats)
 
-    def loss_class():
-        l, l_prime, _, _ = graph()
-        return scale(class_loss(l, l_prime), config.alpha)
-
-    def loss_string():
-        _, _, p, q = graph()
-        return scale(structured_string_loss(p, q, config.mu), config.beta)
-
-    def loss_bias():
-        _, _, _, q = graph()
-        return scale(bias_regularizer(q), -config.gamma)
-
-    def loss_l2():
-        return scale(l2_penalty(params), config.delta)
+    def term(name):
+        return lambda: joint_terms(*graph(), params, config)[name]
 
     def loss_total():
-        l, l_prime, p, q = graph()
-        return total_loss(l, l_prime, p, q, params, config)[0]
+        return total_loss(*graph(), params, config)[0]
 
     tensors = [t for _, t in params.trainable()]
-    return {
-        "term_class": check_param_gradients(loss_class, tensors),
-        "term_string": check_param_gradients(loss_string, tensors),
-        "term_bias": check_param_gradients(loss_bias, tensors),
-        "term_l2": check_param_gradients(loss_l2, tensors),
-        "total": check_param_gradients(loss_total, tensors),
-    }
+    errors = {name: check_param_gradients(term(name), tensors) for name in TERMS[:-1]}
+    errors["total"] = check_param_gradients(loss_total, tensors)
+    return errors

@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from .networks import StringLookupTable
+
 
 @dataclass
 class TreeNode:
@@ -62,36 +64,23 @@ class PrefixTree:
 def build_tree(table) -> PrefixTree:
     """Build the prefix tree of a bijective class-to-string table.
 
-    Accepts a StringLookupTable or a plain {class_id: string} dict.
+    Accepts a StringLookupTable or a plain {class_id: string} mapping, which
+    becomes one, so the table's checks apply: ValueError for an empty table,
+    strings of mixed lengths or non-binary strings, CollisionError for a
+    string shared by two classes.
     """
-    if hasattr(table, "class_to_string"):
-        mapping = table.class_to_string
-        names = {c: table.class_names[i] for i, c in enumerate(mapping)}
-    else:
-        mapping = dict(table)
-        names = {c: str(c) for c in mapping}
-    if not mapping:
-        raise ValueError("cannot build a tree from an empty table")
-    lengths = {len(s) for s in mapping.values()}
-    if len(lengths) != 1:
-        raise ValueError(f"strings must share one length, got lengths {sorted(lengths)}")
-    bad = [s for s in mapping.values() if set(s) - {"0", "1"}]
-    if bad:
-        raise ValueError(f"non-binary string {bad[0]!r}")
-    if len(set(mapping.values())) != len(mapping):
-        raise ValueError("duplicate strings in table")
-    length = lengths.pop()
-
+    if not isinstance(table, StringLookupTable):
+        table = StringLookupTable(dict(table))
     root = TreeNode(prefix="")
-    for class_id in sorted(mapping):
+    for (class_id, string), name in zip(table.class_to_string.items(), table.class_names):
         node = root
-        for bit in mapping[class_id]:
+        for bit in string:
             if bit not in node.children:
                 node.children[bit] = TreeNode(prefix=node.prefix + bit)
             node = node.children[bit]
         node.class_id = class_id
-        node.class_name = names[class_id]
-    return PrefixTree(root, length)
+        node.class_name = name
+    return PrefixTree(root, table.string_length)
 
 
 @dataclass(frozen=True)

@@ -116,6 +116,18 @@ def test_out_of_range_config_exits_1_before_training(tmp_path, capsys, command, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("document", ["[]", "3", "null", '"ab"'])
+def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, document):
+    config = tmp_path / "config.json"
+    config.write_text(document)
+    code = main(["train-base", "--config", str(config), "--data-dir", str(tmp_path),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "config must be a JSON object" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_l_writes_one_row_per_length(run):
     root, _ = run
     code = main(["sweep-l", "--config", str(root / "config.json"), "--data-dir",

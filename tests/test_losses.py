@@ -5,11 +5,11 @@ import pytest
 
 from lhc.autodiff import ShapeError, Tape, Tensor, check_param_gradients
 from lhc.data import one_hot
-from lhc.losses import (bias_regularizer, class_loss, l2_penalty, string_target_loss,
-                        structured_string_loss, total_loss)
+from lhc.losses import (TERMS, base_loss, bias_regularizer, class_loss, fixed_table_loss,
+                        l2_penalty, string_target_loss, structured_string_loss, total_loss)
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet
 from lhc.nn import ParameterSet
-from lhc.training import CSV_COLUMNS, RunConfig, phase2_forward
+from lhc.training import RunConfig, phase2_forward
 
 
 def bit_rows(*pairs):
@@ -155,14 +155,25 @@ class TestTotalLoss:
         assert terms["term_l2"] == pytest.approx(t_l2, abs=1e-12)
         assert loss.item() == pytest.approx(t_class + t_string + t_bias + t_l2, abs=1e-12)
 
-    def test_report_terms_sum_to_total(self):
+    @pytest.mark.parametrize("objective, keys", [
+        ("total_loss", TERMS),
+        ("base_loss", ("term_class", "term_l2", "total")),
+        ("fixed_table_loss", ("term_string", "term_l2", "total")),
+    ])
+    def test_report_terms_sum_to_total(self, objective, keys):
         for seed in range(5):
             params, labels, l_prime, p, q = self.toy(seed=seed)
-            _, terms = total_loss(labels, l_prime, p, q, params, RunConfig(L=2))
-            parts = (terms["term_class"] + terms["term_string"]
-                     + terms["term_bias"] + terms["term_l2"])
-            assert terms["total"] == pytest.approx(parts, abs=1e-9)
-            assert list(terms) == CSV_COLUMNS[1:6]
+            config = RunConfig(L=2)
+            if objective == "total_loss":
+                loss, terms = total_loss(labels, l_prime, p, q, params, config)
+            elif objective == "base_loss":
+                loss, terms = base_loss(labels, l_prime, params, config)
+            else:
+                loss, terms = fixed_table_loss(np.array([[0, 1], [1, 1], [1, 0]]), p, params,
+                                               config)
+            assert list(terms) == list(keys)
+            assert terms["total"] == loss.item()
+            assert terms["total"] == pytest.approx(sum(terms[k] for k in keys[:-1]), abs=1e-9)
 
     def test_gamma_override_scales_bias_term(self):
         params, labels, l_prime, p, q = self.toy(seed=2)
@@ -217,6 +228,14 @@ class TestStringTargetLoss:
         direct = string_target_loss(targets, p, 0.8).item()
         expected = 0.8 * -math.log(0.8) + 0.64 * -math.log(0.7)
         assert direct == pytest.approx(expected)
+
+    def test_fixed_table_loss_reads_bits_as_one_hot_targets(self):
+        p = bit_rows((0.8, 0.2), (0.3, 0.7))
+        _, terms = fixed_table_loss(np.array([[0, 1]]), p, ParameterSet(),
+                                    RunConfig(L=2, beta=2.0))
+        expected = 0.8 * -math.log(0.8) + 0.64 * -math.log(0.7)
+        assert terms == {"term_string": pytest.approx(2.0 * expected), "term_l2": 0.0,
+                         "total": pytest.approx(2.0 * expected)}
 
 
 def test_l2_penalty_covers_only_trainable():

@@ -9,7 +9,7 @@ from lhc.autodiff import (ShapeError, Tape, Tensor, check_param_gradients, conca
 from lhc.data import one_hot
 from lhc.networks import (Class2StrNet, CollisionError, LhClassifierNet,
                           Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
-                          lookup_predict, string_of)
+                          strings_of)
 from lhc.nn import Adam, ParameterSet
 from lhc.training import _encoding_bits
 
@@ -30,31 +30,34 @@ def build_nets(seed=0, num_classes=4, length=2, feature_dim=6, hidden=5):
     return params, c2s, s2c, lh
 
 
-class TestStringOf:
+class TestStringsOf:
     def test_per_bit_argmax(self):
-        assert string_of(np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])) == "010"
+        dist = np.array([[0.9, 0.1, 0.2, 0.8, 0.6, 0.4],
+                         [0.3, 0.7, 0.6, 0.4, 0.1, 0.9]])
+        assert strings_of(dist) == {0: "010", 1: "101"}
 
     def test_exact_tie_resolves_to_zero(self):
-        assert string_of(np.full((5, 2), 0.5)) == "00000"
+        assert strings_of(np.full((1, 10), 0.5)) == {0: "00000"}
 
     def test_fully_biased_rows(self):
-        assert string_of(np.tile([0.0, 1.0], (4, 1))) == "1111"
+        assert strings_of(np.tile([0.0, 1.0], (2, 4))) == {0: "1111", 1: "1111"}
 
-    def test_rejects_non_pair_rows(self):
+    @pytest.mark.parametrize("shape", [(3, 5), (3, 0), (6,), (2, 2, 2)])
+    def test_rejects_anything_but_packed_rows(self, shape):
         with pytest.raises(ShapeError):
-            string_of(np.zeros((3, 4)))
+            strings_of(np.zeros(shape))
 
     def test_stable_under_small_perturbation(self):
         # perturbing every probability by less than half the smallest gap
         # cannot change any argmax
         rng = np.random.default_rng(21)
-        p1 = rng.uniform(0.1, 0.9, size=8)
-        dist = np.stack([1.0 - p1, p1], axis=1)
-        gap = np.abs(dist[:, 1] - dist[:, 0]).min()
-        base = string_of(dist)
+        p1 = rng.uniform(0.1, 0.9, size=(3, 8))
+        dist = np.stack([1.0 - p1, p1], axis=2).reshape(3, 16)
+        gap = np.abs(dist[:, 1::2] - dist[:, 0::2]).min()
+        base = strings_of(dist)
         for _ in range(50):
             noise = rng.uniform(-0.49 * gap, 0.49 * gap, size=dist.shape)
-            assert string_of(dist + noise) == base
+            assert strings_of(dist + noise) == base
 
 
 class TestClass2Str:
@@ -81,7 +84,7 @@ class TestClass2Str:
         for bad in (-1, 4):
             with pytest.raises(ValueError, match=f"class id {bad} outside"):
                 net.encode(bad)
-        np.testing.assert_array_equal(net.encode(3), net.table()[3].reshape(2, 2))
+        np.testing.assert_array_equal(net.encode(3), net.table()[3])
 
     def test_default_trunk_width(self):
         params = ParameterSet()
@@ -310,15 +313,19 @@ class TestFreezeLookup:
             t.data *= 3.0  # sharper bits: this seed gives eight distinct strings
         soft = net.table()
         assert soft.shape == (8, 20)
-        strings = freeze_lookup(net).class_to_string
+        table = freeze_lookup(net)
+        strings = table.class_to_string
         assert len(set(strings.values())) == 8
         assert ["".join(map(str, row)) for row in _encoding_bits(net)] == list(strings.values())
+        assert table.bits.dtype == np.int64
+        np.testing.assert_array_equal(table.bits, _encoding_bits(net))
+        assert strings_of(soft) == strings
         for c in range(8):
-            np.testing.assert_array_equal(net.encode(c), soft[c].reshape(10, 2))
+            np.testing.assert_array_equal(net.encode(c), soft[c])
             # the reference: a one-row forward of the class's one-hot label
             single = net.forward(Tensor(np.eye(8)[c:c + 1])).data
             np.testing.assert_allclose(soft[c], single[0], rtol=0, atol=1e-14)
-            assert string_of(single.reshape(10, 2)) == strings[c]
+            assert strings_of(single) == {0: strings[c]}
 
 
 class TestLookupTable:
@@ -330,17 +337,21 @@ class TestLookupTable:
         for c, s in table.class_to_string.items():
             assert table.string_to_class[s] == c
 
-    def test_lookup_predict_hit_and_miss(self):
+    def test_lookup_of_predicted_strings_hit_and_miss(self):
         table = self.table()
-        hit = np.zeros((4, 2))
-        hit[:, 0] = 1.0
-        hit[1, :] = [0.1, 0.9]
-        hit[2, :] = [0.2, 0.8]
-        assert string_of(hit) == "0110"
-        assert lookup_predict(table, hit) == 6
-        miss = np.zeros((4, 2))
-        miss[:, 1] = 1.0  # "1111" > 9, absent
-        assert lookup_predict(table, miss) is None
+        hit = np.tile([1.0, 0.0], 4)
+        hit[2:6] = [0.1, 0.9, 0.2, 0.8]
+        miss = np.tile([0.0, 1.0], 4)  # "1111" > 9, absent
+        strings = strings_of(np.stack([hit, miss]))
+        assert strings == {0: "0110", 1: "1111"}
+        assert table.lookup(strings[0]) == 6
+        assert table.lookup(strings[1]) is None
+
+    def test_bits_are_the_strings_in_class_order_and_read_only(self):
+        table = StringLookupTable({2: "10", 0: "01", 1: "11"})
+        np.testing.assert_array_equal(table.bits, [[0, 1], [1, 1], [1, 0]])
+        with pytest.raises(ValueError):
+            table.bits[0, 0] = 1
 
     def test_exactly_six_of_sixteen_strings_unmatched(self):
         table = self.table()

@@ -33,44 +33,25 @@ def rigged_lh_params(config: training.RunConfig) -> ParameterSet:
     return params
 
 
-def as_v1(params: ParameterSet, length: int) -> ParameterSet:
-    """The same values under the version-1 names: one class2str.head{i} layer per bit."""
-    out = ParameterSet()
-    for name, t in params.items():
-        if name == "class2str.heads.weight":
-            bias = params["class2str.heads.bias"].data
-            for i in range(length):
-                out.add(f"class2str.head{i}.weight", t.data[2 * i:2 * i + 2])
-                out.add(f"class2str.head{i}.bias", bias[2 * i:2 * i + 2])
-        elif name != "class2str.heads.bias":
-            out.add(name, t.data)
-    out.freeze(params.frozen_names())
-    return out
-
-
-def test_version_1_lh_checkpoint_loads_to_the_same_strings(tmp_path):
+def test_rigged_lh_checkpoint_loads_to_its_strings_and_other_versions_are_rejected(tmp_path):
     config = training.RunConfig(extractor_dims=[6, 5, 4], L=3, lstm_hidden=5, c2s_hidden=4,
                                 s2c_hidden=8)
     params = rigged_lh_params(config)
     meta = {"kind": "lh", "config": config.to_dict(), "num_classes": len(STRINGS),
             "feature_dim": 4, "extractor_dims": config.extractor_dims, "class_names": None}
     save_checkpoint(tmp_path / "v2.lhc1", params, meta)
-    save_checkpoint(tmp_path / "v1.lhc1", as_v1(params, config.L), meta)
-    raw = (tmp_path / "v1.lhc1").read_bytes()
+    loaded = training.load_lh_result(tmp_path / "v2.lhc1")
+    assert loaded.table.class_to_string == dict(enumerate(STRINGS))
+    assert loaded.params.tobytes() == params.tobytes()
+    assert loaded.params.frozen_names() == params.frozen_names()
+
+    raw = (tmp_path / "v2.lhc1").read_bytes()
     assert raw.count(b'"format_version": 2') == 1
-    (tmp_path / "v1.lhc1").write_bytes(raw.replace(b'"format_version": 2', b'"format_version": 1'))
-
-    new = training.load_lh_result(tmp_path / "v2.lhc1")
-    old = training.load_lh_result(tmp_path / "v1.lhc1")
-    assert new.table.class_to_string == dict(enumerate(STRINGS))
-    assert old.table.class_to_string == new.table.class_to_string
-    assert old.params.names() == new.params.names()
-    assert old.params.tobytes() == new.params.tobytes()
-    assert old.params.frozen_names() == new.params.frozen_names()
-
-    (tmp_path / "v3.lhc1").write_bytes(raw.replace(b'"format_version": 2', b'"format_version": 3'))
-    with pytest.raises(CheckpointError, match="version"):
-        training.load_lh_result(tmp_path / "v3.lhc1")
+    for version in (b"1", b"3"):
+        path = tmp_path / f"v{version.decode()}.lhc1"
+        path.write_bytes(raw.replace(b'"format_version": 2', b'"format_version": ' + version))
+        with pytest.raises(CheckpointError, match="version"):
+            training.load_lh_result(path)
 
 
 @pytest.fixture(scope="module")

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from lhc.networks import StringLookupTable
+from lhc.networks import CollisionError, StringLookupTable
 from lhc.tree import (CanonicalForm, PrefixTree, build_tree, canonicalize,
                       export_tree, tree_distance, tree_from_json)
 
@@ -47,7 +47,7 @@ class TestBuildTree:
             build_tree({0: "0", 1: "01"})
 
     def test_duplicate_strings_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
+        with pytest.raises(CollisionError, match="one-to-one"):
             build_tree({0: "01", 1: "01"})
 
     def test_non_binary_string_rejected(self):
