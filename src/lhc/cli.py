@@ -74,7 +74,6 @@ def cmd_train_lh(args) -> int:
     result.report.write_csv(out / "metrics.csv")
     (out / "report.json").write_text(result.report.to_json() + "\n")
     if result.table is not None:
-        (out / "lookup.json").write_text(result.table.to_json() + "\n")
         tree = build_tree(result.table)
         (out / "tree.json").write_text(export_tree(tree, "json") + "\n")
         (out / "tree.dot").write_text(export_tree(tree, "dot"))
@@ -88,8 +87,7 @@ def cmd_train_lh(args) -> int:
 
 def cmd_eval(args) -> int:
     artifacts = training.load_lh_result(args.checkpoint)
-    config = training.RunConfig.from_dict(artifacts.meta["config"])
-    _, test = _load_split_datasets(config, args.data_dir)
+    _, test = _load_split_datasets(artifacts.config, args.data_dir)
     result = training.evaluate(artifacts.table, artifacts.lh, artifacts.extractor, test)
     print(f"accuracy {result.accuracy:.4f} over {result.num_samples} samples "
           f"({result.num_no_match} with no matching string)")

@@ -53,7 +53,6 @@ class LabeledDataset:
     features: np.ndarray
     labels: np.ndarray
     num_classes: int
-    split: str = ""
     class_names: list[str] | None = None
 
     def __post_init__(self):
@@ -80,9 +79,9 @@ class LabeledDataset:
     def feature_dim(self) -> int:
         return self.features.shape[1]
 
-    def subset(self, index: np.ndarray, split: str | None = None) -> "LabeledDataset":
+    def subset(self, index: np.ndarray) -> "LabeledDataset":
         return LabeledDataset(self.features[index], self.labels[index], self.num_classes,
-                              split if split is not None else self.split, self.class_names)
+                              self.class_names)
 
 
 # ------------------------------------------------------------------- MNIST
@@ -140,7 +139,7 @@ def load_mnist(data_dir) -> tuple[LabeledDataset, LabeledDataset]:
         if images.shape[0] != labels.shape[0]:
             raise DataFormatError(f"{split}: {images.shape[0]} images but "
                                   f"{labels.shape[0]} labels")
-        sets.append(LabeledDataset(images, labels, num_classes=10, split=split,
+        sets.append(LabeledDataset(images, labels, num_classes=10,
                                    class_names=[str(d) for d in range(10)]))
     return sets[0], sets[1]
 
@@ -204,7 +203,7 @@ def generate_planted(spec: PlantedHierarchySpec) -> tuple[LabeledDataset, Prefix
             (spec.samples_per_class, spec.feature_dim))
         labels[lo:hi] = c
 
-    dataset = LabeledDataset(features, labels, num_classes=spec.num_classes, split="all")
+    dataset = LabeledDataset(features, labels, num_classes=spec.num_classes)
     truth = build_tree({c: format(c, f"0{spec.depth}b") for c in range(spec.num_classes)})
     return dataset, truth
 
@@ -223,8 +222,8 @@ def train_test_split(ds: LabeledDataset, test_fraction: float,
         k = math.ceil(test_fraction * rows.size)
         test_idx.append(rows[:k])
         train_idx.append(rows[k:])
-    return (ds.subset(np.sort(np.concatenate(train_idx)), "train"),
-            ds.subset(np.sort(np.concatenate(test_idx)), "test"))
+    return (ds.subset(np.sort(np.concatenate(train_idx))),
+            ds.subset(np.sort(np.concatenate(test_idx))))
 
 
 # ------------------------------------------------------------ feature files

@@ -6,7 +6,9 @@ example or class is one such row. The string codec reads this layout only:
 hard_bits takes each bit's argmax (ties go to 0) as a (B, L) 0/1 matrix,
 strings_of spells those rows as L-character strings, and a
 StringLookupTable holds the frozen class-to-string bijection, with its
-strings also as a (C, L) bit matrix, bits.
+strings also as a (C, L) bit matrix, bits. A run stores that bijection
+once, as the leaves of its prefix tree (tree.export_tree), and
+tree.tree_from_json(text).to_table() reads it back.
 
 Inference runs in row blocks (run_in_row_blocks) whose widest float64
 slab, such as the LSTM's (4n, rows) gates, fits in about
@@ -22,14 +24,14 @@ one whole-array forward.
 from __future__ import annotations
 
 import itertools
-import json
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, lstm_sequence, pair_softmax, reshape, softmax, tanh
 from .nn import Linear, LstmCell, ParameterSet
 
-LOOKUP_VERSION = 1
+# The LSTM depths LhClassifierNet builds; RunConfig checks lstm_layers against it.
+LSTM_LAYERS = (1, 2)
 # Measured for predict_bits over 200k rows at n = 32, L = 4 and 8, one and
 # two layers, on a 2-vCPU x86-64 Xeon (2 MiB L2 per core) with one BLAS
 # thread: blocks of 128-1024 rows ran 1.5-1.9x faster than one forward per
@@ -121,47 +123,6 @@ class StringLookupTable:
     def lookup(self, bits: str) -> int | None:
         return self.string_to_class.get(bits)
 
-    def to_json(self) -> str:
-        obj = {
-            "version": LOOKUP_VERSION,
-            "L": self.string_length,
-            "C": self.num_classes,
-            "entries": [
-                {"class_id": c, "class_name": self.class_names[i], "string": s}
-                for i, (c, s) in enumerate(self.class_to_string.items())
-            ],
-        }
-        return json.dumps(obj, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "StringLookupTable":
-        """Inverse of to_json; raises ValueError on any malformed document."""
-        try:
-            obj = json.loads(text)
-        except RecursionError:
-            raise ValueError("lookup JSON nests too deeply") from None
-        if not isinstance(obj, dict) or set(obj) != {"version", "L", "C", "entries"}:
-            raise ValueError("lookup JSON must be an object with exactly version, L, C "
-                             "and entries")
-        if obj["version"] != LOOKUP_VERSION:
-            raise ValueError(f"unsupported lookup JSON version {obj['version']!r}")
-        entries = obj["entries"]
-        if not isinstance(entries, list) or not all(
-                isinstance(e, dict) and set(e) == {"class_id", "class_name", "string"}
-                and type(e["class_id"]) is int and isinstance(e["class_name"], str)
-                and isinstance(e["string"], str) for e in entries):
-            raise ValueError("lookup JSON entries must be objects with an int class_id, "
-                             "a str class_name and a str string")
-        mapping = {e["class_id"]: e["string"] for e in entries}
-        if len(mapping) != len(entries):
-            raise ValueError("lookup JSON lists a class id more than once")
-        names = [e["class_name"] for e in sorted(entries, key=lambda e: e["class_id"])]
-        table = cls(mapping, class_names=names)
-        if (type(obj["L"]) is not int or type(obj["C"]) is not int
-                or table.string_length != obj["L"] or table.num_classes != obj["C"]):
-            raise ValueError("lookup JSON header disagrees with its entries")
-        return table
-
 
 class Class2StrNet:
     """One-hot class label -> (B, 2L) bit distributions q via a shared trunk.
@@ -241,8 +202,8 @@ class LhClassifierNet:
     def __init__(self, params: ParameterSet, feature_dim: int, hidden_dim: int,
                  string_length: int, rng: np.random.Generator, num_layers: int = 1,
                  prefix: str = "lh"):
-        if num_layers not in (1, 2):
-            raise ValueError(f"num_layers must be 1 or 2, got {num_layers}")
+        if num_layers not in LSTM_LAYERS:
+            raise ValueError(f"num_layers must be one of {LSTM_LAYERS}, got {num_layers}")
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
         self.string_length = string_length

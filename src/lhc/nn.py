@@ -116,8 +116,6 @@ class Linear:
             raise ValueError(f"Linear dims must be positive, got {in_dim}->{out_dim}")
         if blocks <= 0 or out_dim % blocks:
             raise ValueError(f"{out_dim} outputs do not split into {blocks} blocks")
-        self.in_dim = in_dim
-        self.out_dim = out_dim
         weight = np.vstack([xavier_uniform(rng, out_dim // blocks, in_dim)
                             for _ in range(blocks)])
         self.weight = params.add(f"{name}.weight", weight)
@@ -146,8 +144,6 @@ class LstmCell:
                  rng: np.random.Generator):
         if hidden_dim <= 0:
             raise ValueError(f"hidden_dim must be positive, got {hidden_dim}")
-        self.in_dim = in_dim
-        self.hidden_dim = hidden_dim
         self.w_x = params.add(f"{name}.w_x", xavier_uniform(rng, 4 * hidden_dim, in_dim))
         self.w_h = params.add(f"{name}.w_h", xavier_uniform(rng, 4 * hidden_dim, hidden_dim))
         bias = np.zeros(4 * hidden_dim)

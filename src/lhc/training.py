@@ -37,7 +37,7 @@ import numpy as np
 from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
 from .data import BatchIterator, LabeledDataset, one_hot
 from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss
-from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
+from .networks import (LSTM_LAYERS, Class2StrNet, CollisionError, LhClassifierNet,
                        Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
                        run_in_row_blocks, strings_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
@@ -57,7 +57,7 @@ class TrainingDivergence(RuntimeError):
 
 
 class FrozenExtractorChanged(RuntimeError):
-    """Phase 2 altered the bytes of the extractor it was meant to keep frozen."""
+    """Training altered the bytes of a frozen parameter, such as phase 2's extractor."""
 
 
 _INT_FIELD_MINIMUM = {"seed": 0, "L": 1, "lstm_hidden": 1, "lstm_layers": 1, "epochs": 1,
@@ -93,7 +93,8 @@ class RunConfig:
     """Everything a run needs to be reproduced; a bad field raises ValueError naming it.
 
     Beyond each field's type: alpha, beta, gamma and delta are >= 0, 0 < mu < 1,
-    and string_ce_order is "pq" (H(p, q) as written) or "qp" (swapped).
+    lstm_layers is one of networks.LSTM_LAYERS, and string_ce_order is "pq"
+    (H(p, q) as written) or "qp" (swapped).
     """
 
     seed: int = 0
@@ -124,6 +125,9 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_int(value, least) or (value is None and name in _OPTIONAL_INT_FIELDS)):
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        if self.lstm_layers not in LSTM_LAYERS:
+            raise ValueError(f"lstm_layers must be one of {LSTM_LAYERS}, "
+                             f"got {self.lstm_layers!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             # the comparison is False for NaN and safe for ints too large for a float
@@ -272,8 +276,7 @@ def _split_validation(ds: LabeledDataset, val_size: int, seed: int):
     if held == 0:
         return ds, None
     perm = np.random.default_rng([seed, _VAL_STREAM]).permutation(len(ds))
-    return (ds.subset(np.sort(perm[:-held]), "train"),
-            ds.subset(np.sort(perm[-held:]), "val"))
+    return ds.subset(np.sort(perm[:-held])), ds.subset(np.sort(perm[-held:]))
 
 
 def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | None,
@@ -287,8 +290,10 @@ def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | N
     fail to strictly beat the best score, and the parameters of the first
     epoch with that score are restored. Without val_ds every epoch runs
     (stop_reason "epochs", as for a run that was not stopped early) and the
-    last one is kept.
+    last one is kept. If a frozen parameter's bytes differ after the last
+    epoch from before the first, fit raises FrozenExtractorChanged.
     """
+    frozen_before = params.tobytes(params.frozen_names())
     adam = Adam(params, lr=config.lr)
     batches = BatchIterator(fit_ds, min(config.batch_size, len(fit_ds)), config.seed)
     rows = []
@@ -326,6 +331,8 @@ def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | N
                 stop_reason = "patience"
                 break
 
+    if params.tobytes(params.frozen_names()) != frozen_before:
+        raise FrozenExtractorChanged("frozen parameters changed during training")
     if best_snap is None:
         return rows, len(rows), stop_reason
     for (_, t), data in zip(params.trainable(), best_snap):
@@ -399,9 +406,16 @@ class LhTrainResult:
     report: TrainReport
 
 
-def _clone_extractor(base: BaseModel, params: ParameterSet,
+def _clone_extractor(base: BaseModel, config: RunConfig, params: ParameterSet,
                      rng: np.random.Generator) -> MlpExtractor:
-    """Copy the trained extractor into a new set and freeze it there."""
+    """Copy the trained extractor into a new set and freeze it there.
+
+    config.extractor_dims, the one record of its sizes that a checkpoint
+    keeps, must equal its dims, or ValueError is raised.
+    """
+    if list(config.extractor_dims) != base.extractor.dims:
+        raise ValueError(f"config extractor_dims {config.extractor_dims} do not match the "
+                         f"base model's extractor dims {base.extractor.dims}")
     extractor = MlpExtractor(params, base.extractor.dims, rng)
     for src, dst in zip(base.extractor.tensors(), extractor.tensors()):
         dst.data[...] = src.data
@@ -413,10 +427,20 @@ def _feature_split(extractor: MlpExtractor, train_ds: LabeledDataset, config: Ru
     """The (fit, val) split of train_ds, each half as frozen-extractor features."""
     def features(ds):
         return LabeledDataset(extractor.feature_matrix(ds.features), ds.labels,
-                              ds.num_classes, ds.split)
+                              ds.num_classes)
 
     fit_ds, val_ds = _split_validation(train_ds, config.val_size, config.seed)
     return features(fit_ds), None if val_ds is None else features(val_ds)
+
+
+def _phase2_nets(params: ParameterSet, num_classes: int, feature_dim: int, config: RunConfig,
+                 rng: np.random.Generator) -> tuple[Class2StrNet, Str2ClassNet, LhClassifierNet]:
+    """Class2Str, Str2Class and the LH classifier at config's sizes, drawn from rng in turn."""
+    class2str = Class2StrNet(params, num_classes, config.L, rng, hidden_dim=config.c2s_hidden)
+    str2class = Str2ClassNet(params, num_classes, config.L, rng, hidden_dim=config.s2c_hidden)
+    lh = LhClassifierNet(params, feature_dim, config.lstm_hidden, config.L, rng,
+                         num_layers=config.lstm_layers)
+    return class2str, str2class, lh
 
 
 def _encoding_bits(class2str: Class2StrNet) -> np.ndarray:
@@ -490,15 +514,17 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
              test_ds: LabeledDataset | None = None) -> LhTrainResult:
     """Joint phase-2 training of Class2Str, Str2Class, and the LH classifier.
 
-    The extractor is copied in frozen, so its bytes cannot change; its
-    features are precomputed once per dataset. Each step runs Class2Str and
-    Str2Class once per distinct class in the batch (phase2_forward), and each
-    read of the encoding is one Class2StrNet.table() forward. gamma is halved
-    every gamma_decay_every epochs so the bit distributions stay biased while
-    the term shrinks over time. Validation scores string matches against the
-    current hard encoding. Fewer than two classes, an L too short to give
-    each class its own string, or a test split whose classes or feature
-    width differ from train_ds's raises ValueError before any work.
+    The extractor is copied in frozen, and fit checks that its bytes do not
+    change; its features are precomputed once per dataset. Each step runs
+    Class2Str and Str2Class once per distinct class in the batch
+    (phase2_forward), and each read of the encoding is one
+    Class2StrNet.table() forward. gamma is halved every gamma_decay_every
+    epochs so the bit distributions stay biased while the term shrinks over
+    time. Validation scores string matches against the current hard
+    encoding. Fewer than two classes, an L too short to give
+    each class its own string, a test split whose classes or feature width
+    differ from train_ds's, or config.extractor_dims other than the base
+    extractor's raises ValueError before any work.
     """
     _check_test_split(train_ds, test_ds)
     num_classes = train_ds.num_classes
@@ -507,12 +533,9 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     rng = np.random.default_rng(config.seed)
 
     params = ParameterSet()
-    extractor = _clone_extractor(base, params, rng)
-    frozen_before = params.tobytes(params.names_with_prefix("extractor."))
-    class2str = Class2StrNet(params, num_classes, config.L, rng, hidden_dim=config.c2s_hidden)
-    str2class = Str2ClassNet(params, num_classes, config.L, rng, hidden_dim=config.s2c_hidden)
-    lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L,
-                         rng, num_layers=config.lstm_layers)
+    extractor = _clone_extractor(base, config, params, rng)
+    class2str, str2class, lh = _phase2_nets(params, num_classes, extractor.feature_dim,
+                                            config, rng)
 
     def step(f_np, y_np, epoch):
         gamma = config.gamma * config.gamma_decay ** ((epoch - 1) // config.gamma_decay_every)
@@ -526,8 +549,6 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
 
     rows, best_epoch, stop_reason = fit(params, *_feature_split(extractor, train_ds, config),
                                         config, config.lh_epochs, step, validate)
-    if params.tobytes(params.names_with_prefix("extractor.")) != frozen_before:
-        raise FrozenExtractorChanged("frozen extractor changed during phase 2")
 
     soft = class2str.table()  # the one read of the final encoding
     strings = strings_of(soft)
@@ -615,16 +636,17 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
 
     The loss is losses.fixed_table_loss: the beta- and mu-weighted string
     term against the table's bits plus the L2 penalty; the class and bias
-    terms have no role without Class2Str/Str2Class. A
-    table that does not fit the data's classes or config.L, or a test split
-    that does not match train_ds, raises ValueError before any work.
+    terms have no role without Class2Str/Str2Class. A table that does not
+    fit the data's classes or config.L, a test split that does not match
+    train_ds, or config.extractor_dims other than the base extractor's
+    raises ValueError before any work.
     """
     _check_test_split(train_ds, test_ds)
     _check_table_fits(table, train_ds.num_classes, config.L)
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
-    extractor = _clone_extractor(base, params, rng)
+    extractor = _clone_extractor(base, config, params, rng)
     lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L,
                          rng, num_layers=config.lstm_layers)
     bits_by_class = table.bits
@@ -716,7 +738,9 @@ def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig
     Missing or ill-typed metadata raises CheckpointError. config must hold a
     valid RunConfig, num_classes an int >= 1 and class_names null or one str
     per class. A base checkpoint needs fc_dims, layer sizes ending in
-    num_classes; an lh checkpoint needs an int feature_dim and extractor_dims.
+    num_classes. An lh checkpoint's sizes all come from its config; keys
+    beyond these, such as the feature_dim and extractor_dims that older lh
+    checkpoints carry, are ignored.
     """
     params, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
@@ -733,9 +757,6 @@ def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig
     if kind == "base" and not (_dims_ok(meta.get("fc_dims"))
                                and meta["fc_dims"][-1] == num_classes):
         problems.append("fc_dims is not a list of layer sizes ending in num_classes")
-    if kind == "lh" and not (_is_int(meta.get("feature_dim"), 1)
-                             and _dims_ok(meta.get("extractor_dims"))):
-        problems.append("feature_dim or extractor_dims is not a positive layer size")
     if problems:
         raise CheckpointError(f"{path}: bad checkpoint metadata: {'; '.join(problems)}")
     try:
@@ -761,8 +782,6 @@ def save_lh_result(path, result: LhTrainResult, config: RunConfig,
         "kind": "lh",
         "config": config.to_dict(),
         "num_classes": result.class2str.num_classes,
-        "feature_dim": result.extractor.feature_dim,
-        "extractor_dims": result.extractor.dims,
         "class_names": class_names,
     })
 
@@ -776,25 +795,20 @@ class LhArtifacts:
     lh: LhClassifierNet
     table: StringLookupTable
     meta: dict
+    config: RunConfig
 
 
 def load_lh_result(path) -> LhArtifacts:
     params, meta, config = _load_run_checkpoint(path, "lh")
-    num_classes = meta["num_classes"]
     rng = np.random.default_rng(0)
     fresh = ParameterSet()
-    extractor = MlpExtractor(fresh, meta["extractor_dims"], rng)
-    class2str = Class2StrNet(fresh, num_classes, config.L, rng, hidden_dim=config.c2s_hidden)
-    str2class = Str2ClassNet(fresh, num_classes, config.L, rng, hidden_dim=config.s2c_hidden)
-    try:
-        lh = LhClassifierNet(fresh, meta["feature_dim"], config.lstm_hidden, config.L, rng,
-                             num_layers=config.lstm_layers)
-    except ValueError as exc:  # a layer count the net does not support
-        raise CheckpointError(f"{path}: {exc}") from exc
+    extractor = MlpExtractor(fresh, config.extractor_dims, rng)
+    class2str, str2class, lh = _phase2_nets(fresh, meta["num_classes"], extractor.feature_dim,
+                                            config, rng)
     _adopt(fresh, params)
     table = freeze_lookup(class2str, class_names=meta.get("class_names"))
     return LhArtifacts(params=fresh, extractor=extractor, class2str=class2str,
-                       str2class=str2class, lh=lh, table=table, meta=meta)
+                       str2class=str2class, lh=lh, table=table, meta=meta, config=config)
 
 
 def _adopt(dst: ParameterSet, src: ParameterSet) -> None:
@@ -823,10 +837,8 @@ def gradcheck_report(seed: int, num_classes: int = 4, string_length: int = 2,
     _check_string_length(num_classes, string_length)
     rng = np.random.default_rng(seed)
     params = ParameterSet()
-    class2str = Class2StrNet(params, num_classes, string_length, rng, hidden_dim=8)
-    str2class = Str2ClassNet(params, num_classes, string_length, rng, hidden_dim=8)
-    lh = LhClassifierNet(params, feature_dim, lstm_hidden, string_length, rng)
-    config = RunConfig(L=string_length)
+    config = RunConfig(L=string_length, lstm_hidden=lstm_hidden, c2s_hidden=8, s2c_hidden=8)
+    class2str, str2class, lh = _phase2_nets(params, num_classes, feature_dim, config, rng)
 
     feats = np.asarray(rng.standard_normal((batch, feature_dim)))
     labels = one_hot(rng.integers(0, num_classes, size=batch), num_classes)

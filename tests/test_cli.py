@@ -49,7 +49,10 @@ def test_train_lh_exit_code_and_lookup_follow_the_collision(run, length, collide
     collision = json.loads((out / "report.json").read_text())["extras"]["collision"]
     assert (collision is not None) == collides
     assert codes[f"train-lh L={length}"] == (1 if collides else 0)
-    assert (out / "lookup.json").is_file() == (not collides)
+    # tree.json is the run's one record of the learned class-to-string mapping
+    for name in ("tree.json", "tree.dot"):
+        assert (out / name).is_file() == (not collides)
+    assert not (out / "lookup.json").exists()
 
 
 @pytest.mark.parametrize("length, expected", [(2, 1), (8, 0)])
@@ -62,10 +65,10 @@ def test_eval_and_export_tree_exit_codes(run, capsys, length, expected):
     assert main(["export-tree", "--checkpoint", checkpoint, "--format", "json"]) == expected
     exported = capsys.readouterr().out
     if expected == 0:
-        lookup = json.loads((root / f"lh{length}" / "lookup.json").read_text())
+        # the checkpoint rebuilds the mapping that train-lh wrote
+        assert exported + "\n" == (root / f"lh{length}" / "tree.json").read_text()
         tree = tree_from_json(exported)
-        assert tree.string_length == length
-        assert tree.to_table() == {e["class_id"]: e["string"] for e in lookup["entries"]}
+        assert tree.string_length == length and sorted(tree.to_table()) == [0, 1, 2, 3]
 
 
 def test_eval_on_data_with_more_classes_exits_1(run, capsys):
@@ -101,8 +104,9 @@ def test_missing_required_argument_exits_2(argv, capsys):
     ("train-base", {"delta": -1}, [], "delta"),
     ("train-base", {"mu": 1.5}, [], "mu"),
     ("train-lh", {}, ["--mu", "1.5"], "mu"),
+    ("train-lh", {"lstm_layers": 3}, [], "lstm_layers"),
 ], ids=["train-lh gamma_decay_every 0", "train-base delta -1", "train-base mu 1.5",
-        "train-lh --mu 1.5"])
+        "train-lh --mu 1.5", "train-lh lstm_layers 3"])
 def test_out_of_range_config_exits_1_before_training(tmp_path, capsys, command, edit, flags,
                                                      field):
     config = tmp_path / "config.json"

@@ -171,7 +171,7 @@ def test_damaged_model_metadata_raises_checkpoint_error_or_loads(tmp_path, model
     assert len(bad) == len(raw)
 
 
-# ------------------------------------------------------- lookup and tree JSON
+# --------------------------------------------------------------------- tree JSON
 
 @st.composite
 def tables(draw):
@@ -187,25 +187,6 @@ def tables(draw):
 def damaged_text(data, text: str) -> str:
     # every byte stands for one character, so a flipped high bit is a character too
     return damaged(data, text.encode("utf-8")).decode("latin-1")
-
-
-@settings(max_examples=30, **SETTINGS)
-@given(table=tables())
-def test_lookup_json_round_trip_is_exact(table):
-    text = table.to_json()
-    loaded = StringLookupTable.from_json(text)
-    assert loaded.class_to_string == table.class_to_string
-    assert loaded.class_names == table.class_names
-    assert loaded.to_json() == text
-
-
-@settings(max_examples=80, **SETTINGS)
-@given(table=tables(), data=st.data())
-def test_damaged_lookup_json_raises_value_error_or_loads(table, data):
-    try:
-        StringLookupTable.from_json(damaged_text(data, table.to_json()))
-    except ValueError:
-        pass
 
 
 @settings(max_examples=30, **SETTINGS)

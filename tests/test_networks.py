@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -12,6 +10,7 @@ from lhc.networks import (Class2StrNet, CollisionError, LhClassifierNet,
                           strings_of)
 from lhc.nn import Adam, ParameterSet
 from lhc.training import _encoding_bits
+from lhc.tree import build_tree, export_tree, tree_from_json
 
 
 # the rows of each forward call that blocked inference makes, for B-row blocks:
@@ -372,48 +371,14 @@ class TestLookupTable:
             StringLookupTable({0: "0", 1: "1"}, class_names=names)
 
     def test_json_round_trip(self):
+        # tree.json is the one file record of a learned table
         table = StringLookupTable({0: "00", 1: "01", 2: "10"},
                                   class_names=["cat", "dog", "eel"])
-        clone = StringLookupTable.from_json(table.to_json())
+        text = export_tree(build_tree(table), "json")
+        tree = tree_from_json(text)
+        clone = StringLookupTable(tree.to_table(),
+                                  class_names=[leaf.class_name for leaf in
+                                               sorted(tree.leaves(), key=lambda n: n.class_id)])
         assert clone.class_to_string == table.class_to_string
         assert clone.class_names == table.class_names
-        assert clone.to_json() == table.to_json()
-
-
-def _lookup_doc(entries=None, **header):
-    if entries is None:
-        entries = [{"class_id": 0, "class_name": "a", "string": "0"},
-                   {"class_id": 1, "class_name": "b", "string": "1"}]
-    return json.dumps({"version": 1, "L": 1, "C": len(entries), "entries": entries, **header})
-
-
-MALFORMED_LOOKUP_JSON = {
-    "list document": "[]",
-    "empty object": "{}",
-    "entry without string": _lookup_doc([{"class_id": 0, "class_name": "a"}]),
-    "str class id": _lookup_doc([{"class_id": "x", "class_name": "a", "string": "0"}]),
-    "bool class id": _lookup_doc([{"class_id": True, "class_name": "a", "string": "0"}]),
-    "int string": _lookup_doc([{"class_id": 0, "class_name": "a", "string": 0}]),
-    "version 7": _lookup_doc(version=7),
-    "entries object": _lookup_doc(entries={}),
-    "entry not an object": _lookup_doc(entries=[[0, "a", "0"]]),
-    "duplicate class id": _lookup_doc([{"class_id": 0, "class_name": "a", "string": "0"},
-                                       {"class_id": 0, "class_name": "b", "string": "1"}]),
-    "wrong C": _lookup_doc(C=3),
-    "wrong L": _lookup_doc(L=2),
-    "str L": _lookup_doc(L="1"),
-    "deep nesting": "[" * 100_000,
-    "not JSON": "{",
-}
-
-
-@pytest.mark.parametrize("defect", sorted(MALFORMED_LOOKUP_JSON))
-def test_malformed_lookup_json_raises_value_error(defect):
-    with pytest.raises(ValueError):
-        StringLookupTable.from_json(MALFORMED_LOOKUP_JSON[defect])
-
-
-def test_valid_lookup_json_loads():
-    table = StringLookupTable.from_json(_lookup_doc())
-    assert table.class_to_string == {0: "0", 1: "1"}
-    assert table.class_names == ["a", "b"]
+        assert export_tree(build_tree(clone), "json") == text

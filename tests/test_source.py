@@ -12,3 +12,23 @@ def test_the_package_raises_errors_instead_of_asserting():
                for node in ast.walk(ast.parse(path.read_text(), str(path)))
                if isinstance(node, ast.Assert)]
     assert asserts == []
+
+
+def _bound_names(node: ast.Import | ast.ImportFrom) -> list[str]:
+    """The names an import statement binds: "np" for import numpy as np, "os" for import os.path."""
+    return [alias.asname or alias.name.split(".")[0] for alias in node.names]
+
+
+def test_every_imported_name_is_used_in_its_module():
+    # __init__.py imports to re-export, and a __future__ import is a directive
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(), str(path))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                   if isinstance(node, (ast.Import, ast.ImportFrom))
+                   and getattr(node, "module", None) != "__future__"
+                   for name in _bound_names(node) if name not in used]
+    assert unused == []

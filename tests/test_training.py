@@ -9,7 +9,8 @@ from lhc.autodiff import ShapeError, Tape, Tensor, sum_squares
 from lhc.data import LabeledDataset, PlantedHierarchySpec, generate_planted, one_hot
 from lhc.losses import total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
-from lhc.nn import Adam, CheckpointError, ParameterSet, save_checkpoint, xavier_uniform
+from lhc.nn import (Adam, CheckpointError, ParameterSet, load_checkpoint, save_checkpoint,
+                    xavier_uniform)
 from test_networks import BLOCK_CASES
 
 STRINGS = ["011", "100", "110", "001"]
@@ -37,6 +38,7 @@ def test_rigged_lh_checkpoint_loads_to_its_strings_and_other_versions_are_reject
     config = training.RunConfig(extractor_dims=[6, 5, 4], L=3, lstm_hidden=5, c2s_hidden=4,
                                 s2c_hidden=8)
     params = rigged_lh_params(config)
+    # older lh checkpoints also record the sizes that config holds; the loader ignores them
     meta = {"kind": "lh", "config": config.to_dict(), "num_classes": len(STRINGS),
             "feature_dim": 4, "extractor_dims": config.extractor_dims, "class_names": None}
     save_checkpoint(tmp_path / "v2.lhc1", params, meta)
@@ -54,6 +56,20 @@ def test_rigged_lh_checkpoint_loads_to_its_strings_and_other_versions_are_reject
             training.load_lh_result(path)
 
 
+@pytest.mark.parametrize("legacy_sizes", [
+    pytest.param({"feature_dim": "x", "extractor_dims": "x"}, id="ill-typed"),
+    pytest.param({"feature_dim": 9, "extractor_dims": [6, 32, 32, 9]}, id="contradicting")])
+def test_an_lh_checkpoint_s_old_size_keys_are_ignored(tmp_path, legacy_sizes):
+    config = training.RunConfig(extractor_dims=[6, 5, 4], L=3, lstm_hidden=5, c2s_hidden=4,
+                                s2c_hidden=8)
+    meta = {"kind": "lh", "config": config.to_dict(), "num_classes": len(STRINGS),
+            "class_names": None, **legacy_sizes}
+    save_checkpoint(tmp_path / "model.lhc1", rigged_lh_params(config), meta)
+    loaded = training.load_lh_result(tmp_path / "model.lhc1")
+    assert loaded.extractor.dims == config.extractor_dims
+    assert loaded.table.class_to_string == dict(enumerate(STRINGS))
+
+
 @pytest.fixture(scope="module")
 def planted():
     ds, _ = generate_planted(PlantedHierarchySpec(depth=2, feature_dim=6, samples_per_class=30,
@@ -64,7 +80,16 @@ def planted():
     return ds, config, base
 
 
-def test_train_lh_raises_when_the_frozen_extractor_changes(planted, monkeypatch):
+def phase2_trainers(ds, config):
+    """Each phase-2 trainer as a function of (base, config)."""
+    table = training.random_lookup_table(ds.num_classes, config.L, seed=0)
+    return {"train_lh": lambda base, config: training.train_lh(base, ds, config),
+            "train_fixed_embedding": lambda base, config: training.train_fixed_embedding(
+                base, ds, table, config)}
+
+
+@pytest.mark.parametrize("trainer", ["train_lh", "train_fixed_embedding"])
+def test_train_lh_raises_when_the_frozen_extractor_changes(planted, monkeypatch, trainer):
     ds, config, base = planted
 
     class TamperingAdam(Adam):
@@ -74,7 +99,35 @@ def test_train_lh_raises_when_the_frozen_extractor_changes(planted, monkeypatch)
 
     monkeypatch.setattr(training, "Adam", TamperingAdam)
     with pytest.raises(training.FrozenExtractorChanged):
-        training.train_lh(base, ds, config)
+        phase2_trainers(ds, config)[trainer](base, config)
+
+
+@pytest.mark.parametrize("trainer", ["train_lh", "train_fixed_embedding"])
+@pytest.mark.parametrize("dims", [[6, 32, 32, 9], [6, 8, 5]])
+def test_extractor_dims_other_than_the_base_model_s_are_rejected_before_any_work(
+        planted, monkeypatch, trainer, dims):
+    ds, config, base = planted
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("training ran before extractor_dims was checked")
+
+    monkeypatch.setattr(training, "fit", no_work)
+    with pytest.raises(ValueError, match=r"extractor_dims .* do not match .*\[6, 8, 4\]"):
+        phase2_trainers(ds, config)[trainer](base, replace(config, extractor_dims=dims))
+
+
+def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(planted, tmp_path):
+    ds, config, base = planted
+    config = replace(config, L=8)  # one string per class at this seed
+    result = training.train_lh(base, ds, config)
+    training.save_lh_result(tmp_path / "model.lhc1", result, config, ds.class_names)
+    _, meta = load_checkpoint(tmp_path / "model.lhc1")
+    assert set(meta) == {"kind", "config", "num_classes", "class_names"}
+    loaded = training.load_lh_result(tmp_path / "model.lhc1")
+    assert loaded.config == config
+    assert loaded.extractor.dims == config.extractor_dims == base.extractor.dims
+    assert loaded.params.tobytes() == result.params.tobytes()
+    assert loaded.table.class_to_string == result.table.class_to_string
 
 
 def test_evaluate_counts_strings_missing_from_the_table(planted):
@@ -132,7 +185,7 @@ def test_a_test_split_that_does_not_match_is_rejected_before_any_work(planted, m
 
 
 DROP = object()
-# (field, new value or DROP); "sizes" is fc_dims in a base checkpoint, feature_dim in an lh one
+# (field, new value or DROP); "sizes" is fc_dims, which only a base checkpoint records
 META_EDITS = {
     "no config": ("config", DROP),
     "list config": ("config", []),
@@ -140,8 +193,8 @@ META_EDITS = {
     "str num_classes": ("num_classes", "x"),
     "float num_classes": ("num_classes", 2.5),
     "int class_names": ("class_names", 3),
-    "no sizes": ("sizes", DROP),
-    "str sizes": ("sizes", "x"),
+    "no sizes": ("fc_dims", DROP),
+    "str sizes": ("fc_dims", "x"),
     "config with mu 1.5": ("config.mu", 1.5),
 }
 
@@ -156,17 +209,15 @@ def checkpoint_parts(kind: str):
         params = ParameterSet()
         training.BaseModel(params, config.extractor_dims, len(STRINGS), np.random.default_rng(0))
         return params, {**meta, "fc_dims": [4, len(STRINGS)]}
-    return rigged_lh_params(config), {**meta, "feature_dim": 4,
-                                      "extractor_dims": config.extractor_dims}
+    return rigged_lh_params(config), meta
 
 
-@pytest.mark.parametrize("kind", ["base", "lh"])
-@pytest.mark.parametrize("edit", sorted(META_EDITS))
+@pytest.mark.parametrize("kind, edit", [
+    pytest.param(kind, edit, id=f"{edit}-{kind}") for edit in sorted(META_EDITS)
+    for kind in ("base", "lh") if kind == "base" or META_EDITS[edit][0] != "fc_dims"])
 def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_path, kind, edit):
     params, meta = checkpoint_parts(kind)
     field, value = META_EDITS[edit]
-    if field == "sizes":
-        field = "fc_dims" if kind == "base" else "feature_dim"
     if field == "config.mu":
         meta["config"]["mu"] = value
     elif value is DROP:
@@ -332,7 +383,7 @@ def test_every_trainer_reports_the_epoch_it_returns(planted):
 @pytest.mark.parametrize("name, value", [
     ("epochs", 0), ("lh_epochs", 0), ("batch_size", 0), ("early_stop_patience", 0),
     ("gamma_decay_every", 0), ("val_size", -5), ("epochs", 2.0), ("lh_epochs", True),
-    ("L", 4.5), ("L", 0), ("seed", 1.5), ("seed", -1), ("lstm_layers", 1.0),
+    ("L", 4.5), ("L", 0), ("seed", 1.5), ("seed", -1), ("lstm_layers", 1.0), ("lstm_layers", 3),
     ("lstm_hidden", 0), ("c2s_hidden", 0), ("s2c_hidden", 2.0), ("lr", "x"), ("lr", 0.0),
     ("mu", float("nan")), ("alpha", True), ("beta", None), ("gamma", float("inf")),
     ("delta", "1e-4"), ("gamma_decay", [0.5]), ("extractor_dims", [784]),
@@ -346,6 +397,21 @@ def test_run_config_rejects_out_of_range_counts(name, value):
         training.RunConfig.from_dict({name: value})
     with pytest.raises(ValueError, match=name):
         replace(training.RunConfig(), **{name: value})
+
+
+@pytest.mark.parametrize("num_layers", [0, 1, 2, 3])
+def test_run_config_and_the_lh_net_accept_the_same_lstm_depths(num_layers):
+    def accepts(build):
+        try:
+            build()
+        except ValueError:
+            return False
+        return True
+
+    config_ok = accepts(lambda: training.RunConfig(lstm_layers=num_layers))
+    net_ok = accepts(lambda: LhClassifierNet(ParameterSet(), 4, 3, 2, np.random.default_rng(0),
+                                             num_layers=num_layers))
+    assert config_ok == net_ok == (num_layers in (1, 2))
 
 
 def test_run_config_accepts_the_smallest_counts():

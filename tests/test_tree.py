@@ -242,6 +242,20 @@ MALFORMED_TREE_JSON = {
     "extra header key": _tree_doc(_ROOT_01, note="x"),
     "deep nesting": "[" * 100_000,
     "not JSON": "{",
+    "empty object": "{}",
+    "missing version": json.dumps({"L": 1, "root": _ROOT_01}),
+    "missing L": json.dumps({"version": 1, "root": _ROOT_01}),
+    "null root": _tree_doc(None),
+    "float L": _tree_doc(_ROOT_01, length=1.0),
+    "bool L": _tree_doc(_ROOT_01, length=True),
+    "float class id": _tree_doc({"prefix": "", "children": [_leaf("0", 0), _leaf("1", 1.0)]}),
+    "int class name": _tree_doc({"prefix": "", "children": [
+        _leaf("0", 0), {"prefix": "1", "class_id": 1, "class_name": 1}]}),
+    "leaf without prefix": _tree_doc({"prefix": "", "children": [
+        _leaf("0", 0), {"class_id": 1, "class_name": "1"}]}),
+    "leaf with a string key": _tree_doc({"prefix": "", "children": [
+        _leaf("0", 0), {**_leaf("1", 1), "string": "1"}]}),
+    "internal node with a class id": _tree_doc({**_ROOT_01, "class_id": 0}),
 }
 
 
