@@ -38,6 +38,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 LOG_EPS = 1e-12  # floor applied to predictions inside cross_entropy
+FD_STEP = 1e-5  # check_param_gradients' central-difference step
 
 _state = threading.local()
 
@@ -661,18 +662,15 @@ def cross_entropy(target: Tensor, pred: Tensor, weights: np.ndarray | None = Non
 
 # ------------------------------------------------------- gradient checking
 
-def check_param_gradients(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor],
-                          step: float = 1e-5) -> float:
+def check_param_gradients(loss_fn: Callable[[], Tensor], tensors: Sequence[Tensor]) -> float:
     """Max relative error between the backward pass and central differences.
 
     loss_fn must return a scalar tensor and rebuild the forward graph from
-    the tensors' current data, so central differences are taken by
-    perturbing each coordinate in place. Relative error per coordinate is
-    |analytic - numeric| / max(1, |analytic|); the max is over every
-    coordinate of every tensor.
+    the tensors' current data, so central differences of step FD_STEP are
+    taken by perturbing each coordinate in place. Relative error per
+    coordinate is |analytic - numeric| / max(1, |analytic|); the max is
+    over every coordinate of every tensor.
     """
-    if not (1e-7 < step < 1e-3):
-        raise ValueError(f"step {step} outside (1e-7, 1e-3)")
     for t in tensors:
         t.zero_grad()
     with Tape() as tape:
@@ -685,12 +683,12 @@ def check_param_gradients(loss_fn: Callable[[], Tensor], tensors: Sequence[Tenso
         flat = t.data.reshape(-1)
         for i in range(flat.size):
             orig = flat[i]
-            flat[i] = orig + step
+            flat[i] = orig + FD_STEP
             f_plus = loss_fn().item()
-            flat[i] = orig - step
+            flat[i] = orig - FD_STEP
             f_minus = loss_fn().item()
             flat[i] = orig
-            numeric = (f_plus - f_minus) / (2.0 * step)
+            numeric = (f_plus - f_minus) / (2.0 * FD_STEP)
             a = analytic.reshape(-1)[i]
             err = abs(a - numeric) / max(1.0, abs(a))
             if err > worst:

@@ -54,8 +54,8 @@ def _prepare_out(args, config: training.RunConfig) -> Path:
 def cmd_train_base(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
-    out = _prepare_out(args, config)
     model, report = training.train_base(train, config, test_ds=test)
+    out = _prepare_out(args, config)
     training.save_base_model(out / "model.lhc1", model, config, train.class_names)
     report.write_csv(out / "metrics.csv")
     (out / "report.json").write_text(report.to_json() + "\n")
@@ -68,8 +68,8 @@ def cmd_train_lh(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
     base, _ = training.load_base_model(args.checkpoint)
-    out = _prepare_out(args, config)
     result = training.train_lh(base, train, config, test_ds=test)
+    out = _prepare_out(args, config)
     training.save_lh_result(out / "model.lhc1", result, config, train.class_names)
     result.report.write_csv(out / "metrics.csv")
     (out / "report.json").write_text(result.report.to_json() + "\n")
@@ -154,6 +154,9 @@ def cmd_synth_gen(args) -> int:
         depth=args.depth, feature_dim=args.feature_dim, sigma_level=args.sigma_level,
         sigma_within=args.sigma_within, samples_per_class=args.samples_per_class,
         seed=args.seed if args.seed is not None else 0)
+    if spec.num_classes > dataio.LHF1_MAX_CLASSES:
+        raise ValueError(f"depth {spec.depth} gives {spec.num_classes} classes, but LHF1 "
+                         f"holds at most {dataio.LHF1_MAX_CLASSES}")
     dataset, truth = dataio.generate_planted(spec)
     train, test = dataio.train_test_split(dataset, args.test_fraction, spec.seed)
     out = Path(args.out)

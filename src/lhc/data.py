@@ -25,6 +25,7 @@ from .tree import PrefixTree, build_tree
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
 FEATURE_MAGIC = b"LHF1"
+LHF1_MAX_CLASSES = 0xFFFF  # LHF1 labels are u16
 
 
 class DataFormatError(ValueError):
@@ -235,8 +236,9 @@ def train_test_split(ds: LabeledDataset, test_fraction: float,
 
 def save_features(path, ds: LabeledDataset) -> None:
     """Write ds as LHF1, straight from its C-contiguous float64 buffer."""
-    if ds.num_classes > 0xFFFF:
-        raise DataFormatError("LHF1 labels are u16; too many classes")
+    if ds.num_classes > LHF1_MAX_CLASSES:
+        raise DataFormatError(f"{ds.num_classes} classes, but LHF1 holds at most "
+                              f"{LHF1_MAX_CLASSES}")
     features = np.ascontiguousarray(ds.features, dtype="<f8")
     with open(path, "wb") as fh:
         fh.write(FEATURE_MAGIC)

@@ -111,7 +111,6 @@ class StringLookupTable:
                      for p in itertools.combinations(sorted(g), 2)]
             raise CollisionError(pairs)
         self.class_to_string = dict(sorted(class_to_string.items()))
-        self.string_to_class = {s: c for c, s in self.class_to_string.items()}
         self.string_length = lengths.pop()
         self.num_classes = len(self.class_to_string)
         self.class_names = (list(class_names) if class_names is not None
@@ -119,9 +118,6 @@ class StringLookupTable:
         self.bits = np.array([list(map(int, s)) for s in self.class_to_string.values()],
                              dtype=np.int64)
         self.bits.flags.writeable = False
-
-    def lookup(self, bits: str) -> int | None:
-        return self.string_to_class.get(bits)
 
 
 class Class2StrNet:
@@ -133,13 +129,12 @@ class Class2StrNet:
     """
 
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
-                 rng: np.random.Generator, hidden_dim: int | None = None,
-                 prefix: str = "class2str"):
+                 rng: np.random.Generator, hidden_dim: int | None = None):
         self.num_classes = num_classes
         self.string_length = string_length
         self.hidden_dim = hidden_dim if hidden_dim is not None else max(500, 2 * num_classes)
-        self.trunk = Linear(params, f"{prefix}.trunk", num_classes, self.hidden_dim, rng)
-        self.heads = Linear(params, f"{prefix}.heads", self.hidden_dim, 2 * string_length, rng,
+        self.trunk = Linear(params, "class2str.trunk", num_classes, self.hidden_dim, rng)
+        self.heads = Linear(params, "class2str.heads", self.hidden_dim, 2 * string_length, rng,
                             blocks=string_length)
 
     def forward(self, labels: Tensor) -> Tensor:
@@ -169,13 +164,12 @@ class Str2ClassNet:
     """
 
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
-                 rng: np.random.Generator, hidden_dim: int | None = None,
-                 prefix: str = "str2class"):
+                 rng: np.random.Generator, hidden_dim: int | None = None):
         self.num_classes = num_classes
         self.string_length = string_length
         self.hidden_dim = hidden_dim if hidden_dim is not None else max(500, 2 * num_classes)
-        self.fc1 = Linear(params, f"{prefix}.fc1", 2 * string_length, self.hidden_dim, rng)
-        self.fc2 = Linear(params, f"{prefix}.fc2", self.hidden_dim, num_classes, rng)
+        self.fc1 = Linear(params, "str2class.fc1", 2 * string_length, self.hidden_dim, rng)
+        self.fc2 = Linear(params, "str2class.fc2", self.hidden_dim, num_classes, rng)
 
     def forward(self, q: Tensor) -> Tensor:
         if q.data.ndim != 2 or q.shape[1] != 2 * self.string_length:
@@ -200,18 +194,17 @@ class LhClassifierNet:
     """
 
     def __init__(self, params: ParameterSet, feature_dim: int, hidden_dim: int,
-                 string_length: int, rng: np.random.Generator, num_layers: int = 1,
-                 prefix: str = "lh"):
+                 string_length: int, rng: np.random.Generator, num_layers: int = 1):
         if num_layers not in LSTM_LAYERS:
             raise ValueError(f"num_layers must be one of {LSTM_LAYERS}, got {num_layers}")
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
         self.string_length = string_length
         self.num_layers = num_layers
-        self.projection = Linear(params, f"{prefix}.projection", feature_dim, hidden_dim, rng)
-        self.cells = [LstmCell(params, f"{prefix}.lstm{l}", hidden_dim, hidden_dim, rng)
+        self.projection = Linear(params, "lh.projection", feature_dim, hidden_dim, rng)
+        self.cells = [LstmCell(params, f"lh.lstm{l}", hidden_dim, hidden_dim, rng)
                       for l in range(num_layers)]
-        self.head = Linear(params, f"{prefix}.head", hidden_dim, 2, rng)
+        self.head = Linear(params, "lh.head", hidden_dim, 2, rng)
 
     def forward(self, features: Tensor) -> Tensor:
         if features.data.ndim != 2 or features.shape[1] != self.feature_dim:
@@ -224,13 +217,12 @@ class LhClassifierNet:
         return pair_softmax(reshape(logits, (features.shape[0], 2 * self.string_length)))
 
     def predict_bits(self, features: np.ndarray) -> np.ndarray:
-        """Hard (N, L) int64 bit matrix for a feature batch, no grad recording.
+        """Hard (N, L) int64 bit matrix for (N, D) features, no grad recording.
 
         forward runs over row blocks whose (4n, rows) gate slab fits
         INFERENCE_BLOCK_BYTES, and equals one forward over the whole batch.
-        A single (D,) feature vector is one row; N = 0 gives a (0, L) matrix.
+        N = 0 gives a (0, L) matrix.
         """
-        features = np.atleast_2d(features)
         return run_in_row_blocks(lambda x: hard_bits(self.forward(Tensor(x)).data), features,
                                  self.feature_dim, 4 * self.hidden_dim,
                                  np.empty((features.shape[0], self.string_length), np.int64))

@@ -61,9 +61,6 @@ class ParameterSet:
     def __contains__(self, name: str) -> bool:
         return name in self._params
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
         return list(self._params)
 
@@ -178,16 +175,17 @@ class Adam:
     arithmetic is elementwise, so the result equals, bit for bit, the same
     update applied tensor by tensor. The gradient vector and two scratch
     vectors are allocated once, here, so a step allocates nothing the size
-    of the buffer.
+    of the buffer. beta1, beta2 and eps are the usual constants; only the
+    learning rate lr is a setting.
     """
 
-    def __init__(self, params: ParameterSet, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+    beta1 = 0.9
+    beta2 = 0.999
+    eps = 1e-8
+
+    def __init__(self, params: ParameterSet, lr: float):
         self.params = params
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self._trainable = params.trainable()
         self._flat = np.concatenate([t.data.ravel() for _, t in self._trainable]

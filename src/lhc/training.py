@@ -49,6 +49,10 @@ from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
 # per chunk of evaluate.
 PREDICT_CHUNK = 4096
 
+# The longest string: _string_match and evaluate score each string as the
+# int64 code bits @ (1 << arange(L)), and bit 63 would overflow it.
+MAX_STRING_LENGTH = 63
+
 CSV_COLUMNS = ["epoch", *TERMS, "train_acc", "val_acc"]
 
 
@@ -78,8 +82,18 @@ def _dims_ok(dims) -> bool:
             and all(_is_int(d, 1) for d in dims))
 
 
+def _check_max_length(string_length: int) -> None:
+    if string_length > MAX_STRING_LENGTH:
+        raise ValueError(f"L={string_length} exceeds the longest string length, "
+                         f"{MAX_STRING_LENGTH}")
+
+
 def _check_string_length(num_classes: int, string_length: int) -> None:
-    """Raise ValueError unless there are >= 2 classes and L-bit strings can name each one."""
+    """Raise ValueError unless there are >= 2 classes and L-bit strings can name each one.
+
+    L must also be at most MAX_STRING_LENGTH.
+    """
+    _check_max_length(string_length)
     if num_classes < 2:
         raise ValueError(f"need at least 2 classes, got {num_classes}")
     min_length = math.ceil(math.log2(num_classes))
@@ -93,8 +107,8 @@ class RunConfig:
     """Everything a run needs to be reproduced; a bad field raises ValueError naming it.
 
     Beyond each field's type: alpha, beta, gamma and delta are >= 0, 0 < mu < 1,
-    lstm_layers is one of networks.LSTM_LAYERS, and string_ce_order is "pq"
-    (H(p, q) as written) or "qp" (swapped).
+    L <= MAX_STRING_LENGTH, lstm_layers is one of networks.LSTM_LAYERS, and
+    string_ce_order is "pq" (H(p, q) as written) or "qp" (swapped).
     """
 
     seed: int = 0
@@ -125,6 +139,7 @@ class RunConfig:
             value = getattr(self, name)
             if not (_is_int(value, least) or (value is None and name in _OPTIONAL_INT_FIELDS)):
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        _check_max_length(self.L)
         if self.lstm_layers not in LSTM_LAYERS:
             raise ValueError(f"lstm_layers must be one of {LSTM_LAYERS}, "
                              f"got {self.lstm_layers!r}")
@@ -170,8 +185,6 @@ class TrainReport:
     final_train_accuracy: float
     final_test_accuracy: float | None
     wall_clock_seconds: float
-    seed: int
-    config: dict
     extras: dict = field(default_factory=dict)
 
     def write_csv(self, path) -> None:
@@ -182,15 +195,7 @@ class TrainReport:
                 writer.writerow([row["epoch"]] + [repr(float(row[c])) for c in CSV_COLUMNS[1:]])
 
     def to_json(self) -> str:
-        return json.dumps({
-            "rows": self.rows,
-            "final_train_accuracy": self.final_train_accuracy,
-            "final_test_accuracy": self.final_test_accuracy,
-            "wall_clock_seconds": self.wall_clock_seconds,
-            "seed": self.seed,
-            "config": self.config,
-            "extras": self.extras,
-        }, indent=2, sort_keys=True)
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 # ------------------------------------------------------------------ models
@@ -230,17 +235,6 @@ class MlpExtractor:
         return [t for layer in self.layers for t in layer.tensors()]
 
 
-class FcClassifier(MlpExtractor):
-    """The same Linear/tanh stack, ending in a softmax over the classes."""
-
-    def __init__(self, params: ParameterSet, dims: list[int], rng: np.random.Generator,
-                 prefix: str = "fc"):
-        super().__init__(params, dims, rng, prefix)
-
-    def forward(self, features: Tensor) -> Tensor:
-        return softmax(super().forward(features))
-
-
 class BaseModel:
     """Extractor plus FC classifier, trained jointly in phase 1."""
 
@@ -249,10 +243,10 @@ class BaseModel:
         self.params = params
         self.num_classes = num_classes
         self.extractor = MlpExtractor(params, extractor_dims, rng)
-        self.fc = FcClassifier(params, fc_dims or [extractor_dims[-1], num_classes], rng)
+        self.fc = MlpExtractor(params, fc_dims or [extractor_dims[-1], num_classes], rng, "fc")
 
     def forward(self, x: Tensor) -> Tensor:
-        return self.fc.forward(self.extractor.forward(x))
+        return softmax(self.fc.forward(self.extractor.forward(x)))
 
     def predict_classes(self, features: np.ndarray) -> np.ndarray:
         """(N,) argmax class ids of an (N, D) array, in row blocks as feature_matrix."""
@@ -341,12 +335,11 @@ def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | N
 
 
 def _report(rows: list[dict], final_train: float, final_test: float | None, start: float,
-            config: RunConfig, **extras) -> TrainReport:
+            **extras) -> TrainReport:
     """The report of a run that began at perf_counter() time start."""
     return TrainReport(rows=rows, final_train_accuracy=final_train,
                        final_test_accuracy=final_test,
-                       wall_clock_seconds=time.perf_counter() - start,
-                       seed=config.seed, config=config.to_dict(), extras=extras)
+                       wall_clock_seconds=time.perf_counter() - start, extras=extras)
 
 
 def _check_test_split(train_ds: LabeledDataset, test_ds: LabeledDataset | None) -> None:
@@ -388,7 +381,7 @@ def train_base(train_ds: LabeledDataset, config: RunConfig,
     rows, best_epoch, stop_reason = fit(params, fit_ds, val_ds, config, config.epochs,
                                         step, accuracy)
     return model, _report(rows, accuracy(train_ds), None if test_ds is None else accuracy(test_ds),
-                          start, config, best_epoch=best_epoch, stop_reason=stop_reason)
+                          start, best_epoch=best_epoch, stop_reason=stop_reason)
 
 
 # ----------------------------------------------------------------- phase 2
@@ -449,7 +442,11 @@ def _encoding_bits(class2str: Class2StrNet) -> np.ndarray:
 
 
 def _check_table_fits(table: StringLookupTable, data_classes: int, net_length: int) -> None:
-    """Raise ValueError unless the table has an L-bit string for each class 0..C-1."""
+    """Raise ValueError unless the table has an L-bit string for each class 0..C-1.
+
+    L must also be at most MAX_STRING_LENGTH.
+    """
+    _check_max_length(table.string_length)
     if (set(table.class_to_string) != set(range(data_classes))
             or table.string_length != net_length):
         raise ValueError(f"lookup table has C={table.num_classes} classes and L="
@@ -565,7 +562,7 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     # the inference-time classifiers: the base FC head against projection,
     # LSTM and bit head; Class2Str and Str2Class only train
     sizes = count_params({"base_fc": base.fc, "lh_classifier": lh})
-    report = _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start, config,
+    report = _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start,
                      mean_bit_bias=mean_bit_bias, collision=collision,
                      base_fc_params=sizes["base_fc"],
                      lh_classifier_params=sizes["lh_classifier"],
@@ -663,7 +660,7 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     rows, best_epoch, stop_reason = fit(params, *_feature_split(extractor, train_ds, config),
                                         config, config.lh_epochs, step, validate)
     final_test = _test_string_match(lh, extractor, test_ds, bits_by_class)
-    return lh, _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start, config,
+    return lh, _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start,
                        best_epoch=best_epoch, stop_reason=stop_reason)
 
 

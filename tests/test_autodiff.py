@@ -125,7 +125,7 @@ def test_cross_entropy_log_is_clamped_at_zero_pred():
 
 def test_gradient_check_quadratic_is_nearly_exact():
     x = Tensor([1.0, 2.0, 3.0], requires_grad=True)
-    err = check_param_gradients(lambda: sum_(square(x)), [x], step=1e-5)
+    err = check_param_gradients(lambda: sum_(square(x)), [x])
     assert err < 1e-8
 
 
@@ -142,13 +142,10 @@ def test_gradient_check_softmax_of_linear():
     assert check_param_gradients(lambda: f(x), [x]) < 1e-6
 
 
-def test_gradient_check_rejects_nonscalar_and_bad_step():
+def test_gradient_check_rejects_nonscalar():
     x = Tensor([1.0, 2.0], requires_grad=True)
     with pytest.raises(ShapeError):
         check_param_gradients(lambda: square(x), [x])
-    for step in (0.5, 1e-3, 1e-7, 1e-9):
-        with pytest.raises(ValueError, match="step"):
-            check_param_gradients(lambda: sum_(square(x)), [x], step=step)
     np.testing.assert_array_equal(x.data, [1.0, 2.0])
 
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from lhc import training
+from lhc import data, training
 from lhc.cli import main
 from lhc.tree import tree_from_json
 
@@ -11,6 +11,9 @@ from lhc.tree import tree_from_json
 # L=8 it is one-to-one, so both outcomes of train-lh are exercised
 CONFIG = {"extractor_dims": [6, 8, 4], "L": 3, "batch_size": 16, "epochs": 1, "lh_epochs": 1,
           "c2s_hidden": 8, "s2c_hidden": 8, "lstm_hidden": 5, "val_size": 20}
+# the config is config.json's alone; report.json holds only what the run measured
+REPORT_KEYS = {"extras", "final_test_accuracy", "final_train_accuracy", "rows",
+               "wall_clock_seconds"}
 
 
 @pytest.fixture(scope="module")
@@ -40,14 +43,16 @@ def test_synth_gen_and_train_base_succeed(run):
         0: "00", 1: "01", 2: "10", 3: "11"}
     for name in ("model.lhc1", "report.json", "metrics.csv", "config.json"):
         assert (root / "base" / name).is_file()
+    assert set(json.loads((root / "base" / "report.json").read_text())) == REPORT_KEYS
 
 
 @pytest.mark.parametrize("length, collides", [(2, True), (8, False)])
 def test_train_lh_exit_code_and_lookup_follow_the_collision(run, length, collides):
     root, codes = run
     out = root / f"lh{length}"
-    collision = json.loads((out / "report.json").read_text())["extras"]["collision"]
-    assert (collision is not None) == collides
+    report = json.loads((out / "report.json").read_text())
+    assert set(report) == REPORT_KEYS
+    assert (report["extras"]["collision"] is not None) == collides
     assert codes[f"train-lh L={length}"] == (1 if collides else 0)
     # tree.json is the run's one record of the learned class-to-string mapping
     for name in ("tree.json", "tree.dot"):
@@ -118,6 +123,42 @@ def test_out_of_range_config_exits_1_before_training(tmp_path, capsys, command, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and field in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, edit, flags, message", [
+    ("train-base", {"extractor_dims": [5, 8, 4]}, [], "does not match data dim 6"),
+    ("train-lh", {"extractor_dims": [6, 32, 32, 9]}, [], "do not match the base model"),
+    ("train-lh", {}, ["--L", "1"], "L=1 cannot embed 4 classes"),
+], ids=["train-base extractor [5, 8, 4]", "train-lh extractor [6, 32, 32, 9]", "train-lh L 1"])
+def test_a_rejected_run_leaves_no_output_directory(run, tmp_path, capsys, command, edit, flags,
+                                                   message):
+    root, _ = run
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, **edit}))
+    out = tmp_path / "out"
+    checkpoint = (["--checkpoint", str(root / "base" / "model.lhc1")]
+                  if command == "train-lh" else [])
+    capsys.readouterr()
+    code = main([command, "--config", str(config), "--data-dir", str(root / "data"),
+                 *checkpoint, "--out", str(out), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not out.exists()
+
+
+def test_synth_gen_rejects_more_classes_than_lhf1_holds_before_generating(tmp_path, capsys,
+                                                                          monkeypatch):
+    def no_work(spec):
+        raise AssertionError("generate_planted ran for a dataset LHF1 cannot store")
+
+    monkeypatch.setattr(data, "generate_planted", no_work)
+    code = main(["synth-gen", "--depth", "16", "--feature-dim", "2", "--out",
+                 str(tmp_path / "data")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "65536 classes" in err
+    assert not (tmp_path / "data").exists()
 
 
 @pytest.mark.parametrize("document", ["[]", "3", "null", '"ab"'])

@@ -154,7 +154,7 @@ class TestAdam:
         params = ParameterSet()
         params.add("w", np.zeros(2)).grad = np.ones(2)
         params.add("late", np.zeros(3))
-        adam = Adam(params)
+        adam = Adam(params, lr=1e-3)
         with pytest.raises(MissingGradientError, match="'late'"):
             adam.step()
 
@@ -188,7 +188,7 @@ class TestAdam:
         m = {n: np.zeros_like(d) for n, d in ref.items()}
         v = {n: np.zeros_like(d) for n, d in ref.items()}
         frozen_before = params.tobytes(["frozen"])
-        adam = Adam(params, lr=lr, beta1=b1, beta2=b2, eps=eps)
+        adam = Adam(params, lr=lr)
         for t in range(1, 26):
             for name, p in params.trainable():
                 # a transposed gradient is a non-contiguous view of its buffer
@@ -211,7 +211,7 @@ class TestAdam:
         params = ParameterSet()
         for name, shape in (("a", (64, 128)), ("b", (128,)), ("c", (32, 64))):
             params.add(name, rng.standard_normal(shape)).grad = rng.standard_normal(shape)
-        adam = Adam(params)
+        adam = Adam(params, lr=1e-3)
         adam.step()
         _, peak = peak_traced_bytes(adam.step)
         assert peak < adam._flat.nbytes
@@ -219,7 +219,7 @@ class TestAdam:
     def test_step_counter_increments_once_per_update(self):
         params = ParameterSet()
         p = params.add("w", np.zeros(1))
-        adam = Adam(params)
+        adam = Adam(params, lr=1e-3)
         for expected in (1, 2, 3):
             p.grad = np.ones(1)
             adam.step()

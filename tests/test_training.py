@@ -141,7 +141,8 @@ def test_evaluate_counts_strings_missing_from_the_table(planted):
 
     # reference: the per-row string lookup
     predicted = lh.predict_bits(base.extractor.feature_matrix(ds.features))
-    expected = sum(1 for row in predicted if "".join(map(str, row)) not in table.string_to_class)
+    strings = set(table.class_to_string.values())
+    expected = sum(1 for row in predicted if "".join(map(str, row)) not in strings)
     assert 0 < expected < len(ds)
     assert result.num_no_match == expected
 
@@ -383,7 +384,7 @@ def test_every_trainer_reports_the_epoch_it_returns(planted):
 @pytest.mark.parametrize("name, value", [
     ("epochs", 0), ("lh_epochs", 0), ("batch_size", 0), ("early_stop_patience", 0),
     ("gamma_decay_every", 0), ("val_size", -5), ("epochs", 2.0), ("lh_epochs", True),
-    ("L", 4.5), ("L", 0), ("seed", 1.5), ("seed", -1), ("lstm_layers", 1.0), ("lstm_layers", 3),
+    ("L", 4.5), ("L", 0), ("L", 64), ("seed", 1.5), ("seed", -1), ("lstm_layers", 1.0), ("lstm_layers", 3),
     ("lstm_hidden", 0), ("c2s_hidden", 0), ("s2c_hidden", 2.0), ("lr", "x"), ("lr", 0.0),
     ("mu", float("nan")), ("alpha", True), ("beta", None), ("gamma", float("inf")),
     ("delta", "1e-4"), ("gamma_decay", [0.5]), ("extractor_dims", [784]),
@@ -428,6 +429,21 @@ def test_run_config_accepts_the_smallest_counts():
 def test_random_lookup_table_needs_two_classes_and_a_string_each(num_classes, length):
     with pytest.raises(ValueError, match="classes"):
         training.random_lookup_table(num_classes, length, seed=0)
+
+
+def test_strings_are_at_most_63_bits_long():
+    # evaluate and _string_match score a string as an int64 code, one bit per power of 2
+    assert training.RunConfig(L=63).L == 63
+    assert training.random_lookup_table(4, 63, seed=0).string_length == 63
+    with pytest.raises(ValueError, match="L=64"):
+        training.random_lookup_table(4, 64, seed=0)
+    rng = np.random.default_rng(0)
+    lh = LhClassifierNet(ParameterSet(), 4, 3, 64, rng)
+    extractor = training.MlpExtractor(ParameterSet(), [4, 4], rng)
+    table = StringLookupTable({0: "0" * 64, 1: "0" * 63 + "1"})
+    ds = LabeledDataset(np.zeros((2, 4)), np.array([0, 1]), 2)
+    with pytest.raises(ValueError, match="L=64"):
+        training.evaluate(table, lh, extractor, ds)
 
 
 @pytest.mark.parametrize("num_classes, length", [(10, 4), (2, 1), (4, 2)])
