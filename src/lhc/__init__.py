@@ -14,8 +14,8 @@ from .losses import (base_loss, bias_regularizer, fixed_table_loss,
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
                        Str2ClassNet, StringLookupTable, freeze_lookup, strings_of)
 from .nn import Adam, LstmCell, Linear, ParameterSet, load_checkpoint, save_checkpoint
-from .tree import (CanonicalForm, PrefixTree, build_tree, canonicalize,
-                   export_tree, tree_distance, tree_from_json)
+from .tree import (CanonicalForm, build_tree, canonicalize, export_tree,
+                   tree_distance, tree_from_json)
 from .training import (AblationResult, BaseModel, EvalResult, RunConfig,
                        TrainReport, ablate_random_embedding, count_params,
                        evaluate, parameter_reduction, random_lookup_table,

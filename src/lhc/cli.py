@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import data as dataio
 from . import training
-from .tree import build_tree, export_tree
+from .tree import export_tree
 
 GRADCHECK_TOL = 1e-5
 
@@ -74,9 +74,8 @@ def cmd_train_lh(args) -> int:
     result.report.write_csv(out / "metrics.csv")
     (out / "report.json").write_text(result.report.to_json() + "\n")
     if result.table is not None:
-        tree = build_tree(result.table)
-        (out / "tree.json").write_text(export_tree(tree, "json") + "\n")
-        (out / "tree.dot").write_text(export_tree(tree, "dot"))
+        (out / "tree.json").write_text(export_tree(result.table, "json") + "\n")
+        (out / "tree.dot").write_text(export_tree(result.table, "dot"))
     print(f"string-match test accuracy {result.report.final_test_accuracy:.4f}, "
           f"mean bit bias {result.report.extras['mean_bit_bias']:.4f}")
     if result.collision is not None:
@@ -98,8 +97,7 @@ def cmd_eval(args) -> int:
 
 def cmd_export_tree(args) -> int:
     artifacts = training.load_lh_result(args.checkpoint)
-    tree = build_tree(artifacts.table)
-    sys.stdout.write(export_tree(tree, args.format))
+    sys.stdout.write(export_tree(artifacts.table, args.format))
     return 0
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tree import PrefixTree, build_tree
+from .networks import StringLookupTable
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -175,11 +175,11 @@ class PlantedHierarchySpec:
         return 2 ** self.depth
 
 
-def generate_planted(spec: PlantedHierarchySpec) -> tuple[LabeledDataset, PrefixTree]:
-    """Sample the dataset and return it with the generating tree.
+def generate_planted(spec: PlantedHierarchySpec) -> tuple[LabeledDataset, StringLookupTable]:
+    """Sample the dataset and return it with the planted table, the generating tree.
 
-    Class c sits at the leaf whose path is the depth-bit binary rendering
-    of c, so sibling classes differ only in their last bit.
+    Class c's string is the depth-bit binary rendering of c, so sibling
+    classes differ only in their last bit.
     """
     rng = np.random.default_rng(spec.seed)
     means = {"": np.zeros(spec.feature_dim)}
@@ -205,7 +205,7 @@ def generate_planted(spec: PlantedHierarchySpec) -> tuple[LabeledDataset, Prefix
         labels[lo:hi] = c
 
     dataset = LabeledDataset(features, labels, num_classes=spec.num_classes)
-    truth = build_tree({c: format(c, f"0{spec.depth}b") for c in range(spec.num_classes)})
+    truth = StringLookupTable({c: format(c, f"0{spec.depth}b") for c in range(spec.num_classes)})
     return dataset, truth
 
 

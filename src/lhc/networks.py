@@ -6,9 +6,10 @@ example or class is one such row. The string codec reads this layout only:
 hard_bits takes each bit's argmax (ties go to 0) as a (B, L) 0/1 matrix,
 strings_of spells those rows as L-character strings, and a
 StringLookupTable holds the frozen class-to-string bijection, with its
-strings also as a (C, L) bit matrix, bits. A run stores that bijection
-once, as the leaves of its prefix tree (tree.export_tree), and
-tree.tree_from_json(text).to_table() reads it back.
+strings also as a (C, L) bit matrix, bits. The table is also the learned
+hierarchy, the prefix tree of its strings. A run stores it once, as the
+leaf list of tree.json (tree.export_tree), and tree.tree_from_json(text)
+reads it back as a StringLookupTable.
 
 Inference runs in row blocks (run_in_row_blocks) whose widest float64
 slab, such as the LSTM's (4n, rows) gates, fits in about
@@ -38,6 +39,11 @@ LSTM_LAYERS = (1, 2)
 # evaluate chunk, and 512 rows, a 512 KiB gate slab, was at or near the
 # fastest in each case.
 INFERENCE_BLOCK_BYTES = 512 * 1024
+
+
+def default_hidden_dim(num_classes: int) -> int:
+    """Class2Str's and Str2Class's hidden width when the config leaves it unset."""
+    return max(500, 2 * num_classes)
 
 
 class CollisionError(ValueError):
@@ -100,6 +106,8 @@ class StringLookupTable:
         lengths = {len(s) for s in class_to_string.values()}
         if len(lengths) != 1:
             raise ValueError(f"strings must share one length, got lengths {sorted(lengths)}")
+        if 0 in lengths:
+            raise ValueError("strings must be at least one bit long, got length 0")
         bad = [s for s in class_to_string.values() if set(s) - {"0", "1"}]
         if bad:
             raise ValueError(f"non-binary string {bad[0]!r}")
@@ -132,7 +140,7 @@ class Class2StrNet:
                  rng: np.random.Generator, hidden_dim: int | None = None):
         self.num_classes = num_classes
         self.string_length = string_length
-        self.hidden_dim = hidden_dim if hidden_dim is not None else max(500, 2 * num_classes)
+        self.hidden_dim = default_hidden_dim(num_classes) if hidden_dim is None else hidden_dim
         self.trunk = Linear(params, "class2str.trunk", num_classes, self.hidden_dim, rng)
         self.heads = Linear(params, "class2str.heads", self.hidden_dim, 2 * string_length, rng,
                             blocks=string_length)
@@ -167,7 +175,7 @@ class Str2ClassNet:
                  rng: np.random.Generator, hidden_dim: int | None = None):
         self.num_classes = num_classes
         self.string_length = string_length
-        self.hidden_dim = hidden_dim if hidden_dim is not None else max(500, 2 * num_classes)
+        self.hidden_dim = default_hidden_dim(num_classes) if hidden_dim is None else hidden_dim
         self.fc1 = Linear(params, "str2class.fc1", 2 * string_length, self.hidden_dim, rng)
         self.fc2 = Linear(params, "str2class.fc2", self.hidden_dim, num_classes, rng)
 

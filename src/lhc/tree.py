@@ -1,95 +1,38 @@
-"""Prefix trees over the learned class strings: build, canonicalize, export.
+"""The learned hierarchy: the prefix tree of a StringLookupTable's strings.
 
-All strings share one length L, so every leaf sits at depth L; internal
-nodes with a single child are kept as-is, never contracted, so that leaf
-paths always spell the table strings literally.
+The table is the tree. All strings share one length L, so each class is a
+leaf at depth L, and the node at prefix p holds the classes whose strings
+start with p. canonicalize and the DOT export derive the tree from the
+strings. A node with one child adds nothing to the hierarchy, so
+canonicalize contracts single-child chains and every cluster it reports
+holds two or more classes. tree.json lists the leaves, one per class, and
+tree_from_json reads them back into a StringLookupTable, whose checks are
+the one validator of a class-to-string mapping.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .networks import StringLookupTable
 
 
-@dataclass
-class TreeNode:
-    prefix: str
-    children: dict[str, "TreeNode"] = field(default_factory=dict)
-    class_id: int | None = None
-    class_name: str | None = None
+def build_tree(table) -> StringLookupTable:
+    """The table itself; a plain {class_id: string} mapping becomes one.
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.class_id is not None
-
-
-class PrefixTree:
-    """Binary tree whose root-to-leaf paths spell the class strings."""
-
-    def __init__(self, root: TreeNode, string_length: int):
-        self.root = root
-        self.string_length = string_length
-
-    def leaves(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-
-        def walk(node: TreeNode):
-            if node.is_leaf:
-                out.append(node)
-            for bit in sorted(node.children):
-                walk(node.children[bit])
-
-        walk(self.root)
-        return out
-
-    def internal_nodes(self) -> list[TreeNode]:
-        out: list[TreeNode] = []
-
-        def walk(node: TreeNode):
-            if not node.is_leaf:
-                out.append(node)
-                for bit in sorted(node.children):
-                    walk(node.children[bit])
-
-        walk(self.root)
-        return out
-
-    def to_table(self) -> dict[int, str]:
-        """Read leaf paths back out; inverse of build_tree."""
-        return {leaf.class_id: leaf.prefix for leaf in self.leaves()}
-
-
-def build_tree(table) -> PrefixTree:
-    """Build the prefix tree of a bijective class-to-string table.
-
-    Accepts a StringLookupTable or a plain {class_id: string} mapping, which
-    becomes one, so the table's checks apply: ValueError for an empty table,
-    strings of mixed lengths or non-binary strings, CollisionError for a
-    string shared by two classes.
+    So StringLookupTable's checks apply to the mapping.
     """
-    if not isinstance(table, StringLookupTable):
-        table = StringLookupTable(dict(table))
-    root = TreeNode(prefix="")
-    for (class_id, string), name in zip(table.class_to_string.items(), table.class_names):
-        node = root
-        for bit in string:
-            if bit not in node.children:
-                node.children[bit] = TreeNode(prefix=node.prefix + bit)
-            node = node.children[bit]
-        node.class_id = class_id
-        node.class_name = name
-    return PrefixTree(root, table.string_length)
+    return table if isinstance(table, StringLookupTable) else StringLookupTable(dict(table))
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
-    """Tree identity modulo swapping any internal node's 0/1 children.
+    """Tree identity modulo swapping any node's 0/1 children.
 
     term renders each subtree with children ordered by their smallest
-    contained class id; clusters holds the leaf-id set under each internal
-    node.
+    contained class id, a leaf as its class id; clusters holds the class-id
+    set under each node with two children, so each has two or more classes.
     """
 
     term: str
@@ -100,24 +43,23 @@ class CanonicalForm:
         return isinstance(other, CanonicalForm) and self.term == other.term
 
 
-def canonicalize(tree: PrefixTree) -> CanonicalForm:
+def canonicalize(table: StringLookupTable) -> CanonicalForm:
+    """Split the class ids by their bit at each depth, contracting one-sided splits."""
+    strings = table.class_to_string
     clusters: set[frozenset[int]] = set()
 
-    def walk(node: TreeNode) -> tuple[str, frozenset[int]]:
-        if node.is_leaf:
-            return str(node.class_id), frozenset([node.class_id])
-        rendered = []
-        leaf_ids: frozenset[int] = frozenset()
-        for bit in node.children:
-            term, ids = walk(node.children[bit])
-            rendered.append((min(ids), term))
-            leaf_ids |= ids
-        clusters.add(leaf_ids)
-        rendered.sort()
-        return "(" + ",".join(term for _, term in rendered) + ")", leaf_ids
+    def split(ids: list[int], depth: int) -> str:
+        if len(ids) == 1:
+            return str(ids[0])
+        sides = [[c for c in ids if strings[c][depth] == bit] for bit in "01"]
+        if not all(sides):
+            return split(ids, depth + 1)
+        clusters.add(frozenset(ids))
+        sides.sort(key=min)
+        return "(" + ",".join(split(side, depth + 1) for side in sides) + ")"
 
-    term, leaf_ids = walk(tree.root)
-    return CanonicalForm(term=term, clusters=frozenset(clusters), leaf_ids=leaf_ids)
+    term = split(sorted(strings), 0)
+    return CanonicalForm(term=term, clusters=frozenset(clusters), leaf_ids=frozenset(strings))
 
 
 @dataclass(frozen=True)
@@ -129,11 +71,18 @@ class TreeComparison:
 
     @property
     def shared_fraction(self) -> float:
-        return self.shared_clusters / max(self.total_a, self.total_b)
+        """Recovery: shared clusters over the larger tree's cluster count.
+
+        Clusters hold two or more classes, so a tree whose strings carry
+        extra bits scores 1.0 against the tree it refines to.
+        """
+        larger = max(self.total_a, self.total_b)
+        # one class makes no cluster, and two one-class trees are equal
+        return self.shared_clusters / larger if larger else 1.0
 
 
 def tree_distance(a: CanonicalForm, b: CanonicalForm) -> TreeComparison:
-    """Equality plus the count of internal-node leaf-clusters present in both."""
+    """Equality plus the count of leaf-clusters present in both."""
     if a.leaf_ids != b.leaf_ids:
         raise ValueError(f"leaf sets differ: {sorted(a.leaf_ids)} vs {sorted(b.leaf_ids)}")
     shared = len(a.clusters & b.clusters)
@@ -141,86 +90,60 @@ def tree_distance(a: CanonicalForm, b: CanonicalForm) -> TreeComparison:
                           total_a=len(a.clusters), total_b=len(b.clusters))
 
 
-TREE_JSON_VERSION = 1
+TREE_JSON_VERSION = 2
+_LEAF_KEYS = {"class_id", "class_name", "string"}
 
 
-def _node_to_obj(node: TreeNode) -> dict:
-    if node.is_leaf:
-        return {"prefix": node.prefix, "class_id": node.class_id,
-                "class_name": node.class_name}
-    return {"prefix": node.prefix,
-            "children": [_node_to_obj(node.children[b]) for b in sorted(node.children)]}
+def _dot_quoted(text: str) -> str:
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
-def _node_from_obj(obj, prefix: str, length: int, seen: set[int]) -> TreeNode:
-    """Rebuild the subtree whose root must sit at prefix; raises ValueError."""
-    if not isinstance(obj, dict) or obj.get("prefix") != prefix:
-        raise ValueError(f"tree JSON: expected a node object with prefix {prefix!r}")
-    if len(prefix) == length:
-        class_id, name = obj.get("class_id"), obj.get("class_name")
-        if set(obj) != {"prefix", "class_id", "class_name"} or type(class_id) is not int \
-                or not isinstance(name, str):
-            raise ValueError(f"tree JSON: leaf {prefix!r} needs only an int class_id "
-                             f"and a str class_name")
-        if class_id in seen:
-            raise ValueError(f"tree JSON: class id {class_id} appears at more than one leaf")
-        seen.add(class_id)
-        return TreeNode(prefix=prefix, class_id=class_id, class_name=name)
-    children = obj.get("children")
-    if set(obj) != {"prefix", "children"} or not isinstance(children, list) \
-            or not 1 <= len(children) <= 2:
-        raise ValueError(f"tree JSON: node {prefix!r} at depth {len(prefix)} < L={length} "
-                         f"needs a list of one or two children and nothing else")
-    node = TreeNode(prefix=prefix)
-    for child_obj in children:
-        child_prefix = child_obj.get("prefix") if isinstance(child_obj, dict) else None
-        bit = next((b for b in "01" if child_prefix == prefix + b), None)
-        if bit is None or bit in node.children:
-            raise ValueError(f"tree JSON: a child of {prefix!r} must extend it by a "
-                             f"new bit, 0 or 1")
-        node.children[bit] = _node_from_obj(child_obj, prefix + bit, length, seen)
-    return node
-
-
-def export_tree(tree: PrefixTree, format: str) -> str:
-    """Render as graphviz DOT or as nested JSON."""
+def export_tree(table: StringLookupTable, format: str) -> str:
+    """Render as graphviz DOT or as tree.json, the list of leaves in class-id order."""
     if format == "json":
-        obj = {"version": TREE_JSON_VERSION, "L": tree.string_length,
-               "root": _node_to_obj(tree.root)}
-        return json.dumps(obj, indent=2, sort_keys=True)
+        leaves = [{"class_id": c, "class_name": name, "string": s}
+                  for (c, s), name in zip(table.class_to_string.items(), table.class_names)]
+        return json.dumps({"version": TREE_JSON_VERSION, "leaves": leaves},
+                          indent=2, sort_keys=True)
     if format == "dot":
         lines = ["digraph hierarchy {", "  node [shape=circle, label=\"\"];"]
-        for leaf in tree.leaves():
-            lines.append(f'  "n_{leaf.prefix}" [shape=box, label="{leaf.class_name}"];')
-
-        def walk(node: TreeNode):
-            for bit in sorted(node.children):
-                child = node.children[bit]
-                lines.append(f'  "n_{node.prefix}" -> "n_{child.prefix}" [label="{bit}"];')
-                walk(child)
-
-        walk(tree.root)
+        strings = table.class_to_string.values()
+        for s, name in sorted(zip(strings, table.class_names)):
+            lines.append(f'  "n_{s}" [shape=box, label={_dot_quoted(name)}];')
+        # sorted prefixes are the tree's depth-first order
+        for p in sorted({s[:k] for s in strings for k in range(1, len(s) + 1)}):
+            lines.append(f'  "n_{p[:-1]}" -> "n_{p}" [label="{p[-1]}"];')
         lines.append("}")
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown tree format {format!r} (expected 'dot' or 'json')")
 
 
-def tree_from_json(text: str) -> PrefixTree:
-    """Inverse of export_tree(tree, "json"); raises ValueError on any malformed tree.
+def tree_from_json(text: str) -> StringLookupTable:
+    """Inverse of export_tree(table, "json"); raises ValueError on any malformed file.
 
-    Each child's prefix must be its parent's plus one bit, every leaf must
-    sit at depth L and every internal node above it, and class ids must be
-    distinct ints.
+    Each leaf needs exactly an int class_id, a str class_name and a str
+    string, and class ids must be distinct; StringLookupTable checks the
+    strings.
     """
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("tree JSON nests too deeply") from None
-    if not isinstance(obj, dict) or set(obj) != {"version", "L", "root"}:
-        raise ValueError("tree JSON must be an object with exactly version, L and root")
-    if obj["version"] != TREE_JSON_VERSION:
-        raise ValueError(f"unsupported tree JSON version {obj['version']!r}")
-    length = obj["L"]
-    if type(length) is not int or length < 1:
-        raise ValueError(f"tree JSON: L must be a positive int, got {length!r}")
-    return PrefixTree(_node_from_obj(obj["root"], "", length, set()), length)
+    if not isinstance(obj, dict):
+        raise ValueError("tree JSON must be an object")
+    if obj.get("version") != TREE_JSON_VERSION:
+        raise ValueError(f"unsupported tree JSON version {obj.get('version')!r} "
+                         f"(this reader reads version {TREE_JSON_VERSION})")
+    if set(obj) != {"version", "leaves"} or not isinstance(obj["leaves"], list):
+        raise ValueError("tree JSON must hold exactly a version and a list of leaves")
+    for leaf in obj["leaves"]:
+        if not isinstance(leaf, dict) or set(leaf) != _LEAF_KEYS \
+                or type(leaf["class_id"]) is not int or not isinstance(leaf["class_name"], str) \
+                or not isinstance(leaf["string"], str):
+            raise ValueError("tree JSON: each leaf needs exactly an int class_id, "
+                             "a str class_name and a str string")
+    leaves = sorted(obj["leaves"], key=lambda leaf: leaf["class_id"])
+    mapping = {leaf["class_id"]: leaf["string"] for leaf in leaves}
+    if len(mapping) != len(leaves):
+        raise ValueError("tree JSON: a class id appears at more than one leaf")
+    return StringLookupTable(mapping, class_names=[leaf["class_name"] for leaf in leaves])

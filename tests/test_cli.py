@@ -39,7 +39,7 @@ def test_synth_gen_and_train_base_succeed(run):
     assert codes["synth-gen"] == 0 and codes["train-base"] == 0
     for name in ("train.lhf1", "test.lhf1", "tree.json"):
         assert (root / "data" / name).is_file()
-    assert tree_from_json((root / "data" / "tree.json").read_text()).to_table() == {
+    assert tree_from_json((root / "data" / "tree.json").read_text()).class_to_string == {
         0: "00", 1: "01", 2: "10", 3: "11"}
     for name in ("model.lhc1", "report.json", "metrics.csv", "config.json"):
         assert (root / "base" / name).is_file()
@@ -73,7 +73,7 @@ def test_eval_and_export_tree_exit_codes(run, capsys, length, expected):
         # the checkpoint rebuilds the mapping that train-lh wrote
         assert exported + "\n" == (root / f"lh{length}" / "tree.json").read_text()
         tree = tree_from_json(exported)
-        assert tree.string_length == length and sorted(tree.to_table()) == [0, 1, 2, 3]
+        assert tree.string_length == length and sorted(tree.class_to_string) == [0, 1, 2, 3]
 
 
 def test_eval_on_data_with_more_classes_exits_1(run, capsys):

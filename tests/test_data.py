@@ -113,14 +113,13 @@ class TestPlanted:
         ds1, tree1 = generate_planted(spec)
         ds2, tree2 = generate_planted(spec)
         assert ds1.features.tobytes() == ds2.features.tobytes()
-        assert tree1.to_table() == tree2.to_table()
+        assert tree1.class_to_string == tree2.class_to_string
 
     def test_tree_leaves_cover_all_classes_at_depth(self):
         spec = PlantedHierarchySpec(depth=3, feature_dim=4, seed=0)
         _, tree = generate_planted(spec)
-        leaves = tree.leaves()
-        assert sorted(l.class_id for l in leaves) == list(range(8))
-        assert all(len(l.prefix) == 3 for l in leaves)
+        assert tree.class_to_string == {c: format(c, "03b") for c in range(8)}
+        assert tree.string_length == 3
 
     def nearest_mean_accuracy(self, ds):
         means = np.stack([ds.features[ds.labels == c].mean(axis=0)

@@ -17,7 +17,7 @@ from lhc import training
 from lhc.data import DataFormatError, LabeledDataset, load_features, save_features
 from lhc.networks import StringLookupTable
 from lhc.nn import CheckpointError, ParameterSet, load_checkpoint, save_checkpoint
-from lhc.tree import build_tree, export_tree, tree_from_json
+from lhc.tree import export_tree, tree_from_json
 
 from test_training import checkpoint_parts
 
@@ -192,16 +192,17 @@ def damaged_text(data, text: str) -> str:
 @settings(max_examples=30, **SETTINGS)
 @given(table=tables())
 def test_tree_json_round_trip_is_exact(table):
-    text = export_tree(build_tree(table), "json")
-    tree = tree_from_json(text)
-    assert tree.to_table() == table.class_to_string
-    assert export_tree(tree, "json") == text
+    text = export_tree(table, "json")
+    clone = tree_from_json(text)
+    assert clone.class_to_string == table.class_to_string
+    assert clone.class_names == table.class_names
+    assert export_tree(clone, "json") == text
 
 
 @settings(max_examples=80, **SETTINGS)
 @given(table=tables(), data=st.data())
 def test_damaged_tree_json_raises_value_error_or_loads(table, data):
     try:
-        tree_from_json(damaged_text(data, export_tree(build_tree(table), "json")))
+        tree_from_json(damaged_text(data, export_tree(table, "json")))
     except ValueError:
         pass

@@ -10,7 +10,7 @@ from lhc.networks import (Class2StrNet, CollisionError, LhClassifierNet,
                           strings_of)
 from lhc.nn import Adam, ParameterSet
 from lhc.training import _encoding_bits
-from lhc.tree import build_tree, export_tree, tree_from_json
+from lhc.tree import export_tree, tree_from_json
 
 
 # the rows of each forward call that blocked inference makes, for B-row blocks:
@@ -86,11 +86,11 @@ class TestClass2Str:
         np.testing.assert_array_equal(net.encode(3), net.table()[3])
 
     def test_default_trunk_width(self):
-        params = ParameterSet()
-        c2s = Class2StrNet(params, 10, 4, np.random.default_rng(0))
-        assert c2s.hidden_dim == 500
-        wide = Class2StrNet(ParameterSet(), 300, 9, np.random.default_rng(0))
-        assert wide.hidden_dim == 600
+        # one default serves both phase-2 nets
+        for net in (Class2StrNet, Str2ClassNet):
+            assert net(ParameterSet(), 10, 4, np.random.default_rng(0)).hidden_dim == 500
+            assert net(ParameterSet(), 300, 9, np.random.default_rng(0)).hidden_dim == 600
+        assert networks.default_hidden_dim(10) == 500
 
 
 class TestStr2Class:
@@ -355,6 +355,10 @@ class TestLookupTable:
         with pytest.raises(CollisionError):
             StringLookupTable({0: "01", 1: "01"})
 
+    def test_empty_strings_rejected(self):
+        with pytest.raises(ValueError, match="length 0"):
+            StringLookupTable({0: ""})
+
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
     def test_class_names_must_name_each_class(self, names):
         with pytest.raises(ValueError, match="class names for 2 classes"):
@@ -364,11 +368,8 @@ class TestLookupTable:
         # tree.json is the one file record of a learned table
         table = StringLookupTable({0: "00", 1: "01", 2: "10"},
                                   class_names=["cat", "dog", "eel"])
-        text = export_tree(build_tree(table), "json")
-        tree = tree_from_json(text)
-        clone = StringLookupTable(tree.to_table(),
-                                  class_names=[leaf.class_name for leaf in
-                                               sorted(tree.leaves(), key=lambda n: n.class_id)])
+        text = export_tree(table, "json")
+        clone = tree_from_json(text)
         assert clone.class_to_string == table.class_to_string
         assert clone.class_names == table.class_names
-        assert export_tree(build_tree(clone), "json") == text
+        assert export_tree(clone, "json") == text
