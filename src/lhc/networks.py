@@ -160,9 +160,6 @@ class Class2StrNet:
             raise ValueError(f"class id {class_id} outside [0, {self.num_classes})")
         return self.table()[class_id]
 
-    def tensors(self):
-        return self.trunk.tensors() + self.heads.tensors()
-
 
 class Str2ClassNet:
     """(B, 2L) bit distributions -> class distribution.
@@ -184,9 +181,6 @@ class Str2ClassNet:
             raise ShapeError(f"expected (B, {2 * self.string_length}) bit distributions, "
                              f"got {q.shape}")
         return softmax(self.fc2(tanh(self.fc1(q))))
-
-    def tensors(self):
-        return self.fc1.tensors() + self.fc2.tensors()
 
 
 class LhClassifierNet:
@@ -234,12 +228,6 @@ class LhClassifierNet:
         return run_in_row_blocks(lambda x: hard_bits(self.forward(Tensor(x)).data), features,
                                  self.feature_dim, 4 * self.hidden_dim,
                                  np.empty((features.shape[0], self.string_length), np.int64))
-
-    def tensors(self):
-        out = self.projection.tensors()
-        for cell in self.cells:
-            out += cell.tensors()
-        return out + self.head.tensors()
 
 
 def freeze_lookup(net: Class2StrNet, class_names: list[str] | None = None) -> StringLookupTable:

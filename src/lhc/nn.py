@@ -1,9 +1,10 @@
 """Parameterized layers, a freezable parameter registry, Adam, checkpoints.
 
-Layers register their tensors into a ParameterSet under dotted names
-("extractor.0.weight"). Frozen names are excluded from Adam updates and
-from the L2 penalty, which is how the phase-2 protocol keeps the feature
-extractor bitwise untouched.
+Layers register their tensors into a ParameterSet, the one record of a
+model's parameters: a name's dotted prefix ("extractor." in
+"extractor.0.weight") is its module, and requires_grad is whether it trains.
+Frozen tensors are left out of Adam updates and the L2 penalty, which is how
+the phase-2 protocol keeps the feature extractor bitwise untouched.
 
 Linear runs as one fused autodiff op per call. LhClassifierNet runs a
 whole LstmCell layer as its input product and one lstm_sequence; the cell's
@@ -42,11 +43,14 @@ def xavier_uniform(rng: np.random.Generator, out_dim: int, in_dim: int) -> np.nd
 
 
 class ParameterSet:
-    """Named parameter tensors plus the subset excluded from updates."""
+    """Named parameter tensors in registration order, which is Adam's flat layout.
+
+    A name's dotted prefix is its module, and requires_grad is whether it
+    trains; only freeze clears it.
+    """
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._frozen: set[str] = set()
 
     def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
@@ -71,20 +75,13 @@ class ParameterSet:
         for name in names:
             if name not in self._params:
                 raise KeyError(f"cannot freeze unknown parameter {name!r}")
-            self._frozen.add(name)
             self._params[name].requires_grad = False
 
-    def freeze_prefix(self, prefix: str) -> None:
-        self.freeze([n for n in self._params if n.startswith(prefix)])
-
-    def is_frozen(self, name: str) -> bool:
-        return name in self._frozen
-
     def frozen_names(self) -> frozenset[str]:
-        return frozenset(self._frozen)
+        return frozenset(n for n, t in self._params.items() if not t.requires_grad)
 
     def trainable(self) -> list[tuple[str, Tensor]]:
-        return [(n, t) for n, t in self._params.items() if n not in self._frozen]
+        return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
     def zero_grad(self) -> None:
         for t in self._params.values():
@@ -120,9 +117,6 @@ class Linear:
 
     def __call__(self, x: Tensor) -> Tensor:
         return linear(x, self.weight, self.bias)
-
-    def tensors(self) -> list[Tensor]:
-        return [self.weight, self.bias]
 
 
 class LstmCell:
@@ -161,9 +155,6 @@ class LstmCell:
         h_prev and c_prev default to None, the zero state.
         """
         return lstm_cell(xw, h_prev, self.w_h, c_prev)
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w_x, self.w_h, self.bias]
 
 
 class Adam:
@@ -251,7 +242,7 @@ def save_checkpoint(path, params: ParameterSet, hyperparams: dict | None = None)
         entries.append({
             "name": name,
             "shape": list(t.data.shape),
-            "frozen": params.is_frozen(name),
+            "frozen": not t.requires_grad,
             "offset": offset,
         })
         blobs.append(blob)

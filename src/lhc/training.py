@@ -195,7 +195,12 @@ class TrainReport:
                 writer.writerow([row["epoch"]] + [repr(float(row[c])) for c in CSV_COLUMNS[1:]])
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2, sort_keys=True)
+        """Strict JSON: a row's NaN val_acc, an epoch without validation, is written as null."""
+        obj = asdict(self)  # copies the rows, which keep their NaN
+        for row in obj["rows"]:
+            if math.isnan(row["val_acc"]):
+                row["val_acc"] = None
+        return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
 
 
 # ------------------------------------------------------------------ models
@@ -230,9 +235,6 @@ class MlpExtractor:
         return run_in_row_blocks(lambda x: self.forward(Tensor(x)).data, features,
                                  self.dims[0], max(self.dims),
                                  np.empty((features.shape[0], self.dims[-1])))
-
-    def tensors(self):
-        return [t for layer in self.layers for t in layer.tensors()]
 
 
 class BaseModel:
@@ -401,7 +403,7 @@ class LhTrainResult:
 
 def _clone_extractor(base: BaseModel, config: RunConfig, params: ParameterSet,
                      rng: np.random.Generator) -> MlpExtractor:
-    """Copy the trained extractor into a new set and freeze it there.
+    """Copy the trained extractor into a new set, name by name, and freeze it there.
 
     config.extractor_dims, the one record of its sizes that a checkpoint
     keeps, must equal its dims, or ValueError is raised.
@@ -410,9 +412,10 @@ def _clone_extractor(base: BaseModel, config: RunConfig, params: ParameterSet,
         raise ValueError(f"config extractor_dims {config.extractor_dims} do not match the "
                          f"base model's extractor dims {base.extractor.dims}")
     extractor = MlpExtractor(params, base.extractor.dims, rng)
-    for src, dst in zip(base.extractor.tensors(), extractor.tensors()):
-        dst.data[...] = src.data
-    params.freeze_prefix("extractor.")
+    names = params.names_with_prefix("extractor.")
+    for name in names:
+        params[name].data[...] = base.params[name].data
+    params.freeze(names)
     return extractor
 
 
@@ -561,13 +564,11 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
 
     # the inference-time classifiers: the base FC head against projection,
     # LSTM and bit head; Class2Str and Str2Class only train
-    sizes = count_params({"base_fc": base.fc, "lh_classifier": lh})
+    base_fc, lh_classifier = count_params(base.params, "fc."), count_params(params, "lh.")
     report = _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start,
                      mean_bit_bias=mean_bit_bias, collision=collision,
-                     base_fc_params=sizes["base_fc"],
-                     lh_classifier_params=sizes["lh_classifier"],
-                     parameter_reduction=parameter_reduction(sizes["base_fc"],
-                                                             sizes["lh_classifier"]),
+                     base_fc_params=base_fc, lh_classifier_params=lh_classifier,
+                     parameter_reduction=parameter_reduction(base_fc, lh_classifier),
                      best_epoch=best_epoch, stop_reason=stop_reason)
     return LhTrainResult(params=params, extractor=extractor, class2str=class2str,
                          str2class=str2class, lh=lh, table=table, collision=collision,
@@ -687,9 +688,9 @@ def ablate_random_embedding(base: BaseModel, train_ds: LabeledDataset,
 
 # ------------------------------------------------------ parameter accounting
 
-def count_params(parts: dict) -> dict[str, int]:
-    """Exact weight+bias counts per named part; each part has tensors()."""
-    return {name: int(sum(t.data.size for t in part.tensors())) for name, part in parts.items()}
+def count_params(params: ParameterSet, prefix: str) -> int:
+    """Exact weight+bias count of the module whose parameter names start with prefix."""
+    return sum(params[name].data.size for name in params.names_with_prefix(prefix))
 
 
 def parameter_reduction(reference: int, compressed: int) -> float:
@@ -734,10 +735,10 @@ def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig
 
     Missing or ill-typed metadata raises CheckpointError. config must hold a
     valid RunConfig, num_classes an int >= 1 and class_names null or one str
-    per class. A base checkpoint needs fc_dims, layer sizes ending in
-    num_classes. An lh checkpoint's sizes all come from its config; keys
-    beyond these, such as the feature_dim and extractor_dims that older lh
-    checkpoints carry, are ignored.
+    per class. A base checkpoint needs fc_dims, layer sizes from the config's
+    extractor width to num_classes. An lh checkpoint's sizes all come from
+    its config; keys beyond these, such as the feature_dim and
+    extractor_dims that older lh checkpoints carry, are ignored.
     """
     params, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
@@ -760,6 +761,9 @@ def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig
         config = RunConfig.from_dict(meta["config"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: config: {exc}") from exc
+    if kind == "base" and meta["fc_dims"][0] != config.extractor_dims[-1]:
+        raise CheckpointError(f"{path}: bad checkpoint metadata: fc_dims {meta['fc_dims']} do "
+                              f"not start at the extractor's width {config.extractor_dims[-1]}")
     return params, meta, config
 
 
@@ -769,7 +773,6 @@ def load_base_model(path) -> tuple[BaseModel, dict]:
     model = BaseModel(fresh, config.extractor_dims, meta["num_classes"],
                       np.random.default_rng(0), fc_dims=meta["fc_dims"])
     _adopt(fresh, params)
-    model.params = fresh
     return model, meta
 
 

@@ -181,10 +181,11 @@ class TestLhClassifier:
     @pytest.mark.parametrize("batch", [1, 5])
     def test_forward_matches_the_lstm_cell_step_unroll(self, num_layers, length, batch):
         rng = np.random.default_rng(100 * num_layers + 10 * length + batch)
-        lh = LhClassifierNet(ParameterSet(), 6, 4, length, rng, num_layers=num_layers)
+        params = ParameterSet()
+        lh = LhClassifierNet(params, 6, 4, length, rng, num_layers=num_layers)
         feats = Tensor(rng.standard_normal((batch, 6)) * 3.0, requires_grad=True)
         mix = Tensor(rng.standard_normal((batch, 2 * length)))
-        tensors = [feats] + lh.tensors()
+        tensors = [feats] + [t for _, t in params.items()]
 
         def run(forward):
             for t in tensors:
@@ -307,8 +308,9 @@ class TestFreezeLookup:
         assert t1.class_to_string == t2.class_to_string
 
     def test_every_reader_of_the_encoding_agrees(self):
-        net = Class2StrNet(ParameterSet(), 8, 10, np.random.default_rng(0), hidden_dim=16)
-        for t in net.tensors():
+        params = ParameterSet()
+        net = Class2StrNet(params, 8, 10, np.random.default_rng(0), hidden_dim=16)
+        for _, t in params.items():
             t.data *= 3.0  # sharper bits: this seed gives eight distinct strings
         soft = net.table()
         assert soft.shape == (8, 20)

@@ -47,7 +47,7 @@ class TestLstmStep:
     def test_all_zero_cell_stays_at_rest(self):
         params = ParameterSet()
         cell = LstmCell(params, "lstm", 2, 3, np.random.default_rng(0))
-        for t in cell.tensors():
+        for _, t in params.items():
             t.data[...] = 0.0
         h, c = cell.step(cell.input_product(Tensor([[1.0, -1.0]])),
                          Tensor(np.zeros((1, 3))), Tensor(np.zeros((1, 3))))
@@ -90,7 +90,7 @@ class TestLstmStep:
         rng = np.random.default_rng(123)
         params = ParameterSet()
         cell = LstmCell(params, "lstm", 3, 6, rng)
-        for t in cell.tensors():
+        for _, t in params.items():
             t.data[...] = rng.standard_normal(t.data.shape) * 3.0
         h = Tensor(np.zeros((5, 6)))
         c = Tensor(np.zeros((5, 6)))
@@ -252,7 +252,7 @@ class TestCheckpoint:
         params = ParameterSet()
         Linear(params, "extractor.0", 4, 3, rng)
         LstmCell(params, "lh.lstm0", 3, 2, rng)
-        params.freeze_prefix("extractor.")
+        params.freeze(params.names_with_prefix("extractor."))
         return params
 
     def test_round_trip_is_bit_exact(self, tmp_path):

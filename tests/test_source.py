@@ -32,3 +32,22 @@ def test_every_imported_name_is_used_in_its_module():
                    and getattr(node, "module", None) != "__future__"
                    for name in _bound_names(node) if name not in used]
     assert unused == []
+
+
+def test_every_private_helper_is_used_in_the_package():
+    # a simplification that leaves a dead module-level _helper behind fails here;
+    # an import is not a use, and neither is a helper's call to itself
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    helpers = {node.name for tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.startswith("_")
+               and not node.name.startswith("__")}
+    assert helpers, f"no private helpers under {SRC}"
+    used = set()
+    for top in (node for tree in trees for node in tree.body):
+        owner = getattr(top, "name", None)
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name is not None and name != owner:
+                used.add(name)
+    assert sorted(helpers - used) == []

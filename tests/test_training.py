@@ -1,3 +1,4 @@
+import json
 import math
 from dataclasses import replace
 
@@ -21,7 +22,7 @@ def rigged_lh_params(config: training.RunConfig) -> ParameterSet:
     rng = np.random.default_rng(3)
     params = ParameterSet()
     training.MlpExtractor(params, config.extractor_dims, rng)
-    params.freeze_prefix("extractor.")
+    params.freeze(params.names_with_prefix("extractor."))
     c2s = Class2StrNet(params, len(STRINGS), config.L, rng, hidden_dim=config.c2s_hidden)
     Str2ClassNet(params, len(STRINGS), config.L, rng, hidden_dim=config.s2c_hidden)
     LhClassifierNet(params, config.extractor_dims[-1], config.lstm_hidden, config.L, rng)
@@ -103,6 +104,24 @@ def test_train_lh_raises_when_the_frozen_extractor_changes(planted, monkeypatch,
 
 
 @pytest.mark.parametrize("trainer", ["train_lh", "train_fixed_embedding"])
+def test_phase2_trains_the_base_extractor_frozen_under_its_names(planted, monkeypatch, trainer):
+    ds, config, base = planted
+    fit, trained = training.fit, []
+
+    def recording_fit(params, *args):
+        trained.append(params)
+        return fit(params, *args)
+
+    monkeypatch.setattr(training, "fit", recording_fit)
+    phase2_trainers(ds, config)[trainer](base, config)
+    (params,) = trained
+    names = base.params.names_with_prefix("extractor.")
+    assert names and params.names_with_prefix("extractor.") == names
+    assert params.frozen_names() == frozenset(names)
+    assert params.tobytes(names) == base.params.tobytes(names)
+
+
+@pytest.mark.parametrize("trainer", ["train_lh", "train_fixed_embedding"])
 @pytest.mark.parametrize("dims", [[6, 32, 32, 9], [6, 8, 5]])
 def test_extractor_dims_other_than_the_base_model_s_are_rejected_before_any_work(
         planted, monkeypatch, trainer, dims):
@@ -133,8 +152,9 @@ def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(planted, tmp_path
 def test_evaluate_counts_strings_missing_from_the_table(planted):
     ds, config, base = planted
     rng = np.random.default_rng(5)
-    lh = LhClassifierNet(ParameterSet(), 4, 5, config.L, rng)
-    for t in lh.tensors():
+    params = ParameterSet()
+    lh = LhClassifierNet(params, 4, 5, config.L, rng)
+    for _, t in params.items():
         t.data *= 4.0  # spread the predicted strings over many of the 2^L values
     table = StringLookupTable({0: "000", 1: "011", 2: "101", 3: "110"})
     result = training.evaluate(table, lh, base, ds)
@@ -231,6 +251,18 @@ def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_pa
         load(tmp_path / "model.lhc1")
 
 
+def test_a_base_checkpoint_whose_fc_head_does_not_start_at_the_extractor_width_is_rejected(
+        tmp_path):
+    # fc.0.weight is (4, 5), as fc_dims [5, 4] says, so only the widths disagree
+    config = training.RunConfig(extractor_dims=[6, 8, 4])
+    model = training.BaseModel(ParameterSet(), config.extractor_dims, 4, np.random.default_rng(0),
+                               fc_dims=[5, 4])
+    assert model.params["fc.0.weight"].data.shape == (4, 5)
+    training.save_base_model(tmp_path / "model.lhc1", model, config, None)
+    with pytest.raises(CheckpointError, match=r"fc_dims \[5, 4\] do not start at .* 4"):
+        training.load_base_model(tmp_path / "model.lhc1")
+
+
 def step_gradients(forward, labels: np.ndarray, feats: np.ndarray, seed: int = 7):
     """Total loss and trainable gradients of one phase-2 step whose forward is forward(nets)."""
     rng = np.random.default_rng(seed)
@@ -284,7 +316,7 @@ def test_train_lh_reports_the_classifier_sizes(planted):
     base_fc = f * c + c
     # projection, LSTM (w_x, w_h, bias) and the 2-way bit head
     lh = (f * h + h) + (4 * h * h + 4 * h * h + 4 * h) + (2 * h + 2)
-    assert extras["base_fc_params"] == base_fc == sum(t.size for t in base.fc.tensors())
+    assert extras["base_fc_params"] == base_fc == training.count_params(base.params, "fc.")
     assert extras["lh_classifier_params"] == lh
     assert extras["parameter_reduction"] == 1.0 - lh / base_fc
 
@@ -343,6 +375,21 @@ def test_fit_without_validation_runs_every_epoch_and_keeps_the_last():
     assert all(math.isnan(row["val_acc"]) for row in rows)
     _, _, every_epoch = toy_fit([1.0, 2.0, 3.0, 4.0], epochs=4, patience=1)
     assert w.tobytes() == every_epoch[-1].tobytes()
+
+
+def test_a_report_without_validation_is_strict_json_with_a_null_val_acc(planted, tmp_path):
+    ds, config, _ = planted
+    _, report = training.train_base(ds, replace(config, val_size=0))
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    rows = json.loads(report.to_json(), parse_constant=reject)["rows"]
+    assert [row["val_acc"] for row in rows] == [None]
+    # the in-memory rows and metrics.csv keep NaN
+    assert math.isnan(report.rows[0]["val_acc"])
+    report.write_csv(tmp_path / "metrics.csv")
+    assert (tmp_path / "metrics.csv").read_text().splitlines()[1].endswith(",nan")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
