@@ -258,8 +258,9 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(f"linear: got input {x.shape}, weight {w.shape} and bias {b.shape}")
     # a C-ordered copy of W^T, as transpose() makes, so BLAS takes the same path
     wt = np.ascontiguousarray(w.data.T)
-    out = Tensor(x.data @ wt + b.data[np.newaxis, :],
-                 x.requires_grad or w.requires_grad or b.requires_grad)
+    y = x.data @ wt
+    y += b.data  # in place: no second (B, out) array
+    out = Tensor(y, x.requires_grad or w.requires_grad or b.requires_grad)
 
     def backward():
         g = out.grad
@@ -308,16 +309,37 @@ def _ifog(n: int) -> np.ndarray:
     return order
 
 
-def _logistic_(z: np.ndarray) -> None:
-    """z <- 1/(1+exp(-z)) in place, one exp; call under np.errstate(over="ignore").
+def _ifo_negated(a: np.ndarray) -> np.ndarray:
+    """A C-ordered copy of a, its (i, f, g, o) blocks on axis -2 made (-i, -f, -o, g).
 
-    exp(-z) overflows to inf for z below about -709, which gives the limit 0.
+    Negation is exact and commutes with IEEE products, sums and rounding, so
+    a gate pre-activation summed from these copies is -z, bit for bit, on
+    the sigmoid rows; only the sign of an exact zero can differ, and exp
+    gives 1 for either.
+    """
+    n = a.shape[-2] // 4
+    out = np.empty(a.shape)
+    np.negative(a[..., :2 * n, :], out=out[..., :2 * n, :])
+    np.negative(a[..., 3 * n:, :], out=out[..., 2 * n:3 * n, :])
+    out[..., 3 * n:, :] = a[..., 2 * n:3 * n, :]
+    return out
+
+
+def _i_and_o(slab: np.ndarray) -> np.ndarray:
+    """The i and o blocks of an (i, f, o) slab of 3n rows, as one (2, n, B) view without f."""
+    return slab.reshape(3, -1, slab.shape[-1])[::2]
+
+
+def _logistic_of_negated(neg_z: np.ndarray, out: np.ndarray) -> None:
+    """out <- 1/(1+exp(neg_z)), the logistic of z = -neg_z, in three passes.
+
+    Call under np.errstate(over="ignore"): exp overflows to inf for neg_z
+    above about 709, which gives the limit 0. out may be neg_z itself.
     Within an ulp or so of _sigmoid, but not bitwise equal to it.
     """
-    np.negative(z, out=z)
-    np.exp(z, out=z)
-    z += 1.0
-    np.reciprocal(z, out=z)
+    np.exp(neg_z, out=out)
+    out += 1.0
+    np.reciprocal(out, out=out)
 
 
 def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False) -> Tensor:
@@ -335,9 +357,13 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
 
     Gates are kept feature-major, (4n, B) per step, with the rows reordered
     to (i, f, o, g), so the three sigmoid gates are one contiguous slab and
-    each gate block is contiguous. With no tape recording, one step of gate
-    and cell buffers is kept, not `steps`. The backward is hand-written
-    BPTT, and with steps = 1 W_h still receives a (zero) gradient.
+    each gate block is contiguous. The copies of xw and W_h hold the
+    sigmoid rows negated, once per forward, so the step's product gives -z
+    and its logistic is exp, +1 and reciprocal. The cell before step 0 is
+    zero, so step 0 skips f's logistic, never reads its raw value, and
+    gives it a 0 gradient. With no tape recording, one step of gate and
+    cell buffers is kept, not `steps`. The backward is hand-written BPTT,
+    and with steps = 1 W_h still receives a (zero) gradient.
     """
     n = w_h.shape[1] if w_h.data.ndim == 2 else 0
     rows = xw.shape[0] if xw.data.ndim == 2 else 0
@@ -346,13 +372,10 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
         raise ShapeError(f"lstm_sequence: got xw {xw.shape}, w_h {w_h.shape}, steps {steps} "
                          f"and per_step {per_step}")
     batch = rows // steps if per_step else rows
-    ifog = _ifog(n)
-    if per_step:  # (steps, 4n, B)
-        xs = np.ascontiguousarray(xw.data.reshape(batch, steps, 4 * n).transpose(1, 2, 0))
-        xs = np.take(xs, ifog, axis=1)
-    else:  # (4n, B)
-        xs = np.take(np.ascontiguousarray(xw.data.T), ifog, axis=0)
-    wp = np.take(w_h.data, ifog, axis=0)
+    # (steps, 4n, B) or (4n, B)
+    xs = _ifo_negated(xw.data.reshape(batch, steps, 4 * n).transpose(1, 2, 0) if per_step
+                      else xw.data.T)
+    wn = _ifo_negated(w_h.data)
     needs_grad = xw.requires_grad or w_h.requires_grad
     kept = steps if needs_grad and _active_tape() is not None else 1
     gates = np.empty((kept, 4 * n, batch))
@@ -366,19 +389,18 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
             k = t if kept > 1 else 0
             gt = gates[k]
             x_t = xs[t] if per_step else xs
-            if t == 0:
-                gt[...] = x_t
-            else:
-                np.matmul(wp, hs[:, t - 1].T, out=gt)
-                gt += x_t
-            _logistic_(gt[:3 * n])
-            np.tanh(gt[3 * n:], out=gt[3 * n:])
             i, f, o, g = gt[:n], gt[n:2 * n], gt[2 * n:3 * n], gt[3 * n:]
             c = cells[k]
-            np.multiply(i, g, out=ig)
-            if t == 0:
-                c[...] = ig
+            if t == 0:  # f is left unset
+                _logistic_of_negated(_i_and_o(x_t[:3 * n]), _i_and_o(gt[:3 * n]))
+                np.tanh(x_t[3 * n:], out=g)
+                np.multiply(i, g, out=c)
             else:
+                np.matmul(wn, hs[:, t - 1].T, out=gt)
+                gt += x_t
+                _logistic_of_negated(gt[:3 * n], gt[:3 * n])
+                np.tanh(g, out=g)
+                np.multiply(i, g, out=ig)
                 np.multiply(f, cells[k - 1 if kept > 1 else 0], out=c)
                 c += ig
             np.tanh(c, out=tanh_c[k])
@@ -389,6 +411,9 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
     def backward():
         if out.grad is None:
             return
+        ifog = _ifog(n)
+        wp = wn.copy()  # W_h's permuted rows, signs restored exactly
+        np.negative(wp[:3 * n], out=wp[:3 * n])
         dh_all = out.grad.reshape(batch, steps, n).transpose(1, 2, 0).copy()  # written below
         # per-step xw needs every step's gate gradient; shared xw only their sum
         dgates = np.empty((steps if per_step else 2, 4 * n, batch))
@@ -412,8 +437,11 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
                 dc += tmp
             else:
                 dc[...] = tmp
-            np.subtract(1.0, gt[:3 * n], out=dt[:3 * n])  # sigma' = s (1 - s) on i, f, o
-            dt[:3 * n] *= gt[:3 * n]
+            # sigma' = s (1 - s) on i, f and o; at step 0 on i and o only, since f is unset
+            s, ds = ((gt[:3 * n], dt[:3 * n]) if t else
+                     (_i_and_o(gt[:3 * n]), _i_and_o(dt[:3 * n])))
+            np.subtract(1.0, s, out=ds)
+            ds *= s
             dt[:n] *= np.multiply(dc, g, out=tmp)
             if t == 0:
                 dt[n:2 * n] = 0.0
@@ -610,20 +638,38 @@ def pair_softmax(a: Tensor) -> Tensor:
     This is the packed bit-distribution layout: column 2i holds P(bit i = 0)
     and column 2i+1 P(bit i = 1). Values and gradients equal, bit for bit,
     those of softmax applied to every (B, 2) slice on its own.
+
+    Each pair's max, total and dot product is one elementwise op on the
+    even and odd column views, in the order softmax's reductions take, so
+    numpy never reduces over a size-2 axis, its slow path. The forward is
+    one exp over the whole (B, 2L) output and two in-place divides.
     """
     if a.data.ndim != 2 or a.shape[1] == 0 or a.shape[1] % 2:
         raise ShapeError(f"pair_softmax needs a (B, 2L) matrix, got {a.shape}")
-    x = a.data.reshape(a.shape[0], -1, 2)
-    e = np.exp(x - x.max(axis=-1, keepdims=True))
-    s = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(s.reshape(a.shape), a.requires_grad)
+    x = a.data
+    m = np.maximum(x[:, 0::2], x[:, 1::2])
+    s = np.empty(a.shape)
+    s0, s1 = s[:, 0::2], s[:, 1::2]
+    np.subtract(x[:, 0::2], m, out=s0)
+    np.subtract(x[:, 1::2], m, out=s1)
+    np.exp(s, out=s)
+    total = s0 + s1
+    s0 /= total
+    s1 /= total
+    out = Tensor(s, a.requires_grad)
 
     def backward():
         if out.grad is None or not a.requires_grad:
             return
-        g = out.grad.reshape(s.shape)
-        dot = (g * s).sum(axis=-1, keepdims=True)
-        a.accumulate_grad((s * (g - dot)).reshape(a.shape))
+        g = out.grad
+        g0, g1 = g[:, 0::2], g[:, 1::2]
+        dot = g0 * s0
+        dot += g1 * s1
+        d = np.empty(a.shape)
+        np.subtract(g0, dot, out=d[:, 0::2])
+        np.subtract(g1, dot, out=d[:, 1::2])
+        d *= s
+        a.accumulate_grad(d)
 
     _maybe_record(out, backward)
     return out

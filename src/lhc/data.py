@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import gzip
 import math
+import numbers
 import os
 import struct
 from dataclasses import dataclass
@@ -163,12 +164,19 @@ class PlantedHierarchySpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError(f"depth must be >= 1, got {self.depth}")
-        if self.sigma_level <= 0 or self.sigma_within <= 0:
-            raise ValueError("sigma_level and sigma_within must be positive")
-        if self.feature_dim < 1 or self.samples_per_class < 1:
-            raise ValueError("feature_dim and samples_per_class must be positive")
+        # checked before any draw; a bool is an int to Python, but never a size here
+        for name, least in (("depth", 1), ("feature_dim", 1), ("samples_per_class", 1),
+                            ("seed", 0)):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < least):
+                raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
+        for name in ("sigma_level", "sigma_within"):
+            value = getattr(self, name)
+            # the comparison is False for NaN and for inf
+            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+                    or not 0 < value < math.inf):
+                raise ValueError(f"{name} must be a finite real number > 0, got {value!r}")
 
     @property
     def num_classes(self) -> int:

@@ -377,13 +377,49 @@ def test_lstm_sequence_rejects_bad_shapes(xw_shape, w_h_shape, steps, per_step):
 
 def test_pair_softmax_equals_softmax_on_each_pair():
     rng = np.random.default_rng(7)
-    (a,) = _graded(rng, (9, 6))
-    a.data *= 5.0
-    fused = _grads(lambda: [pair_softmax(a)], [a], 7)
-    per_pair = _grads(lambda: [concat([softmax(slice_(a, 1, j, j + 2)) for j in (0, 2, 4)],
-                                      axis=1)], [a], 7)
-    assert fused[0][0].tobytes() == per_pair[0][0].tobytes()
-    np.testing.assert_array_equal(fused[1][0], per_pair[1][0])
+    for shape, scale in (((9, 6), 5.0), ((9, 6), 700.0), ((1, 2), 5.0)):
+        (a,) = _graded(rng, shape)
+        a.data *= scale  # at 700, exp(x - max) underflows to 0 for one side of most pairs
+        a.data[::2, 1::2] = a.data[::2, 0::2]  # ties
+        fused = _grads(lambda: [pair_softmax(a)], [a], 7)
+        per_pair = _grads(lambda: [concat([softmax(slice_(a, 1, j, j + 2))
+                                           for j in range(0, shape[1], 2)], axis=1)], [a], 7)
+        assert fused[0][0].tobytes() == per_pair[0][0].tobytes()
+        np.testing.assert_array_equal(fused[1][0], per_pair[1][0])
+
+
+@pytest.mark.parametrize("per_step", [False, True])
+@pytest.mark.parametrize("taped", [False, True])
+def test_lstm_sequence_saturated_gates_raise_no_warning(per_step, taped):
+    # +-1e3 pre-activations overflow exp in the logistic on every gate, and
+    # step 0's forget gate is left raw; the suite turns any warning into an error
+    steps, batch, n = 3, 4, 2
+    rng = np.random.default_rng(3)
+    xw = Tensor(1e3 * np.sign(rng.standard_normal((batch * steps if per_step else batch, 4 * n))),
+                requires_grad=taped)
+    w_h = Tensor(rng.standard_normal((4 * n, n)), requires_grad=taped)
+    if taped:
+        outs, grads = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)],
+                             [xw, w_h], 3)
+    else:
+        outs, grads = [lstm_sequence(xw, w_h, steps, per_step=per_step).data], []
+    assert all(np.isfinite(a).all() for a in outs + grads)
+
+
+@pytest.mark.parametrize("per_step, steps", [(False, 1), (True, 1), (True, 3)])
+def test_lstm_sequence_never_reads_the_forget_gate_at_step_0(per_step, steps):
+    # the cell before step 0 is zero, so f there changes nothing and gets no gradient
+    batch, n = 5, 3
+    rng = np.random.default_rng(4)
+    xw, w_h = _graded(rng, (batch * steps if per_step else batch, 4 * n), (4 * n, n))
+    forget = (slice(None, None, steps), slice(n, 2 * n))  # step 0's rows, f's columns
+    before = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)], [xw, w_h], 4)
+    np.testing.assert_array_equal(before[1][0][forget], 0.0)
+    xw.data[forget] = 1e3 * np.sign(rng.standard_normal((batch, n)))
+    after = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)], [xw, w_h], 4)
+    assert after[0][0].tobytes() == before[0][0].tobytes()
+    for g_after, g_before in zip(after[1], before[1]):
+        assert g_after.tobytes() == g_before.tobytes()
 
 
 def test_sum_squares_equals_the_square_sum_add_chain():

@@ -161,6 +161,21 @@ def test_synth_gen_rejects_more_classes_than_lhf1_holds_before_generating(tmp_pa
     assert not (tmp_path / "data").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--sigma-within", "nan"), ("--sigma-level", "inf")])
+def test_synth_gen_rejects_a_non_finite_sigma_before_generating(tmp_path, capsys, monkeypatch,
+                                                                 flag, value):
+    def no_work(spec):
+        raise AssertionError("generate_planted ran for a spec with a non-finite sigma")
+
+    monkeypatch.setattr(data, "generate_planted", no_work)
+    code = main(["synth-gen", "--depth", "2", "--feature-dim", "2", flag, value, "--out",
+                 str(tmp_path / "data")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not (tmp_path / "data").exists()
+
+
 @pytest.mark.parametrize("document", ["[]", "3", "null", '"ab"'])
 def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, document):
     config = tmp_path / "config.json"

@@ -1,4 +1,5 @@
 import gzip
+import math
 import struct
 
 import numpy as np
@@ -159,6 +160,15 @@ class TestPlanted:
             PlantedHierarchySpec(depth=0, feature_dim=4)
         with pytest.raises(ValueError):
             PlantedHierarchySpec(depth=2, feature_dim=4, sigma_level=0.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("depth", 2.5), ("depth", True), ("feature_dim", 4.0), ("samples_per_class", 3.5),
+        ("seed", 1.5), ("seed", -1), ("sigma_within", math.nan), ("sigma_level", math.inf),
+        ("sigma_within", -math.inf), ("sigma_level", "1.0"), ("sigma_within", True)])
+    def test_ill_typed_or_non_finite_fields_rejected_before_any_draw(self, field, value):
+        fields = {"depth": 2, "feature_dim": 4, **{field: value}}
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            PlantedHierarchySpec(**fields)
 
 
 class TestFeatureFiles:
