@@ -78,8 +78,8 @@ def cmd_train_lh(args) -> int:
         (out / "tree.dot").write_text(export_tree(result.table, "dot"))
     print(f"string-match test accuracy {result.report.final_test_accuracy:.4f}, "
           f"mean bit bias {result.report.extras['mean_bit_bias']:.4f}")
-    if result.collision is not None:
-        print(f"warning: {result.collision}", file=sys.stderr)
+    if result.table is None:
+        print(f"warning: {result.report.extras['collision']}", file=sys.stderr)
         return 1
     return 0
 
@@ -155,6 +155,8 @@ def cmd_synth_gen(args) -> int:
     if spec.num_classes > dataio.LHF1_MAX_CLASSES:
         raise ValueError(f"depth {spec.depth} gives {spec.num_classes} classes, but LHF1 "
                          f"holds at most {dataio.LHF1_MAX_CLASSES}")
+    if not 0 < args.test_fraction < 1:  # False for NaN too
+        raise ValueError(f"test_fraction must lie in (0, 1), got {args.test_fraction}")
     dataset, truth = dataio.generate_planted(spec)
     train, test = dataio.train_test_split(dataset, args.test_fraction, spec.seed)
     out = Path(args.out)

@@ -92,7 +92,7 @@ def strings_of(dist: np.ndarray) -> dict[int, str]:
 class StringLookupTable:
     """Frozen bijection between class ids and distinct L-bit strings.
 
-    class_names, if given, holds one name per class in class-id order. bits
+    class_names, if given, holds one str name per class in class-id order. bits
     is the read-only (C, L) int64 matrix of the strings, one row per class
     in class-id order, so row c is class c when the ids are 0..C-1.
     """
@@ -103,6 +103,8 @@ class StringLookupTable:
         if class_names is not None and len(class_names) != len(class_to_string):
             raise ValueError(f"{len(class_names)} class names for "
                              f"{len(class_to_string)} classes")
+        if class_names is not None and not all(isinstance(n, str) for n in class_names):
+            raise ValueError(f"class names must be str, got {list(class_names)!r}")
         lengths = {len(s) for s in class_to_string.values()}
         if len(lengths) != 1:
             raise ValueError(f"strings must share one length, got lengths {sorted(lengths)}")
@@ -139,7 +141,6 @@ class Class2StrNet:
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
                  rng: np.random.Generator, hidden_dim: int | None = None):
         self.num_classes = num_classes
-        self.string_length = string_length
         self.hidden_dim = default_hidden_dim(num_classes) if hidden_dim is None else hidden_dim
         self.trunk = Linear(params, "class2str.trunk", num_classes, self.hidden_dim, rng)
         self.heads = Linear(params, "class2str.heads", self.hidden_dim, 2 * string_length, rng,
@@ -170,7 +171,6 @@ class Str2ClassNet:
 
     def __init__(self, params: ParameterSet, num_classes: int, string_length: int,
                  rng: np.random.Generator, hidden_dim: int | None = None):
-        self.num_classes = num_classes
         self.string_length = string_length
         self.hidden_dim = default_hidden_dim(num_classes) if hidden_dim is None else hidden_dim
         self.fc1 = Linear(params, "str2class.fc1", 2 * string_length, self.hidden_dim, rng)
@@ -202,7 +202,6 @@ class LhClassifierNet:
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
         self.string_length = string_length
-        self.num_layers = num_layers
         self.projection = Linear(params, "lh.projection", feature_dim, hidden_dim, rng)
         self.cells = [LstmCell(params, f"lh.lstm{l}", hidden_dim, hidden_dim, rng)
                       for l in range(num_layers)]

@@ -238,14 +238,26 @@ class MlpExtractor:
 
 
 class BaseModel:
-    """Extractor plus FC classifier, trained jointly in phase 1."""
+    """Extractor plus FC classifier, trained jointly in phase 1.
+
+    fc_dims, the FC head's layer sizes, must run from the extractor's width
+    to num_classes, or ValueError is raised; None gives one layer between them.
+    """
 
     def __init__(self, params: ParameterSet, extractor_dims: list[int], num_classes: int,
                  rng: np.random.Generator, fc_dims: list[int] | None = None):
         self.params = params
         self.num_classes = num_classes
         self.extractor = MlpExtractor(params, extractor_dims, rng)
-        self.fc = MlpExtractor(params, fc_dims or [extractor_dims[-1], num_classes], rng, "fc")
+        width = self.extractor.feature_dim
+        if fc_dims is None:
+            fc_dims = [width, num_classes]
+        if not _dims_ok(fc_dims):
+            raise ValueError(f"fc_dims must list two or more ints >= 1, got {fc_dims!r}")
+        if fc_dims[0] != width or fc_dims[-1] != num_classes:
+            raise ValueError(f"fc_dims {fc_dims} do not start at the extractor's width {width} "
+                             f"and end at num_classes {num_classes}")
+        self.fc = MlpExtractor(params, fc_dims, rng, "fc")
 
     def forward(self, x: Tensor) -> Tensor:
         return softmax(self.fc.forward(self.extractor.forward(x)))
@@ -392,11 +404,8 @@ def train_base(train_ds: LabeledDataset, config: RunConfig,
 class LhTrainResult:
     params: ParameterSet
     extractor: MlpExtractor
-    class2str: Class2StrNet
-    str2class: Str2ClassNet
     lh: LhClassifierNet
-    table: StringLookupTable | None
-    collision: str | None
+    table: StringLookupTable | None  # None when strings collide: see report.extras["collision"]
     strings: dict[int, str]
     report: TrainReport
 
@@ -570,8 +579,7 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
                      base_fc_params=base_fc, lh_classifier_params=lh_classifier,
                      parameter_reduction=parameter_reduction(base_fc, lh_classifier),
                      best_epoch=best_epoch, stop_reason=stop_reason)
-    return LhTrainResult(params=params, extractor=extractor, class2str=class2str,
-                         str2class=str2class, lh=lh, table=table, collision=collision,
+    return LhTrainResult(params=params, extractor=extractor, lh=lh, table=table,
                          strings=strings, report=report)
 
 
@@ -713,7 +721,7 @@ def sweep_string_length(base: BaseModel, train_ds: LabeledDataset,
     for l in l_values:
         result = train_lh(base, train_ds, replace(config, L=l), test_ds=test_ds)
         points.append({"L": l, "accuracy": result.report.final_test_accuracy,
-                       "collision": result.collision is not None})
+                       "collision": result.table is None})
     return points
 
 
@@ -735,10 +743,10 @@ def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig
 
     Missing or ill-typed metadata raises CheckpointError. config must hold a
     valid RunConfig, num_classes an int >= 1 and class_names null or one str
-    per class. A base checkpoint needs fc_dims, layer sizes from the config's
-    extractor width to num_classes. An lh checkpoint's sizes all come from
-    its config; keys beyond these, such as the feature_dim and
-    extractor_dims that older lh checkpoints carry, are ignored.
+    per class. A base checkpoint's fc_dims are checked by load_base_model.
+    An lh checkpoint's sizes all come from its config; keys beyond these,
+    such as the feature_dim and extractor_dims that older lh checkpoints
+    carry, are ignored.
     """
     params, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
@@ -752,26 +760,25 @@ def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig
     if names is not None and not (isinstance(names, list) and len(names) == num_classes
                                   and all(isinstance(n, str) for n in names)):
         problems.append("class_names is neither null nor one str per class")
-    if kind == "base" and not (_dims_ok(meta.get("fc_dims"))
-                               and meta["fc_dims"][-1] == num_classes):
-        problems.append("fc_dims is not a list of layer sizes ending in num_classes")
     if problems:
         raise CheckpointError(f"{path}: bad checkpoint metadata: {'; '.join(problems)}")
     try:
         config = RunConfig.from_dict(meta["config"])
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: config: {exc}") from exc
-    if kind == "base" and meta["fc_dims"][0] != config.extractor_dims[-1]:
-        raise CheckpointError(f"{path}: bad checkpoint metadata: fc_dims {meta['fc_dims']} do "
-                              f"not start at the extractor's width {config.extractor_dims[-1]}")
     return params, meta, config
 
 
 def load_base_model(path) -> tuple[BaseModel, dict]:
+    """An LHC1 base checkpoint's model; fc_dims that BaseModel rejects raise CheckpointError."""
     params, meta, config = _load_run_checkpoint(path, "base")
     fresh = ParameterSet()
-    model = BaseModel(fresh, config.extractor_dims, meta["num_classes"],
-                      np.random.default_rng(0), fc_dims=meta["fc_dims"])
+    try:
+        # a missing or null record is no head at all, not BaseModel's default one
+        model = BaseModel(fresh, config.extractor_dims, meta["num_classes"],
+                          np.random.default_rng(0), fc_dims=meta.get("fc_dims") or [])
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad checkpoint metadata: {exc}") from exc
     _adopt(fresh, params)
     return model, meta
 
@@ -781,7 +788,7 @@ def save_lh_result(path, result: LhTrainResult, config: RunConfig,
     save_checkpoint(path, result.params, {
         "kind": "lh",
         "config": config.to_dict(),
-        "num_classes": result.class2str.num_classes,
+        "num_classes": len(result.strings),
         "class_names": class_names,
     })
 
@@ -790,11 +797,8 @@ def save_lh_result(path, result: LhTrainResult, config: RunConfig,
 class LhArtifacts:
     params: ParameterSet
     extractor: MlpExtractor
-    class2str: Class2StrNet
-    str2class: Str2ClassNet
     lh: LhClassifierNet
     table: StringLookupTable
-    meta: dict
     config: RunConfig
 
 
@@ -803,12 +807,12 @@ def load_lh_result(path) -> LhArtifacts:
     rng = np.random.default_rng(0)
     fresh = ParameterSet()
     extractor = MlpExtractor(fresh, config.extractor_dims, rng)
-    class2str, str2class, lh = _phase2_nets(fresh, meta["num_classes"], extractor.feature_dim,
-                                            config, rng)
+    # all three nets, so that _adopt finds every saved name
+    class2str, _, lh = _phase2_nets(fresh, meta["num_classes"], extractor.feature_dim, config,
+                                    rng)
     _adopt(fresh, params)
     table = freeze_lookup(class2str, class_names=meta.get("class_names"))
-    return LhArtifacts(params=fresh, extractor=extractor, class2str=class2str,
-                       str2class=str2class, lh=lh, table=table, meta=meta, config=config)
+    return LhArtifacts(params=fresh, extractor=extractor, lh=lh, table=table, config=config)
 
 
 def _adopt(dst: ParameterSet, src: ParameterSet) -> None:
@@ -826,18 +830,16 @@ def _adopt(dst: ParameterSet, src: ParameterSet) -> None:
 
 # ------------------------------------------------------------ grad checking
 
-def gradcheck_report(seed: int, num_classes: int = 4, string_length: int = 2,
-                     lstm_hidden: int = 5, feature_dim: int = 6,
-                     batch: int = 2) -> dict[str, float]:
+def gradcheck_report(seed: int, batch: int = 2) -> dict[str, float]:
     """Max relative gradient error per loss term on a toy instance, at RunConfig's weights.
 
     Each term is checked through losses.joint_terms and the sum through
     losses.total_loss, the code train_lh runs.
     """
-    _check_string_length(num_classes, string_length)
+    num_classes, feature_dim = 4, 6
     rng = np.random.default_rng(seed)
     params = ParameterSet()
-    config = RunConfig(L=string_length, lstm_hidden=lstm_hidden, c2s_hidden=8, s2c_hidden=8)
+    config = RunConfig(L=2, lstm_hidden=5, c2s_hidden=8, s2c_hidden=8)
     class2str, str2class, lh = _phase2_nets(params, num_classes, feature_dim, config, rng)
 
     feats = np.asarray(rng.standard_normal((batch, feature_dim)))

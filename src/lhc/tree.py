@@ -30,17 +30,13 @@ def build_tree(table) -> StringLookupTable:
 class CanonicalForm:
     """Tree identity modulo swapping any node's 0/1 children.
 
-    term renders each subtree with children ordered by their smallest
-    contained class id, a leaf as its class id; clusters holds the class-id
-    set under each node with two children, so each has two or more classes.
+    clusters holds the class-id set under each node with two children, so
+    each has two or more classes. No node has a single child, so clusters
+    and leaf_ids fix the tree, and two forms are equal when both are.
     """
 
-    term: str
     clusters: frozenset[frozenset[int]]
     leaf_ids: frozenset[int]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, CanonicalForm) and self.term == other.term
 
 
 def canonicalize(table: StringLookupTable) -> CanonicalForm:
@@ -48,18 +44,16 @@ def canonicalize(table: StringLookupTable) -> CanonicalForm:
     strings = table.class_to_string
     clusters: set[frozenset[int]] = set()
 
-    def split(ids: list[int], depth: int) -> str:
-        if len(ids) == 1:
-            return str(ids[0])
-        sides = [[c for c in ids if strings[c][depth] == bit] for bit in "01"]
-        if not all(sides):
-            return split(ids, depth + 1)
-        clusters.add(frozenset(ids))
-        sides.sort(key=min)
-        return "(" + ",".join(split(side, depth + 1) for side in sides) + ")"
+    def split(ids: list[int], depth: int) -> None:
+        if len(ids) > 1:
+            sides = [[c for c in ids if strings[c][depth] == bit] for bit in "01"]
+            if all(sides):
+                clusters.add(frozenset(ids))
+            for side in filter(None, sides):
+                split(side, depth + 1)
 
-    term = split(sorted(strings), 0)
-    return CanonicalForm(term=term, clusters=frozenset(clusters), leaf_ids=frozenset(strings))
+    split(list(strings), 0)
+    return CanonicalForm(clusters=frozenset(clusters), leaf_ids=frozenset(strings))
 
 
 @dataclass(frozen=True)

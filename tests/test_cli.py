@@ -6,6 +6,7 @@ import pytest
 from lhc import data, training
 from lhc.cli import main
 from lhc.tree import tree_from_json
+from test_data import mnist_dir  # noqa: F401 (a fixture)
 
 # 4 classes, 1 epoch per phase: with L=2 the learned encoding collides, with
 # L=8 it is one-to-one, so both outcomes of train-lh are exercised
@@ -74,6 +75,26 @@ def test_eval_and_export_tree_exit_codes(run, capsys, length, expected):
         assert exported + "\n" == (root / f"lh{length}" / "tree.json").read_text()
         tree = tree_from_json(exported)
         assert tree.string_length == length and sorted(tree.class_to_string) == [0, 1, 2, 3]
+
+
+def test_train_base_train_lh_and_eval_read_mnist(mnist_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "dataset": "mnist", "extractor_dims": [784, 8, 4],
+                                  "L": 8}))
+    data_dir = str(mnist_dir)
+    base, lh = tmp_path / "base", tmp_path / "lh"
+    assert main(["train-base", "--config", str(config), "--data-dir", data_dir,
+                 "--out", str(base)]) == 0
+    lh_code = main(["train-lh", "--config", str(config), "--data-dir", data_dir,
+                    "--checkpoint", str(base / "model.lhc1"), "--out", str(lh)])
+    eval_code = main(["eval", "--checkpoint", str(lh / "model.lhc1"), "--data-dir", data_dir])
+    collides = json.loads((lh / "report.json").read_text())["extras"]["collision"] is not None
+    assert lh_code == eval_code == (1 if collides else 0)
+    assert (lh / "tree.json").is_file() == (not collides)
+    if not collides:
+        tree = tree_from_json((lh / "tree.json").read_text())
+        assert tree.class_names == [str(d) for d in range(10)]
+        assert "over 12 samples" in capsys.readouterr().out
 
 
 def test_eval_on_data_with_more_classes_exits_1(run, capsys):
@@ -173,6 +194,21 @@ def test_synth_gen_rejects_a_non_finite_sigma_before_generating(tmp_path, capsys
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and flag[2:].replace("-", "_") in err
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("fraction", ["1.5", "nan", "0"])
+def test_synth_gen_rejects_a_test_fraction_outside_0_1_before_generating(tmp_path, capsys,
+                                                                         monkeypatch, fraction):
+    def no_work(spec):
+        raise AssertionError("generate_planted ran for a test fraction that cannot split it")
+
+    monkeypatch.setattr(data, "generate_planted", no_work)
+    code = main(["synth-gen", "--depth", "2", "--feature-dim", "2", "--test-fraction", fraction,
+                 "--out", str(tmp_path / "data")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "test_fraction" in err
     assert not (tmp_path / "data").exists()
 
 

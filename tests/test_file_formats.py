@@ -145,12 +145,18 @@ def test_model_checkpoints_round_trip_exactly(tmp_path, model_checkpoints, kind)
     raw, params, meta = model_checkpoints[kind]
     (tmp_path / "model.lhc1").write_bytes(raw)
     loaded = MODEL_LOADERS[kind](tmp_path / "model.lhc1")
-    loaded_params, loaded_meta = ((loaded[0].params, loaded[1]) if kind == "base"
-                                  else (loaded.params, loaded.meta))
+    if kind == "base":
+        loaded_params = loaded[0].params
+        assert loaded[1] == meta
+    else:
+        # an lh checkpoint's metadata lives on as its config and its table's classes
+        loaded_params = loaded.params
+        assert loaded.config.to_dict() == meta["config"]
+        assert (loaded.table.num_classes, loaded.table.class_names) == (meta["num_classes"],
+                                                                        meta["class_names"])
     assert loaded_params.names() == params.names()
     assert loaded_params.tobytes() == params.tobytes()
     assert loaded_params.frozen_names() == params.frozen_names()
-    assert loaded_meta == meta
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_LOADERS))

@@ -261,8 +261,8 @@ class TestLhClassifier:
 def step_forward(lh: LhClassifierNet, features: Tensor) -> Tensor:
     """LhClassifierNet.forward one LstmCell.step at a time: the reference for lstm_sequence."""
     xw = lh.cells[0].input_product(lh.projection(features))
-    h: list[Tensor | None] = [None] * lh.num_layers
-    c: list[Tensor | None] = [None] * lh.num_layers
+    h: list[Tensor | None] = [None] * len(lh.cells)
+    c: list[Tensor | None] = [None] * len(lh.cells)
     logits = []
     for _ in range(lh.string_length):
         for layer, cell in enumerate(lh.cells):
@@ -364,6 +364,12 @@ class TestLookupTable:
     @pytest.mark.parametrize("names", [["a"], ["a", "b", "c"]])
     def test_class_names_must_name_each_class(self, names):
         with pytest.raises(ValueError, match="class names for 2 classes"):
+            StringLookupTable({0: "0", 1: "1"}, class_names=names)
+
+    @pytest.mark.parametrize("names", [[1, None], ["a", 2], [b"a", "b"]])
+    def test_class_names_must_be_strings(self, names):
+        # tree.json and the DOT export write each name as a string
+        with pytest.raises(ValueError, match="class names must be str"):
             StringLookupTable({0: "0", 1: "1"}, class_names=names)
 
     def test_json_round_trip(self):

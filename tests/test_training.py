@@ -215,7 +215,9 @@ META_EDITS = {
     "float num_classes": ("num_classes", 2.5),
     "int class_names": ("class_names", 3),
     "no sizes": ("fc_dims", DROP),
+    "null sizes": ("fc_dims", None),
     "str sizes": ("fc_dims", "x"),
+    "sizes past num_classes": ("fc_dims", [4, 7]),
     "config with mu 1.5": ("config.mu", 1.5),
 }
 
@@ -253,14 +255,27 @@ def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_pa
 
 def test_a_base_checkpoint_whose_fc_head_does_not_start_at_the_extractor_width_is_rejected(
         tmp_path):
-    # fc.0.weight is (4, 5), as fc_dims [5, 4] says, so only the widths disagree
+    # fc.0.weight is (4, 5), as fc_dims [5, 4] says, so only the widths disagree; BaseModel
+    # rejects that head, so the file is built from the two MLPs
     config = training.RunConfig(extractor_dims=[6, 8, 4])
-    model = training.BaseModel(ParameterSet(), config.extractor_dims, 4, np.random.default_rng(0),
-                               fc_dims=[5, 4])
-    assert model.params["fc.0.weight"].data.shape == (4, 5)
-    training.save_base_model(tmp_path / "model.lhc1", model, config, None)
+    params, rng = ParameterSet(), np.random.default_rng(0)
+    training.MlpExtractor(params, config.extractor_dims, rng)
+    training.MlpExtractor(params, [5, 4], rng, "fc")
+    assert params["fc.0.weight"].data.shape == (4, 5)
+    save_checkpoint(tmp_path / "model.lhc1", params, {
+        "kind": "base", "config": config.to_dict(), "num_classes": 4, "fc_dims": [5, 4],
+        "class_names": None})
     with pytest.raises(CheckpointError, match=r"fc_dims \[5, 4\] do not start at .* 4"):
         training.load_base_model(tmp_path / "model.lhc1")
+
+
+@pytest.mark.parametrize("fc_dims", [[4, 7], [5, 4], [4], [4, 0, 4], [4, 2.5, 4], [4, True, 4],
+                                     "44"])
+def test_base_model_rejects_a_head_that_does_not_run_from_the_extractor_to_the_classes(fc_dims):
+    # at [4, 7] the head would predict class ids up to 6 of a 4-class model
+    with pytest.raises(ValueError, match="fc_dims"):
+        training.BaseModel(ParameterSet(), [6, 8, 4], 4, np.random.default_rng(0),
+                           fc_dims=fc_dims)
 
 
 def step_gradients(forward, labels: np.ndarray, feats: np.ndarray, seed: int = 7):

@@ -96,16 +96,16 @@ class TestCanonicalize:
         # two genuinely different hierarchies stay different under any flips
         a = build_tree({0: "00", 1: "01", 2: "10", 3: "11"})
         b = build_tree({0: "00", 2: "01", 1: "10", 3: "11"})
-        forms_a = {canonicalize(build_tree(flipped_table(a, d))).term
+        forms_a = {canonicalize(build_tree(flipped_table(a, d)))
                    for d in itertools.product([False, True], repeat=3)}
-        forms_b = {canonicalize(build_tree(flipped_table(b, d))).term
+        forms_b = {canonicalize(build_tree(flipped_table(b, d)))
                    for d in itertools.product([False, True], repeat=3)}
         assert len(forms_a) == 1 and len(forms_b) == 1
         assert forms_a != forms_b
 
     def test_single_child_chains_are_contracted(self):
         form = canonicalize(build_tree({0: "000", 1: "001", 2: "110"}))
-        assert form.term == "((0,1),2)"
+        assert form == canonicalize(build_tree({0: "00", 1: "01", 2: "10"}))
         assert form.clusters == {frozenset({0, 1, 2}), frozenset({0, 1})}
 
     def test_planted_strings_with_a_bit_appended_are_the_planted_tree(self):
@@ -127,8 +127,7 @@ class TestCanonicalize:
         longer = build_tree({c: s[:position] + bit + s[position:]
                              for c, s in table.class_to_string.items()})
         form, longer_form = canonicalize(table), canonicalize(longer)
-        assert longer_form.term == form.term
-        assert longer_form.clusters == form.clusters
+        assert longer_form == form
         assert all(len(cluster) >= 2 for cluster in longer_form.clusters)
 
 
@@ -156,7 +155,7 @@ class TestTreeDistance:
 
     def test_one_class_trees_are_equal(self):
         a = canonicalize(build_tree({3: "01"}))
-        assert a == CanonicalForm(term="3", clusters=frozenset(), leaf_ids=frozenset({3}))
+        assert a == CanonicalForm(clusters=frozenset(), leaf_ids=frozenset({3}))
         cmp = tree_distance(a, canonicalize(build_tree({3: "1"})))
         assert cmp.equal and cmp.shared_fraction == 1.0
 
