@@ -338,16 +338,14 @@ def _logistic_of_negated(neg_z: np.ndarray, out: np.ndarray) -> None:
     np.reciprocal(out, out=out)
 
 
-def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False) -> Tensor:
+def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int) -> Tensor:
     """A whole LSTM layer unrolled `steps` times from the zero state, as one op.
 
-    xw holds input products x W_x^T + b, gate columns in lstm_cell's
-    (input, forget, candidate, output) order, n = w_h.shape[1] each. With
-    per_step False it is (B, 4n) and every step reads it; with per_step True
-    it is (B*steps, 4n) and row b*steps + t is sample b at step t. Returns
-    the hidden states as (B*steps, n) in that same row order, so a head can
-    run over all steps as one linear and a next layer's input product is
-    per-step. Each step equals lstm_cell(xw_t, h, w_h, c), the primitive
+    xw is the (B, 4n) input product x W_x^T + b that every step reads, gate
+    columns in lstm_cell's (input, forget, candidate, output) order, n =
+    w_h.shape[1] each. Returns the hidden states as (B*steps, n), row
+    b*steps + t for sample b at step t, so a head can run over all steps as
+    one linear. Each step equals lstm_cell(xw, h, w_h, c), the primitive
     chain this op is tested against, to within an ulp or so: the sigmoid is
     1/(1+exp(-z)), one exp, not _sigmoid.
 
@@ -362,15 +360,11 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
     and with steps = 1 W_h still receives a (zero) gradient.
     """
     n = w_h.shape[1] if w_h.data.ndim == 2 else 0
-    rows = xw.shape[0] if xw.data.ndim == 2 else 0
-    if (steps < 1 or n == 0 or w_h.shape != (4 * n, n) or xw.shape != (rows, 4 * n)
-            or (per_step and rows % steps)):
-        raise ShapeError(f"lstm_sequence: got xw {xw.shape}, w_h {w_h.shape}, steps {steps} "
-                         f"and per_step {per_step}")
-    batch = rows // steps if per_step else rows
-    # (steps, 4n, B) or (4n, B)
-    xs = _ifo_negated(xw.data.reshape(batch, steps, 4 * n).transpose(1, 2, 0) if per_step
-                      else xw.data.T)
+    batch = xw.shape[0] if xw.data.ndim == 2 else 0
+    if steps < 1 or n == 0 or w_h.shape != (4 * n, n) or xw.shape != (batch, 4 * n):
+        raise ShapeError(f"lstm_sequence: got xw {xw.shape}, w_h {w_h.shape} "
+                         f"and steps {steps}")
+    xs = _ifo_negated(xw.data.T)  # (4n, B)
     wn = _ifo_negated(w_h.data)
     needs_grad = xw.requires_grad or w_h.requires_grad
     kept = steps if needs_grad and _active_tape() is not None else 1
@@ -384,16 +378,15 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
         for t in range(steps):
             k = t if kept > 1 else 0
             gt = gates[k]
-            x_t = xs[t] if per_step else xs
             i, f, o, g = gt[:n], gt[n:2 * n], gt[2 * n:3 * n], gt[3 * n:]
             c = cells[k]
             if t == 0:  # f is left unset
-                _logistic_of_negated(_i_and_o(x_t[:3 * n]), _i_and_o(gt[:3 * n]))
-                np.tanh(x_t[3 * n:], out=g)
+                _logistic_of_negated(_i_and_o(xs[:3 * n]), _i_and_o(gt[:3 * n]))
+                np.tanh(xs[3 * n:], out=g)
                 np.multiply(i, g, out=c)
             else:
                 np.matmul(wn, hs[:, t - 1].T, out=gt)
-                gt += x_t
+                gt += xs
                 _logistic_of_negated(gt[:3 * n], gt[:3 * n])
                 np.tanh(g, out=g)
                 np.multiply(i, g, out=ig)
@@ -411,15 +404,15 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
         wp = wn.copy()  # W_h's permuted rows, signs restored exactly
         np.negative(wp[:3 * n], out=wp[:3 * n])
         dh_all = out.grad.reshape(batch, steps, n).transpose(1, 2, 0).copy()  # written below
-        # per-step xw needs every step's gate gradient; shared xw only their sum
-        dgates = np.empty((steps if per_step else 2, 4 * n, batch))
-        dsum = None if per_step else np.zeros((4 * n, batch))
+        # xw's gradient is the sum of the steps' gate gradients; step t reads step t + 1's
+        dgates = np.empty((2, 4 * n, batch))
+        dsum = np.zeros((4 * n, batch))
         dwp = np.zeros((4 * n, n))
         dw_t = np.empty((4 * n, n))
         dc = np.empty((n, batch))
         tmp = np.empty((n, batch))
         for t in reversed(range(steps)):
-            gt, tc, dh, dt = gates[t], tanh_c[t], dh_all[t], dgates[t if per_step else t % 2]
+            gt, tc, dh, dt = gates[t], tanh_c[t], dh_all[t], dgates[t % 2]
             i, f, o, g = gt[:n], gt[n:2 * n], gt[2 * n:3 * n], gt[3 * n:]
             if t < steps - 1:
                 dh += np.matmul(wp.T, d_next, out=tmp)
@@ -451,15 +444,10 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int, *, per_step: bool = False
             dg *= dc
             if t > 0:
                 dwp += np.matmul(dt, hs[:, t - 1], out=dw_t)
-            if dsum is not None:
-                dsum += dt
+            dsum += dt
             d_next = dt
         if xw.requires_grad:
-            if per_step:
-                xw.accumulate_grad(np.take(dgates.transpose(2, 0, 1), ifog, axis=2)
-                                   .reshape(batch * steps, 4 * n))
-            else:
-                xw.accumulate_grad(np.take(dsum, ifog, axis=0).T)
+            xw.accumulate_grad(np.take(dsum, ifog, axis=0).T)
         if w_h.requires_grad:
             # with steps = 1 no step read a state, and W_h gets a zero gradient
             w_h.accumulate_grad(np.take(dwp, ifog, axis=0))

@@ -32,14 +32,17 @@ def _load_config(args) -> training.RunConfig:
     return config
 
 
-def _load_split_datasets(config: training.RunConfig, data_dir: str):
+def _load_split(config: training.RunConfig, data_dir: str, split: str) -> dataio.LabeledDataset:
+    """The "train" or "test" split of config.dataset in data_dir; only its files are read."""
     if config.dataset == "mnist":
-        return dataio.load_mnist(data_dir)
+        return dataio.load_mnist(data_dir, split)
     if config.dataset == "features":
-        train = dataio.load_features(Path(data_dir) / "train.lhf1")
-        test = dataio.load_features(Path(data_dir) / "test.lhf1")
-        return train, test
+        return dataio.load_features(Path(data_dir) / f"{split}.lhf1")
     raise ValueError(f"unknown dataset kind {config.dataset!r} (expected 'mnist' or 'features')")
+
+
+def _load_split_datasets(config: training.RunConfig, data_dir: str):
+    return _load_split(config, data_dir, "train"), _load_split(config, data_dir, "test")
 
 
 def _prepare_out(args, config: training.RunConfig) -> Path:
@@ -86,7 +89,7 @@ def cmd_train_lh(args) -> int:
 
 def cmd_eval(args) -> int:
     artifacts = training.load_lh_result(args.checkpoint)
-    _, test = _load_split_datasets(artifacts.config, args.data_dir)
+    test = _load_split(artifacts.config, args.data_dir, "test")
     result = training.evaluate(artifacts.table, artifacts.lh, artifacts.extractor, test)
     print(f"accuracy {result.accuracy:.4f} over {result.num_samples} samples "
           f"({result.num_no_match} with no matching string)")

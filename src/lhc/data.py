@@ -25,6 +25,9 @@ from .networks import StringLookupTable
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+# Each MNIST split's IDX image and label files
+MNIST_FILES = {"train": ("train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
+               "test": ("t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")}
 FEATURE_MAGIC = b"LHF1"
 LHF1_MAX_CLASSES = 0xFFFF  # LHF1 labels are u16
 
@@ -49,7 +52,7 @@ def _check_finite(features: np.ndarray) -> None:
 class LabeledDataset:
     """N x D feature rows with integer class labels in [0, num_classes).
 
-    class_names, if given, holds one name per class.
+    class_names, if given, holds one str name per class.
     """
 
     features: np.ndarray
@@ -73,6 +76,8 @@ class LabeledDataset:
         if self.class_names is not None and len(self.class_names) != self.num_classes:
             raise DataFormatError(f"{len(self.class_names)} class names for "
                                   f"{self.num_classes} classes")
+        if self.class_names is not None and not all(isinstance(n, str) for n in self.class_names):
+            raise DataFormatError(f"class names must be str, got {list(self.class_names)!r}")
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -129,21 +134,19 @@ def _read_idx_labels(path: Path) -> np.ndarray:
     return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
 
 
-def load_mnist(data_dir) -> tuple[LabeledDataset, LabeledDataset]:
-    """Load the four standard IDX files (plain or .gz) from a directory."""
-    data_dir = Path(data_dir)
-    sets = []
-    for split, img_name, lab_name in (
-            ("train", "train-images-idx3-ubyte", "train-labels-idx1-ubyte"),
-            ("test", "t10k-images-idx3-ubyte", "t10k-labels-idx1-ubyte")):
-        images = _read_idx_images(data_dir / img_name)
-        labels = _read_idx_labels(data_dir / lab_name)
-        if images.shape[0] != labels.shape[0]:
-            raise DataFormatError(f"{split}: {images.shape[0]} images but "
-                                  f"{labels.shape[0]} labels")
-        sets.append(LabeledDataset(images, labels, num_classes=10,
-                                   class_names=[str(d) for d in range(10)]))
-    return sets[0], sets[1]
+def load_mnist(data_dir, split: str) -> LabeledDataset:
+    """The "train" or "test" split of the standard IDX files (plain or .gz) in a directory.
+
+    Only that split's image and label files are read.
+    """
+    img_name, lab_name = MNIST_FILES[split]
+    images = _read_idx_images(Path(data_dir) / img_name)
+    labels = _read_idx_labels(Path(data_dir) / lab_name)
+    if images.shape[0] != labels.shape[0]:
+        raise DataFormatError(f"{split}: {images.shape[0]} images but "
+                              f"{labels.shape[0]} labels")
+    return LabeledDataset(images, labels, num_classes=10,
+                          class_names=[str(d) for d in range(10)])
 
 
 # -------------------------------------------------------- planted hierarchy

@@ -31,10 +31,8 @@ import numpy as np
 from .autodiff import ShapeError, Tensor, lstm_sequence, pair_softmax, reshape, softmax, tanh
 from .nn import Linear, LstmCell, ParameterSet
 
-# The LSTM depths LhClassifierNet builds; RunConfig checks lstm_layers against it.
-LSTM_LAYERS = (1, 2)
 # Measured for predict_bits over 200k rows at n = 32, L = 4 and 8, one and
-# two layers, on a 2-vCPU x86-64 Xeon (2 MiB L2 per core) with one BLAS
+# two LSTM layers, on a 2-vCPU x86-64 Xeon (2 MiB L2 per core) with one BLAS
 # thread: blocks of 128-1024 rows ran 1.5-1.9x faster than one forward per
 # evaluate chunk, and 512 rows, a 512 KiB gate slab, was at or near the
 # fastest in each case.
@@ -186,35 +184,29 @@ class Str2ClassNet:
 class LhClassifierNet:
     """Feature vector -> (B, 2L) bit distributions p through an LSTM unrolled L steps.
 
-    The projected feature vector is the input at every timestep, so layer
-    0's input product, bias included, is computed once per forward; the
+    The projected feature vector is the input at every timestep, so the
+    cell's input product, bias included, is computed once per forward; the
     dependence of later bits on earlier ones lives in the recurrent state.
-    Each layer is one lstm_sequence over all L steps from the zero state;
-    layer 1 reads layer 0's hidden states through a per-step input product.
+    The unroll is one lstm_sequence over all L steps from the zero state.
     A single output head is shared across timesteps and runs as one linear
     over the (B*L, n) stacked hidden states, whose rows reshape to (B, 2L).
     """
 
     def __init__(self, params: ParameterSet, feature_dim: int, hidden_dim: int,
-                 string_length: int, rng: np.random.Generator, num_layers: int = 1):
-        if num_layers not in LSTM_LAYERS:
-            raise ValueError(f"num_layers must be one of {LSTM_LAYERS}, got {num_layers}")
+                 string_length: int, rng: np.random.Generator):
         self.feature_dim = feature_dim
         self.hidden_dim = hidden_dim
         self.string_length = string_length
         self.projection = Linear(params, "lh.projection", feature_dim, hidden_dim, rng)
-        self.cells = [LstmCell(params, f"lh.lstm{l}", hidden_dim, hidden_dim, rng)
-                      for l in range(num_layers)]
+        self.cell = LstmCell(params, "lh.lstm0", hidden_dim, hidden_dim, rng)
         self.head = Linear(params, "lh.head", hidden_dim, 2, rng)
 
     def forward(self, features: Tensor) -> Tensor:
         if features.data.ndim != 2 or features.shape[1] != self.feature_dim:
             raise ShapeError(f"expected (B, {self.feature_dim}) features, got {features.shape}")
-        x = self.projection(features)
-        for layer, cell in enumerate(self.cells):
-            x = lstm_sequence(cell.input_product(x), cell.w_h, self.string_length,
-                              per_step=layer > 0)
-        logits = self.head(x)  # (B*L, 2), row b*L + t for sample b at step t
+        xw = self.cell.input_product(self.projection(features))
+        # (B*L, 2), row b*L + t for sample b at step t
+        logits = self.head(lstm_sequence(xw, self.cell.w_h, self.string_length))
         return pair_softmax(reshape(logits, (features.shape[0], 2 * self.string_length)))
 
     def predict_bits(self, features: np.ndarray) -> np.ndarray:

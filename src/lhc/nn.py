@@ -6,8 +6,8 @@ model's parameters: a name's dotted prefix ("extractor." in
 Frozen tensors are left out of Adam updates and the L2 penalty, which is how
 the phase-2 protocol keeps the feature extractor bitwise untouched.
 
-Linear runs as one fused autodiff op per call. LhClassifierNet runs a
-whole LstmCell layer as its input product and one lstm_sequence; the cell's
+Linear runs as one fused autodiff op per call. LhClassifierNet runs its
+LstmCell as the cell's input product and one lstm_sequence; the cell's
 step, the primitive-composed lstm_cell, stays as the reference that op is
 tested against. Adam keeps every trainable tensor in one flat buffer, so a
 step is a fixed handful of numpy calls whatever the number of tensors.

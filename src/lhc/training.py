@@ -37,9 +37,9 @@ import numpy as np
 from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
 from .data import BatchIterator, LabeledDataset, one_hot
 from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss
-from .networks import (LSTM_LAYERS, Class2StrNet, CollisionError, LhClassifierNet,
-                       Str2ClassNet, StringLookupTable, freeze_lookup, hard_bits,
-                       run_in_row_blocks, strings_of)
+from .networks import (Class2StrNet, CollisionError, LhClassifierNet, Str2ClassNet,
+                       StringLookupTable, freeze_lookup, hard_bits, run_in_row_blocks,
+                       strings_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
                  save_checkpoint)
 
@@ -64,9 +64,9 @@ class FrozenExtractorChanged(RuntimeError):
     """Training altered the bytes of a frozen parameter, such as phase 2's extractor."""
 
 
-_INT_FIELD_MINIMUM = {"seed": 0, "L": 1, "lstm_hidden": 1, "lstm_layers": 1, "epochs": 1,
-                      "lh_epochs": 1, "batch_size": 1, "early_stop_patience": 1,
-                      "gamma_decay_every": 1, "val_size": 0, "c2s_hidden": 1, "s2c_hidden": 1}
+_INT_FIELD_MINIMUM = {"seed": 0, "L": 1, "lstm_hidden": 1, "epochs": 1, "lh_epochs": 1,
+                      "batch_size": 1, "early_stop_patience": 1, "gamma_decay_every": 1,
+                      "val_size": 0, "c2s_hidden": 1, "s2c_hidden": 1}
 _OPTIONAL_INT_FIELDS = ("c2s_hidden", "s2c_hidden")  # None picks the net's default width
 _REAL_FIELDS = ("mu", "alpha", "beta", "gamma", "delta", "lr", "gamma_decay")  # finite
 
@@ -107,15 +107,14 @@ class RunConfig:
     """Everything a run needs to be reproduced; a bad field raises ValueError naming it.
 
     Beyond each field's type: alpha, beta, gamma and delta are >= 0, 0 < mu < 1,
-    L <= MAX_STRING_LENGTH, lstm_layers is one of networks.LSTM_LAYERS, and
-    string_ce_order is "pq" (H(p, q) as written) or "qp" (swapped).
+    L <= MAX_STRING_LENGTH, and string_ce_order is "pq" (H(p, q) as written)
+    or "qp" (swapped).
     """
 
     seed: int = 0
     dataset: str = "features"
     extractor_dims: list[int] = field(default_factory=lambda: [784, 256, 128])
     lstm_hidden: int = 32
-    lstm_layers: int = 1
     L: int = 4
     mu: float = 0.8
     alpha: float = 1.0
@@ -140,9 +139,6 @@ class RunConfig:
             if not (_is_int(value, least) or (value is None and name in _OPTIONAL_INT_FIELDS)):
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         _check_max_length(self.L)
-        if self.lstm_layers not in LSTM_LAYERS:
-            raise ValueError(f"lstm_layers must be one of {LSTM_LAYERS}, "
-                             f"got {self.lstm_layers!r}")
         for name in _REAL_FIELDS:
             value = getattr(self, name)
             # the comparison is False for NaN and safe for ints too large for a float
@@ -170,8 +166,18 @@ class RunConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "RunConfig":
+        """The config a to_dict() object holds; a bad key or value raises ValueError.
+
+        Configs written when the LSTM depth was a setting carry
+        "lstm_layers": 1, which is dropped; any other value, such as 2, is
+        a model this package no longer builds.
+        """
         if not isinstance(obj, dict):
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
+        obj = dict(obj)
+        layers = obj.pop("lstm_layers", 1)
+        if not (_is_int(layers, 1) and layers == 1):
+            raise ValueError(f"lstm_layers must be 1, the one LSTM layer, got {layers!r}")
         known = set(cls.__dataclass_fields__)
         unknown = set(obj) - known
         if unknown:
@@ -443,8 +449,7 @@ def _phase2_nets(params: ParameterSet, num_classes: int, feature_dim: int, confi
     """Class2Str, Str2Class and the LH classifier at config's sizes, drawn from rng in turn."""
     class2str = Class2StrNet(params, num_classes, config.L, rng, hidden_dim=config.c2s_hidden)
     str2class = Str2ClassNet(params, num_classes, config.L, rng, hidden_dim=config.s2c_hidden)
-    lh = LhClassifierNet(params, feature_dim, config.lstm_hidden, config.L, rng,
-                         num_layers=config.lstm_layers)
+    lh = LhClassifierNet(params, feature_dim, config.lstm_hidden, config.L, rng)
     return class2str, str2class, lh
 
 
@@ -653,8 +658,7 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
     extractor = _clone_extractor(base, config, params, rng)
-    lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L,
-                         rng, num_layers=config.lstm_layers)
+    lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L, rng)
     bits_by_class = table.bits
 
     def step(f_np, y_np, epoch):

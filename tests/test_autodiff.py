@@ -323,35 +323,29 @@ def test_lstm_cell_rejects_bad_shapes(xw_shape, h_shape, w_h_shape, c_shape):
         lstm_cell(Tensor(np.zeros(xw_shape)), h, Tensor(np.zeros(w_h_shape)), c)
 
 
-def _cell_unroll(xw, w_h, steps, per_step):
+def _cell_unroll(xw, w_h, steps):
     """lstm_sequence's reference: lstm_cell step by step from the zero state.
 
     Returns the hidden states stacked as (B*steps, n), row b*steps + t.
     """
-    n = w_h.shape[1]
-    batch = xw.shape[0] // steps if per_step else xw.shape[0]
-    if per_step:  # row b holds sample b's steps side by side
-        wide = reshape(xw, (batch, steps * 4 * n))
     h = c = None
     hs = []
-    for t in range(steps):
-        h, c = lstm_cell(slice_(wide, 1, 4 * n * t, 4 * n * (t + 1)) if per_step else xw,
-                         h, w_h, c)
+    for _ in range(steps):
+        h, c = lstm_cell(xw, h, w_h, c)
         hs.append(h)
-    return reshape(concat(hs, axis=1), (batch * steps, n))
+    return reshape(concat(hs, axis=1), (xw.shape[0] * steps, w_h.shape[1]))
 
 
-@pytest.mark.parametrize("per_step", [False, True])
 @pytest.mark.parametrize("steps", [1, 2, 8])
 @pytest.mark.parametrize("batch", [1, 5])
-def test_lstm_sequence_matches_an_lstm_cell_unroll(per_step, steps, batch):
+def test_lstm_sequence_matches_an_lstm_cell_unroll(steps, batch):
     seed = 10 * steps + batch
     rng = np.random.default_rng(seed)
     n = 3
-    xw, w_h = _graded(rng, (batch * steps if per_step else batch, 4 * n), (4 * n, n))
+    xw, w_h = _graded(rng, (batch, 4 * n), (4 * n, n))
     xw.data *= 3.0  # reach the saturated ends of the gates
-    seq = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)], [xw, w_h], seed)
-    ref = _grads(lambda: [_cell_unroll(xw, w_h, steps, per_step)], [xw, w_h], seed)
+    seq = _grads(lambda: [lstm_sequence(xw, w_h, steps)], [xw, w_h], seed)
+    ref = _grads(lambda: [_cell_unroll(xw, w_h, steps)], [xw, w_h], seed)
     # one exp in the sigmoid, not two: equal to within an ulp or so, not bitwise
     np.testing.assert_allclose(seq[0][0], ref[0][0], rtol=0, atol=1e-15)
     for g_seq, g_ref in zip(seq[1], ref[1]):
@@ -359,20 +353,17 @@ def test_lstm_sequence_matches_an_lstm_cell_unroll(per_step, steps, batch):
     if steps == 1:  # no step read a state, and w_h's gradient says so
         np.testing.assert_array_equal(seq[1][1], 0.0)
     # with no tape only one step of buffers is kept; the values do not change
-    assert lstm_sequence(xw, w_h, steps, per_step=per_step).data.tobytes() == \
-        seq[0][0].tobytes()
+    assert lstm_sequence(xw, w_h, steps).data.tobytes() == seq[0][0].tobytes()
 
 
-@pytest.mark.parametrize("xw_shape, w_h_shape, steps, per_step", [
-    ((6, 12), (12, 4), 2, False),   # w_h is not (4n, n)
-    ((6, 13), (12, 3), 2, False),   # xw is not 4n wide
-    ((5, 12), (12, 3), 2, True),    # per-step rows are not a multiple of steps
-    ((6, 12), (12, 3), 0, False),   # no step
+@pytest.mark.parametrize("xw_shape, w_h_shape, steps", [
+    ((6, 12), (12, 4), 2),   # w_h is not (4n, n)
+    ((6, 13), (12, 3), 2),   # xw is not 4n wide
+    ((6, 12), (12, 3), 0),   # no step
 ])
-def test_lstm_sequence_rejects_bad_shapes(xw_shape, w_h_shape, steps, per_step):
+def test_lstm_sequence_rejects_bad_shapes(xw_shape, w_h_shape, steps):
     with pytest.raises(ShapeError):
-        lstm_sequence(Tensor(np.zeros(xw_shape)), Tensor(np.zeros(w_h_shape)), steps,
-                      per_step=per_step)
+        lstm_sequence(Tensor(np.zeros(xw_shape)), Tensor(np.zeros(w_h_shape)), steps)
 
 
 def test_pair_softmax_equals_softmax_on_each_pair():
@@ -388,35 +379,37 @@ def test_pair_softmax_equals_softmax_on_each_pair():
         np.testing.assert_array_equal(fused[1][0], per_pair[1][0])
 
 
-@pytest.mark.parametrize("per_step", [False, True])
 @pytest.mark.parametrize("taped", [False, True])
-def test_lstm_sequence_saturated_gates_raise_no_warning(per_step, taped):
+def test_lstm_sequence_saturated_gates_raise_no_warning(taped):
     # +-1e3 pre-activations overflow exp in the logistic on every gate, and
     # step 0's forget gate is left raw; the suite turns any warning into an error
     steps, batch, n = 3, 4, 2
     rng = np.random.default_rng(3)
-    xw = Tensor(1e3 * np.sign(rng.standard_normal((batch * steps if per_step else batch, 4 * n))),
-                requires_grad=taped)
+    xw = Tensor(1e3 * np.sign(rng.standard_normal((batch, 4 * n))), requires_grad=taped)
     w_h = Tensor(rng.standard_normal((4 * n, n)), requires_grad=taped)
     if taped:
-        outs, grads = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)],
-                             [xw, w_h], 3)
+        outs, grads = _grads(lambda: [lstm_sequence(xw, w_h, steps)], [xw, w_h], 3)
     else:
-        outs, grads = [lstm_sequence(xw, w_h, steps, per_step=per_step).data], []
+        outs, grads = [lstm_sequence(xw, w_h, steps).data], []
     assert all(np.isfinite(a).all() for a in outs + grads)
 
 
-@pytest.mark.parametrize("per_step, steps", [(False, 1), (True, 1), (True, 3)])
-def test_lstm_sequence_never_reads_the_forget_gate_at_step_0(per_step, steps):
-    # the cell before step 0 is zero, so f there changes nothing and gets no gradient
+@pytest.mark.parametrize("steps", [1, 3])
+def test_lstm_sequence_never_reads_the_forget_gate_at_step_0(steps):
+    # the cell before step 0 is zero, so f there changes nothing and gets no
+    # gradient; every step reads xw, so only step 0's hidden states are scored
     batch, n = 5, 3
     rng = np.random.default_rng(4)
-    xw, w_h = _graded(rng, (batch * steps if per_step else batch, 4 * n), (4 * n, n))
-    forget = (slice(None, None, steps), slice(n, 2 * n))  # step 0's rows, f's columns
-    before = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)], [xw, w_h], 4)
+    xw, w_h = _graded(rng, (batch, 4 * n), (4 * n, n))
+    forget = (slice(None), slice(n, 2 * n))
+
+    def step_0():
+        return [slice_(reshape(lstm_sequence(xw, w_h, steps), (batch, steps * n)), 1, 0, n)]
+
+    before = _grads(step_0, [xw, w_h], 4)
     np.testing.assert_array_equal(before[1][0][forget], 0.0)
     xw.data[forget] = 1e3 * np.sign(rng.standard_normal((batch, n)))
-    after = _grads(lambda: [lstm_sequence(xw, w_h, steps, per_step=per_step)], [xw, w_h], 4)
+    after = _grads(step_0, [xw, w_h], 4)
     assert after[0][0].tobytes() == before[0][0].tobytes()
     for g_after, g_before in zip(after[1], before[1]):
         assert g_after.tobytes() == g_before.tobytes()

@@ -1,5 +1,6 @@
 import csv
 import json
+import shutil
 
 import pytest
 
@@ -87,6 +88,8 @@ def test_train_base_train_lh_and_eval_read_mnist(mnist_dir, tmp_path, capsys):
                  "--out", str(base)]) == 0
     lh_code = main(["train-lh", "--config", str(config), "--data-dir", data_dir,
                     "--checkpoint", str(base / "model.lhc1"), "--out", str(lh)])
+    for path in mnist_dir.glob("train-*"):  # eval reads only the t10k files
+        path.unlink()
     eval_code = main(["eval", "--checkpoint", str(lh / "model.lhc1"), "--data-dir", data_dir])
     collides = json.loads((lh / "report.json").read_text())["extras"]["collision"] is not None
     assert lh_code == eval_code == (1 if collides else 0)
@@ -95,6 +98,19 @@ def test_train_base_train_lh_and_eval_read_mnist(mnist_dir, tmp_path, capsys):
         tree = tree_from_json((lh / "tree.json").read_text())
         assert tree.class_names == [str(d) for d in range(10)]
         assert "over 12 samples" in capsys.readouterr().out
+
+
+def test_eval_reads_only_the_test_split(run, capsys):
+    root, _ = run
+    checkpoint = str(root / "lh8" / "model.lhc1")
+    only_test = root / "test-only"
+    only_test.mkdir()
+    shutil.copy(root / "data" / "test.lhf1", only_test)
+    capsys.readouterr()
+    assert main(["eval", "--checkpoint", checkpoint, "--data-dir", str(root / "data")]) == 0
+    full = capsys.readouterr().out
+    assert main(["eval", "--checkpoint", checkpoint, "--data-dir", str(only_test)]) == 0
+    assert capsys.readouterr().out == full
 
 
 def test_eval_on_data_with_more_classes_exits_1(run, capsys):
@@ -131,8 +147,9 @@ def test_missing_required_argument_exits_2(argv, capsys):
     ("train-base", {"mu": 1.5}, [], "mu"),
     ("train-lh", {}, ["--mu", "1.5"], "mu"),
     ("train-lh", {"lstm_layers": 3}, [], "lstm_layers"),
+    ("train-lh", {"lstm_layers": 2}, [], "lstm_layers"),
 ], ids=["train-lh gamma_decay_every 0", "train-base delta -1", "train-base mu 1.5",
-        "train-lh --mu 1.5", "train-lh lstm_layers 3"])
+        "train-lh --mu 1.5", "train-lh lstm_layers 3", "train-lh lstm_layers 2"])
 def test_out_of_range_config_exits_1_before_training(tmp_path, capsys, command, edit, flags,
                                                      field):
     config = tmp_path / "config.json"

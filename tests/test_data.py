@@ -39,7 +39,7 @@ def mnist_dir(tmp_path):
 
 class TestMnistLoader:
     def test_loads_and_scales(self, mnist_dir):
-        train, test = load_mnist(mnist_dir)
+        train, test = load_mnist(mnist_dir, "train"), load_mnist(mnist_dir, "test")
         assert train.features.shape == (40, 784)
         assert test.features.shape == (12, 784)
         assert train.features.min() >= 0.0 and train.features.max() <= 1.0
@@ -52,12 +52,11 @@ class TestMnistLoader:
         labels = rng.integers(0, 10, size=5, dtype=np.uint8)
         write_idx_pair(tmp_path, "train", images, labels, gz=True)
         write_idx_pair(tmp_path, "t10k", images, labels, gz=True)
-        train, _ = load_mnist(tmp_path)
-        assert len(train) == 5
+        assert len(load_mnist(tmp_path, "train")) == len(load_mnist(tmp_path, "test")) == 5
 
     def test_bit_deterministic(self, mnist_dir):
-        a, _ = load_mnist(mnist_dir)
-        b, _ = load_mnist(mnist_dir)
+        a = load_mnist(mnist_dir, "train")
+        b = load_mnist(mnist_dir, "train")
         assert a.features.tobytes() == b.features.tobytes()
         assert a.labels.tobytes() == b.labels.tobytes()
 
@@ -68,7 +67,7 @@ class TestMnistLoader:
         write_idx_pair(tmp_path, "train", images, labels, image_magic=0x00000802)
         write_idx_pair(tmp_path, "t10k", images, labels)
         with pytest.raises(DataFormatError) as exc:
-            load_mnist(tmp_path)
+            load_mnist(tmp_path, "train")
         assert "train-images-idx3-ubyte" in str(exc.value)
         assert "0x00000802" in str(exc.value)
 
@@ -79,7 +78,7 @@ class TestMnistLoader:
         write_idx_pair(tmp_path, "train", images, labels, label_magic=0x00000803)
         write_idx_pair(tmp_path, "t10k", images, labels)
         with pytest.raises(DataFormatError, match="label magic"):
-            load_mnist(tmp_path)
+            load_mnist(tmp_path, "train")
 
     def test_truncated_images_rejected(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -90,7 +89,7 @@ class TestMnistLoader:
         path = tmp_path / "train-images-idx3-ubyte"
         path.write_bytes(path.read_bytes()[:-100])
         with pytest.raises(DataFormatError, match="pixel bytes"):
-            load_mnist(tmp_path)
+            load_mnist(tmp_path, "train")
 
     def test_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -101,11 +100,18 @@ class TestMnistLoader:
         lab.write_bytes(struct.pack(">II", 0x00000801, 3)
                         + rng.integers(0, 10, size=3, dtype=np.uint8).tobytes())
         with pytest.raises(DataFormatError, match="images but"):
-            load_mnist(tmp_path)
+            load_mnist(tmp_path, "train")
+
+    def test_a_split_reads_only_its_own_files(self, mnist_dir):
+        for path in mnist_dir.glob("train-*"):
+            path.unlink()
+        assert len(load_mnist(mnist_dir, "test")) == 12
+        with pytest.raises(DataFormatError, match="train-images-idx3-ubyte"):
+            load_mnist(mnist_dir, "train")
 
     def test_missing_file_reported(self, tmp_path):
         with pytest.raises(DataFormatError, match="missing"):
-            load_mnist(tmp_path)
+            load_mnist(tmp_path, "train")
 
 
 class TestPlanted:

@@ -183,24 +183,23 @@ class TestTotalLoss:
         assert half["term_bias"] == pytest.approx(full["term_bias"] / 2.0)
 
     def test_gradients_flow_through_all_four_terms(self):
-        for num_layers in (1, 2):
-            rng = np.random.default_rng(4)
-            params = ParameterSet()
-            c2s = Class2StrNet(params, 4, 2, rng, hidden_dim=6)
-            s2c = Str2ClassNet(params, 4, 2, rng, hidden_dim=6)
-            lh = LhClassifierNet(params, 5, 4, 2, rng, num_layers=num_layers)
-            config = RunConfig(L=2)
-            labels = one_hot(np.array([1, 2]), 4)
-            feats = rng.standard_normal((2, 5))
+        rng = np.random.default_rng(4)
+        params = ParameterSet()
+        c2s = Class2StrNet(params, 4, 2, rng, hidden_dim=6)
+        s2c = Str2ClassNet(params, 4, 2, rng, hidden_dim=6)
+        lh = LhClassifierNet(params, 5, 4, 2, rng)
+        config = RunConfig(L=2)
+        labels = one_hot(np.array([1, 2]), 4)
+        feats = rng.standard_normal((2, 5))
 
-            def loss():
-                l = Tensor(labels)
-                q = c2s.forward(l)
-                return total_loss(l, s2c.forward(q), lh.forward(Tensor(feats)), q, params,
-                                  config)[0]
+        def loss():
+            l = Tensor(labels)
+            q = c2s.forward(l)
+            return total_loss(l, s2c.forward(q), lh.forward(Tensor(feats)), q, params,
+                              config)[0]
 
-            err = check_param_gradients(loss, [t for _, t in params.trainable()])
-            assert err < 1e-5
+        err = check_param_gradients(loss, [t for _, t in params.trainable()])
+        assert err < 1e-5
 
     def test_one_training_step_records_a_fixed_number_of_tape_entries(self):
         # fused Linear, pair softmax and sum of squares, two matmuls that

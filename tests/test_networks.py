@@ -137,19 +137,10 @@ class TestLhClassifier:
         b = lh.forward(Tensor(feats)).data.copy()
         assert a.tobytes() == b.tobytes()
 
-    def test_two_layer_stack(self):
+    def test_bptt_gradients_through_forward(self):
+        rng = np.random.default_rng(1)
         params = ParameterSet()
-        lh = LhClassifierNet(params, 6, 5, 3, np.random.default_rng(0), num_layers=2)
-        p = lh.forward(Tensor(np.ones((1, 6))))
-        assert p.shape == (1, 2 * 3)
-        with pytest.raises(ValueError):
-            LhClassifierNet(ParameterSet(), 6, 5, 3, np.random.default_rng(0), num_layers=3)
-
-    @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_bptt_gradients_through_forward(self, num_layers):
-        rng = np.random.default_rng(num_layers)
-        params = ParameterSet()
-        lh = LhClassifierNet(params, 3, 3, 3, rng, num_layers=num_layers)
+        lh = LhClassifierNet(params, 3, 3, 3, rng)
         feats = Tensor(rng.standard_normal((2, 3)))
         mix = Tensor(rng.standard_normal((2, 6)))
 
@@ -160,15 +151,14 @@ class TestLhClassifier:
         assert err < 1e-5
 
     def test_one_step_still_grades_the_recurrent_weights(self):
-        # with L = 1 every layer runs from the zero state only, so W_h plays
-        # no part; it must still get a zero gradient for Adam to step
+        # with L = 1 the cell runs from the zero state only, so W_h plays no
+        # part; it must still get a zero gradient for Adam to step
         params = ParameterSet()
-        lh = LhClassifierNet(params, 4, 3, 1, np.random.default_rng(0), num_layers=2)
+        lh = LhClassifierNet(params, 4, 3, 1, np.random.default_rng(0))
         with Tape() as tape:
             loss = sum_(lh.forward(Tensor(np.ones((2, 4)))))
         tape.backward(loss)
-        for cell in lh.cells:
-            np.testing.assert_array_equal(cell.w_h.grad, 0.0)
+        np.testing.assert_array_equal(lh.cell.w_h.grad, 0.0)
         Adam(params, lr=1e-3).step()
 
     def test_feature_dim_checked(self):
@@ -176,13 +166,12 @@ class TestLhClassifier:
         with pytest.raises(ShapeError):
             lh.forward(Tensor(np.zeros((1, 7))))
 
-    @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("length", [1, 2, 8])
     @pytest.mark.parametrize("batch", [1, 5])
-    def test_forward_matches_the_lstm_cell_step_unroll(self, num_layers, length, batch):
-        rng = np.random.default_rng(100 * num_layers + 10 * length + batch)
+    def test_forward_matches_the_lstm_cell_step_unroll(self, length, batch):
+        rng = np.random.default_rng(100 + 10 * length + batch)
         params = ParameterSet()
-        lh = LhClassifierNet(params, 6, 4, length, rng, num_layers=num_layers)
+        lh = LhClassifierNet(params, 6, 4, length, rng)
         feats = Tensor(rng.standard_normal((batch, 6)) * 3.0, requires_grad=True)
         mix = Tensor(rng.standard_normal((batch, 2 * length)))
         tensors = [feats] + [t for _, t in params.items()]
@@ -224,16 +213,14 @@ class TestLhClassifier:
         _, peak = peak_traced_bytes(lambda: lh.predict_bits(feats))
         assert peak < 4 * hidden * batch * 8
 
-    @pytest.mark.parametrize("num_layers", [1, 2])
     @pytest.mark.parametrize("length", [1, 4, 8])
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
-    def test_predict_bits_in_blocks_equals_one_whole_forward(self, monkeypatch, num_layers,
-                                                             length, case):
+    def test_predict_bits_in_blocks_equals_one_whole_forward(self, monkeypatch, length, case):
         hidden = 32
         expected_calls = BLOCK_CASES[case](networks.INFERENCE_BLOCK_BYTES // (8 * 4 * hidden))
         rows = sum(expected_calls)
-        rng = np.random.default_rng(10 * num_layers + length)
-        lh = LhClassifierNet(ParameterSet(), 6, hidden, length, rng, num_layers=num_layers)
+        rng = np.random.default_rng(10 + length)
+        lh = LhClassifierNet(ParameterSet(), 6, hidden, length, rng)
         feats = rng.standard_normal((rows, 6)) * 3.0
         whole = lh.forward(Tensor(feats)).data
         assert 0 < hard_bits(whole).mean() < 1 or rows == 1
@@ -248,10 +235,23 @@ class TestLhClassifier:
         assert np.vstack([p.data for p in blocks]).tobytes() == whole.tobytes()
         assert bits.dtype == np.int64 and bits.tobytes() == hard_bits(whole).tobytes()
 
-    @pytest.mark.parametrize("num_layers", [1, 2])
-    def test_predict_bits_of_no_rows_is_an_empty_bit_matrix(self, num_layers):
-        lh = LhClassifierNet(ParameterSet(), 6, 5, 3, np.random.default_rng(0),
-                             num_layers=num_layers)
+    @pytest.mark.parametrize("length", [4, 8])
+    @pytest.mark.parametrize("rows", [*range(1, 18), 129, 257, 513])
+    def test_inference_equals_the_training_forward_at_every_row_count(self, length, rows):
+        # OpenBLAS rounds a product differently by its row count and operand
+        # order, so an inference-only path must run the products training
+        # runs; the sizes are the bench's, 16 features and 32 hidden units
+        rng = np.random.default_rng(rows)
+        lh = LhClassifierNet(ParameterSet(), 16, 32, length, rng)
+        feats = rng.standard_normal((rows, 16)) * 3.0
+        untaped = lh.forward(Tensor(feats)).data
+        with Tape():
+            taped = lh.forward(Tensor(feats)).data
+        assert untaped.tobytes() == taped.tobytes()
+        assert lh.predict_bits(feats).tobytes() == hard_bits(taped).tobytes()
+
+    def test_predict_bits_of_no_rows_is_an_empty_bit_matrix(self):
+        lh = LhClassifierNet(ParameterSet(), 6, 5, 3, np.random.default_rng(0))
         bits = lh.predict_bits(np.empty((0, 6)))
         assert bits.shape == (0, 3) and bits.dtype == np.int64
         with pytest.raises(ShapeError):
@@ -260,15 +260,12 @@ class TestLhClassifier:
 
 def step_forward(lh: LhClassifierNet, features: Tensor) -> Tensor:
     """LhClassifierNet.forward one LstmCell.step at a time: the reference for lstm_sequence."""
-    xw = lh.cells[0].input_product(lh.projection(features))
-    h: list[Tensor | None] = [None] * len(lh.cells)
-    c: list[Tensor | None] = [None] * len(lh.cells)
+    xw = lh.cell.input_product(lh.projection(features))
+    h = c = None
     logits = []
     for _ in range(lh.string_length):
-        for layer, cell in enumerate(lh.cells):
-            inp = xw if layer == 0 else cell.input_product(h[layer - 1])
-            h[layer], c[layer] = cell.step(inp, h[layer], c[layer])
-        logits.append(lh.head(h[-1]))
+        h, c = lh.cell.step(xw, h, c)
+        logits.append(lh.head(h))
     return pair_softmax(concat(logits, axis=1))
 
 

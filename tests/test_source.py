@@ -51,3 +51,17 @@ def test_every_private_helper_is_used_in_the_package():
             if name is not None and name != owner:
                 used.add(name)
     assert sorted(helpers - used) == []
+
+
+def test_every_run_config_field_is_read_outside_run_config():
+    # a setting that only RunConfig's own checks read changes nothing a run
+    # does; reads match by attribute name (config.L), as helpers match by name
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    run_config = next(node for tree in trees for node in tree.body
+                      if isinstance(node, ast.ClassDef) and node.name == "RunConfig")
+    fields = {node.target.id for node in run_config.body if isinstance(node, ast.AnnAssign)}
+    assert fields, "RunConfig declares no fields"
+    read = {node.attr for tree in trees for top in tree.body if top is not run_config
+            for node in ast.walk(top)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    assert sorted(fields - read) == []

@@ -7,7 +7,8 @@ import pytest
 
 from lhc import networks, training
 from lhc.autodiff import ShapeError, Tape, Tensor, sum_squares
-from lhc.data import LabeledDataset, PlantedHierarchySpec, generate_planted, one_hot
+from lhc.data import (DataFormatError, LabeledDataset, PlantedHierarchySpec, generate_planted,
+                      one_hot)
 from lhc.losses import total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
 from lhc.nn import (Adam, CheckpointError, ParameterSet, load_checkpoint, save_checkpoint,
@@ -205,6 +206,20 @@ def test_a_test_split_that_does_not_match_is_rejected_before_any_work(planted, m
         training.train_lh(base, ds, config, test_ds=test_ds)
 
 
+@pytest.mark.parametrize("names", [[1, 2, 3, None], ["a", "b", "c", b"d"]])
+def test_class_names_that_are_not_strings_are_rejected_before_any_training(planted, monkeypatch,
+                                                                           names):
+    ds, config, base = planted
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("training ran before the class names were checked")
+
+    monkeypatch.setattr(training, "fit", no_work)
+    with pytest.raises(DataFormatError, match="class names must be str"):
+        named = LabeledDataset(ds.features, ds.labels, ds.num_classes, class_names=names)
+        training.train_lh(base, named, config)
+
+
 DROP = object()
 # (field, new value or DROP); "sizes" is fc_dims, which only a base checkpoint records
 META_EDITS = {
@@ -219,6 +234,7 @@ META_EDITS = {
     "str sizes": ("fc_dims", "x"),
     "sizes past num_classes": ("fc_dims", [4, 7]),
     "config with mu 1.5": ("config.mu", 1.5),
+    "config with lstm_layers 2": ("config.lstm_layers", 2),
 }
 
 
@@ -241,8 +257,8 @@ def checkpoint_parts(kind: str):
 def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_path, kind, edit):
     params, meta = checkpoint_parts(kind)
     field, value = META_EDITS[edit]
-    if field == "config.mu":
-        meta["config"]["mu"] = value
+    if field.startswith("config."):
+        meta["config"][field.removeprefix("config.")] = value
     elif value is DROP:
         del meta[field]
     else:
@@ -446,7 +462,7 @@ def test_every_trainer_reports_the_epoch_it_returns(planted):
 @pytest.mark.parametrize("name, value", [
     ("epochs", 0), ("lh_epochs", 0), ("batch_size", 0), ("early_stop_patience", 0),
     ("gamma_decay_every", 0), ("val_size", -5), ("epochs", 2.0), ("lh_epochs", True),
-    ("L", 4.5), ("L", 0), ("L", 64), ("seed", 1.5), ("seed", -1), ("lstm_layers", 1.0), ("lstm_layers", 3),
+    ("L", 4.5), ("L", 0), ("L", 64), ("seed", 1.5), ("seed", -1),
     ("lstm_hidden", 0), ("c2s_hidden", 0), ("s2c_hidden", 2.0), ("lr", "x"), ("lr", 0.0),
     ("mu", float("nan")), ("alpha", True), ("beta", None), ("gamma", float("inf")),
     ("delta", "1e-4"), ("gamma_decay", [0.5]), ("extractor_dims", [784]),
@@ -462,26 +478,38 @@ def test_run_config_rejects_out_of_range_counts(name, value):
         replace(training.RunConfig(), **{name: value})
 
 
-@pytest.mark.parametrize("num_layers", [0, 1, 2, 3])
-def test_run_config_and_the_lh_net_accept_the_same_lstm_depths(num_layers):
-    def accepts(build):
-        try:
-            build()
-        except ValueError:
-            return False
-        return True
+@pytest.mark.parametrize("value", [1.0, True, 0, 2, 3, None])
+def test_run_config_from_dict_drops_a_recorded_single_lstm_layer_and_rejects_other_depths(
+        value):
+    # configs and checkpoints written while the LSTM depth was a setting carry "lstm_layers"
+    obj = {**training.RunConfig(L=3).to_dict(), "lstm_layers": 1}
+    config = training.RunConfig.from_dict(obj)
+    assert config == training.RunConfig(L=3) and "lstm_layers" not in config.to_dict()
+    with pytest.raises(ValueError, match="lstm_layers"):
+        training.RunConfig.from_dict({**obj, "lstm_layers": value})
 
-    config_ok = accepts(lambda: training.RunConfig(lstm_layers=num_layers))
-    net_ok = accepts(lambda: LhClassifierNet(ParameterSet(), 4, 3, 2, np.random.default_rng(0),
-                                             num_layers=num_layers))
-    assert config_ok == net_ok == (num_layers in (1, 2))
+
+@pytest.mark.parametrize("kind", ["base", "lh"])
+def test_a_checkpoint_that_records_one_lstm_layer_loads(tmp_path, kind):
+    params, meta = checkpoint_parts(kind)
+    save_checkpoint(tmp_path / "new.lhc1", params, meta)
+    meta["config"]["lstm_layers"] = 1
+    save_checkpoint(tmp_path / "old.lhc1", params, meta)
+    load = training.load_base_model if kind == "base" else training.load_lh_result
+    new, old = load(tmp_path / "new.lhc1"), load(tmp_path / "old.lhc1")
+    if kind == "base":
+        assert old[0].params.tobytes() == new[0].params.tobytes()
+    else:
+        assert old.config == new.config
+        assert old.params.tobytes() == new.params.tobytes()
+        assert old.table.class_to_string == new.table.class_to_string
 
 
 def test_run_config_accepts_the_smallest_counts():
     config = training.RunConfig(epochs=1, lh_epochs=1, batch_size=1, early_stop_patience=1,
                                 gamma_decay_every=1, val_size=0)
     assert training.RunConfig.from_dict(config.to_dict()) == config
-    config = training.RunConfig(seed=0, L=1, lstm_hidden=1, lstm_layers=1, c2s_hidden=1,
+    config = training.RunConfig(seed=0, L=1, lstm_hidden=1, c2s_hidden=1,
                                 s2c_hidden=1, lr=5e-324, mu=5e-324, alpha=0, beta=0, gamma=0,
                                 delta=0, string_ce_order="qp", gamma_decay=0)
     assert training.RunConfig.from_dict(config.to_dict()) == config
