@@ -40,24 +40,15 @@ import numpy as np
 LOG_EPS = 1e-12  # floor applied to predictions inside cross_entropy
 FD_STEP = 1e-5  # check_param_gradients' central-difference step
 
-_state = threading.local()
+_state = threading.local()  # .tape: this thread's active Tape, if any
 
 
 class ShapeError(ValueError):
     """Operand shapes violate an operation's contract."""
 
 
-def _tape_stack() -> list:
-    stack = getattr(_state, "stack", None)
-    if stack is None:
-        stack = []
-        _state.stack = stack
-    return stack
-
-
 def _active_tape():
-    stack = _tape_stack()
-    return stack[-1] if stack else None
+    return getattr(_state, "tape", None)
 
 
 class Tensor:
@@ -101,7 +92,9 @@ class Tape:
 
     Entries are appended in execution order, which is automatically a
     topological order of the graph, so a single reversed sweep suffices.
-    A tape can be consumed by backward() exactly once.
+    A tape can be consumed by backward() exactly once. A thread has at
+    most one active tape: entering a second raises RuntimeError, and ops
+    on one thread never record onto another thread's tape.
     """
 
     def __init__(self):
@@ -109,14 +102,13 @@ class Tape:
         self._consumed = False
 
     def __enter__(self) -> "Tape":
-        _tape_stack().append(self)
+        if _active_tape() is not None:
+            raise RuntimeError("a tape is already active on this thread")
+        _state.tape = self
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        stack = _tape_stack()
-        if not stack or stack[-1] is not self:
-            raise RuntimeError("tapes must be exited in the reverse order they were entered")
-        stack.pop()
+        _state.tape = None
 
     def __len__(self) -> int:
         return len(self._entries)

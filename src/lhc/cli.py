@@ -32,17 +32,9 @@ def _load_config(args) -> training.RunConfig:
     return config
 
 
-def _load_split(config: training.RunConfig, data_dir: str, split: str) -> dataio.LabeledDataset:
-    """The "train" or "test" split of config.dataset in data_dir; only its files are read."""
-    if config.dataset == "mnist":
-        return dataio.load_mnist(data_dir, split)
-    if config.dataset == "features":
-        return dataio.load_features(Path(data_dir) / f"{split}.lhf1")
-    raise ValueError(f"unknown dataset kind {config.dataset!r} (expected 'mnist' or 'features')")
-
-
 def _load_split_datasets(config: training.RunConfig, data_dir: str):
-    return _load_split(config, data_dir, "train"), _load_split(config, data_dir, "test")
+    return (dataio.load_split(config.dataset, data_dir, "train"),
+            dataio.load_split(config.dataset, data_dir, "test"))
 
 
 def _prepare_out(args, config: training.RunConfig) -> Path:
@@ -89,7 +81,7 @@ def cmd_train_lh(args) -> int:
 
 def cmd_eval(args) -> int:
     artifacts = training.load_lh_result(args.checkpoint)
-    test = _load_split(artifacts.config, args.data_dir, "test")
+    test = dataio.load_split(artifacts.config.dataset, args.data_dir, "test")
     result = training.evaluate(artifacts.table, artifacts.lh, artifacts.extractor, test)
     print(f"accuracy {result.accuracy:.4f} over {result.num_samples} samples "
           f"({result.num_no_match} with no matching string)")

@@ -6,7 +6,9 @@ matrix from its own float64 buffer, with no copy. load_features checks the
 header's N and D against the file size before it allocates anything, then
 reads the payload straight into the one (N, D) array the dataset keeps. The
 non-finite scan runs once per dataset, in LabeledDataset, and allocates
-nothing unless a value is not finite.
+nothing unless a value is not finite. The IDX reader likewise checks the
+header's sizes against the bytes it read, so no header value sizes an
+allocation.
 """
 
 from __future__ import annotations
@@ -93,45 +95,32 @@ class LabeledDataset:
 
 # ------------------------------------------------------------------- MNIST
 
-def _open_idx(path: Path):
+def _read_idx(path: Path, magic: int, what: str) -> np.ndarray:
+    """The uint8 array of an IDX file, plain or .gz, whose header starts with magic.
+
+    The magic's last byte is the rank, and the header holds one big-endian
+    u32 size per axis. The sizes are checked against the bytes read, so no
+    header value sizes an allocation, and bytes after the payload are
+    rejected.
+    """
     gz = path.with_name(path.name + ".gz")
     if path.exists():
-        return open(path, "rb")
-    if gz.exists():
-        return gzip.open(gz, "rb")
-    raise DataFormatError(f"missing IDX file {path} (or {gz.name})")
-
-
-def _read_idx_images(path: Path) -> np.ndarray:
-    with _open_idx(path) as fh:
-        header = fh.read(16)
-        if len(header) < 16:
-            raise DataFormatError(f"{path}: truncated IDX header")
-        magic, count, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGE_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad image magic 0x{magic:08x}, expected 0x{IDX_IMAGE_MAGIC:08x}")
-        payload = fh.read(count * rows * cols)
-        if len(payload) != count * rows * cols:
-            raise DataFormatError(f"{path}: expected {count * rows * cols} pixel bytes, "
-                                  f"got {len(payload)}")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(count, rows * cols)
-    return pixels.astype(np.float64) / 255.0
-
-
-def _read_idx_labels(path: Path) -> np.ndarray:
-    with _open_idx(path) as fh:
-        header = fh.read(8)
-        if len(header) < 8:
-            raise DataFormatError(f"{path}: truncated IDX header")
-        magic, count = struct.unpack(">II", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"{path}: bad label magic 0x{magic:08x}, expected 0x{IDX_LABEL_MAGIC:08x}")
-        payload = fh.read(count)
-        if len(payload) != count:
-            raise DataFormatError(f"{path}: expected {count} label bytes, got {len(payload)}")
-    return np.frombuffer(payload, dtype=np.uint8).astype(np.int64)
+        raw = path.read_bytes()
+    elif gz.exists():
+        with gzip.open(gz, "rb") as fh:
+            raw = fh.read()
+    else:
+        raise DataFormatError(f"missing IDX file {path} (or {gz.name})")
+    start = 4 + 4 * (magic & 0xFF)
+    if len(raw) < start:
+        raise DataFormatError(f"{path}: truncated IDX header")
+    found, *shape = struct.unpack_from(f">{start // 4}I", raw)
+    if found != magic:
+        raise DataFormatError(f"{path}: bad {what} magic 0x{found:08x}, expected 0x{magic:08x}")
+    if len(raw) - start != math.prod(shape):
+        raise DataFormatError(f"{path}: header sizes {shape} need {math.prod(shape)} {what} "
+                              f"bytes, got {len(raw) - start}")
+    return np.frombuffer(raw, np.uint8, offset=start).reshape(shape)
 
 
 def load_mnist(data_dir, split: str) -> LabeledDataset:
@@ -140,12 +129,13 @@ def load_mnist(data_dir, split: str) -> LabeledDataset:
     Only that split's image and label files are read.
     """
     img_name, lab_name = MNIST_FILES[split]
-    images = _read_idx_images(Path(data_dir) / img_name)
-    labels = _read_idx_labels(Path(data_dir) / lab_name)
-    if images.shape[0] != labels.shape[0]:
-        raise DataFormatError(f"{split}: {images.shape[0]} images but "
-                              f"{labels.shape[0]} labels")
-    return LabeledDataset(images, labels, num_classes=10,
+    images = _read_idx(Path(data_dir) / img_name, IDX_IMAGE_MAGIC, "image")
+    labels = _read_idx(Path(data_dir) / lab_name, IDX_LABEL_MAGIC, "label")
+    count, rows, cols = images.shape
+    if count != labels.shape[0]:
+        raise DataFormatError(f"{split}: {count} images but {labels.shape[0]} labels")
+    # uint8 / 255.0 is float64, bit for bit astype(float64) / 255.0
+    return LabeledDataset(images.reshape(count, rows * cols) / 255.0, labels, num_classes=10,
                           class_names=[str(d) for d in range(10)])
 
 
@@ -283,6 +273,17 @@ def load_features(path) -> LabeledDataset:
         return LabeledDataset(features, labels, num_classes=c)
     except DataFormatError as exc:
         raise DataFormatError(f"{path}: {exc}") from None
+
+
+# Each dataset kind's reader of the "train" or "test" split in a directory;
+# a reader reads only that split's files
+DATASETS = {"features": lambda data_dir, split: load_features(Path(data_dir) / f"{split}.lhf1"),
+            "mnist": load_mnist}
+
+
+def load_split(dataset: str, data_dir, split: str) -> LabeledDataset:
+    """The "train" or "test" split of a DATASETS kind in data_dir."""
+    return DATASETS[dataset](data_dir, split)
 
 
 # ----------------------------------------------------------------- batching

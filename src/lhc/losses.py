@@ -17,8 +17,8 @@ bit distribution commits to 0 or 1. All batch inputs are rank-2, and bit
 distributions p and q are packed (B, 2L) tensors whose columns (2i, 2i+1)
 belong to bit i (see networks). Every term except the L2 penalty is
 averaged over the batch. The objectives read the weights alpha, beta,
-gamma, delta and mu, and the string term's argument order, from a
-training.RunConfig, which owns the checks on their ranges.
+delta and mu, gamma's schedule (gamma_at) and the string term's argument
+order from a training.RunConfig, which owns the checks on their ranges.
 """
 
 from __future__ import annotations
@@ -105,29 +105,35 @@ def fixed_table_loss(target_bits: np.ndarray, p: Tensor, params: ParameterSet,
     return _plus_l2("term_string", term, params, config)
 
 
+def gamma_at(config: RunConfig, epoch: int) -> float:
+    """The bias term's weight at a 1-based epoch; epoch 1's is exactly config.gamma.
+
+    The weight is multiplied by gamma_decay once every gamma_decay_every epochs.
+    """
+    return config.gamma * config.gamma_decay ** ((epoch - 1) // config.gamma_decay_every)
+
+
 def joint_terms(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
-                params: ParameterSet, config: RunConfig,
-                gamma: float | None = None) -> dict[str, Tensor]:
-    """The joint objective's four scaled terms, keyed by TERMS; gamma overrides config's."""
-    effective_gamma = config.gamma if gamma is None else gamma
+                params: ParameterSet, config: RunConfig, epoch: int) -> dict[str, Tensor]:
+    """The joint objective's four scaled terms at a 1-based epoch, keyed by TERMS."""
     return {
         "term_class": scale(class_loss(labels, predicted), config.alpha),
         "term_string": scale(structured_string_loss(p, q, config.mu, config.string_ce_order),
                              config.beta),
-        "term_bias": scale(bias_regularizer(q), -effective_gamma),
+        "term_bias": scale(bias_regularizer(q), -gamma_at(config, epoch)),
         "term_l2": scale(l2_penalty(params), config.delta),
     }
 
 
 def total_loss(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
                params: ParameterSet, config: RunConfig,
-               gamma: float | None = None) -> tuple[Tensor, dict[str, float]]:
-    """Joint objective; gamma may be overridden for scheduled decay.
+               epoch: int) -> tuple[Tensor, dict[str, float]]:
+    """Joint objective at a 1-based epoch, which sets the bias term's gamma_at.
 
     Returns the scalar loss tensor (for backward) and the values of
     joint_terms plus "total", their sum, keyed by TERMS.
     """
-    terms = joint_terms(labels, predicted, p, q, params, config, gamma)
+    terms = joint_terms(labels, predicted, p, q, params, config, epoch)
     total = add(add(terms["term_class"], terms["term_string"]),
                 add(terms["term_bias"], terms["term_l2"]))
     return total, {**{k: t.item() for k, t in terms.items()}, "total": total.item()}

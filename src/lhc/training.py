@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
-from .data import BatchIterator, LabeledDataset, one_hot
+from .data import DATASETS, BatchIterator, LabeledDataset, one_hot
 from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet, Str2ClassNet,
                        StringLookupTable, freeze_lookup, hard_bits, run_in_row_blocks,
@@ -49,11 +49,15 @@ from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
 # per chunk of evaluate.
 PREDICT_CHUNK = 4096
 
-# The longest string: _string_match and evaluate score each string as the
-# int64 code bits @ (1 << arange(L)), and bit 63 would overflow it.
+CSV_COLUMNS = ["epoch", *TERMS, "train_acc", "val_acc"]
+
+# The longest string: bit 63 would overflow _codes' int64 code.
 MAX_STRING_LENGTH = 63
 
-CSV_COLUMNS = ["epoch", *TERMS, "train_acc", "val_acc"]
+
+def _codes(bits: np.ndarray) -> np.ndarray:
+    """The int64 code of each row of an (N, L) 0/1 bit matrix: bit i weighs 2^i."""
+    return bits @ (1 << np.arange(bits.shape[1]))
 
 
 class TrainingDivergence(RuntimeError):
@@ -107,8 +111,8 @@ class RunConfig:
     """Everything a run needs to be reproduced; a bad field raises ValueError naming it.
 
     Beyond each field's type: alpha, beta, gamma and delta are >= 0, 0 < mu < 1,
-    L <= MAX_STRING_LENGTH, and string_ce_order is "pq" (H(p, q) as written)
-    or "qp" (swapped).
+    L <= MAX_STRING_LENGTH, dataset is a data.DATASETS kind, and
+    string_ce_order is "pq" (H(p, q) as written) or "qp" (swapped).
     """
 
     seed: int = 0
@@ -158,8 +162,8 @@ class RunConfig:
         if not _dims_ok(self.extractor_dims):
             raise ValueError(f"extractor_dims must list at least two ints >= 1, "
                              f"got {self.extractor_dims!r}")
-        if not isinstance(self.dataset, str):
-            raise ValueError(f"dataset must be a str, got {self.dataset!r}")
+        if not (isinstance(self.dataset, str) and self.dataset in DATASETS):
+            raise ValueError(f"dataset must be one of {sorted(DATASETS)}, got {self.dataset!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -508,8 +512,8 @@ def _string_match(lh: LhClassifierNet, feats: np.ndarray, labels: np.ndarray,
     predicted = _predict_chunks(lh, feats)
     target = bits_by_class[labels]
     bit_hits = predicted == target
-    codes = bits_by_class @ (1 << np.arange(bits_by_class.shape[1]))
-    _, inverse, counts = np.unique(codes, return_inverse=True, return_counts=True)
+    _, inverse, counts = np.unique(_codes(bits_by_class), return_inverse=True,
+                                   return_counts=True)
     unique_string = counts[inverse] == 1
     matched = bit_hits.all(axis=1) & unique_string[labels]
     return float(matched.mean()), bit_hits.mean(axis=0)
@@ -532,10 +536,10 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     change; its features are precomputed once per dataset. Each step runs
     Class2Str and Str2Class once per distinct class in the batch
     (phase2_forward), and each read of the encoding is one
-    Class2StrNet.table() forward. gamma is halved every gamma_decay_every
-    epochs so the bit distributions stay biased while the term shrinks over
-    time. Validation scores string matches against the current hard
-    encoding. Fewer than two classes, an L too short to give
+    Class2StrNet.table() forward. The bias term's weight follows
+    losses.gamma_at's schedule, so it shrinks over time while the bit
+    distributions stay biased. Validation scores string matches against the
+    current hard encoding. Fewer than two classes, an L too short to give
     each class its own string, a test split whose classes or feature width
     differ from train_ds's, or config.extractor_dims other than the base
     extractor's raises ValueError before any work.
@@ -552,9 +556,8 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
                                             config, rng)
 
     def step(f_np, y_np, epoch):
-        gamma = config.gamma * config.gamma_decay ** ((epoch - 1) // config.gamma_decay_every)
         l_prime, p, q = phase2_forward(class2str, str2class, lh, y_np, f_np)
-        loss, terms = total_loss(Tensor(y_np), l_prime, p, q, params, config, gamma=gamma)
+        loss, terms = total_loss(Tensor(y_np), l_prime, p, q, params, config, epoch)
         # running accuracy: predicted string matches the current encoding
         return loss, terms, int((hard_bits(p.data) == hard_bits(q.data)).all(axis=1).sum())
 
@@ -613,10 +616,7 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
     bits_by_class = table.bits
     acc, per_bit = _string_match(lh, feats, data.labels, bits_by_class)
 
-    # strings as integer codes: bit i weighs 2^i, the same on both sides
-    weights = 1 << np.arange(table.string_length)
-    no_match = int((~np.isin(_predict_chunks(lh, feats) @ weights,
-                             bits_by_class @ weights)).sum())
+    no_match = int((~np.isin(_codes(_predict_chunks(lh, feats)), _codes(bits_by_class))).sum())
     return EvalResult(accuracy=acc, per_bit_accuracy=[float(x) for x in per_bit],
                       num_samples=len(data), num_no_match=no_match)
 
@@ -838,7 +838,7 @@ def gradcheck_report(seed: int, batch: int = 2) -> dict[str, float]:
     """Max relative gradient error per loss term on a toy instance, at RunConfig's weights.
 
     Each term is checked through losses.joint_terms and the sum through
-    losses.total_loss, the code train_lh runs.
+    losses.total_loss, the code train_lh runs, at epoch 1's gamma.
     """
     num_classes, feature_dim = 4, 6
     rng = np.random.default_rng(seed)
@@ -853,10 +853,10 @@ def gradcheck_report(seed: int, batch: int = 2) -> dict[str, float]:
         return (Tensor(labels),) + phase2_forward(class2str, str2class, lh, labels, feats)
 
     def term(name):
-        return lambda: joint_terms(*graph(), params, config)[name]
+        return lambda: joint_terms(*graph(), params, config, 1)[name]
 
     def loss_total():
-        return total_loss(*graph(), params, config)[0]
+        return total_loss(*graph(), params, config, 1)[0]
 
     tensors = [t for _, t in params.trainable()]
     errors = {name: check_param_gradients(term(name), tensors) for name in TERMS[:-1]}

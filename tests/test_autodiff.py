@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -214,16 +215,29 @@ def test_no_tape_means_no_grad():
     assert x.grad is None
 
 
-def test_tape_exit_out_of_order_raises():
-    outer, inner = Tape(), Tape()
-    outer.__enter__()
-    inner.__enter__()
-    try:
-        with pytest.raises(RuntimeError):
-            outer.__exit__(None, None, None)
-    finally:
-        inner.__exit__(None, None, None)
-        outer.__exit__(None, None, None)
+def test_a_thread_has_one_active_tape():
+    # a second tape on this thread raises and leaves the first one recording;
+    # another thread's ops record onto that thread's own tape
+    x = Tensor([1.0], requires_grad=True)
+    other = []
+
+    def other_thread():
+        with Tape() as tape:
+            square(x)
+        other.append(len(tape))
+
+    with Tape() as tape:
+        with pytest.raises(RuntimeError, match="already active"):
+            with Tape():
+                pass
+        square(x)
+        worker = threading.Thread(target=other_thread)
+        worker.start()
+        worker.join(timeout=10)
+    assert not worker.is_alive() and len(tape) == 1 and other == [1]
+    with Tape() as tape:  # leaving a tape frees the thread for the next one
+        square(x)
+    assert len(tape) == 1
 
 
 def test_first_gradient_is_copied_not_aliased():

@@ -1,6 +1,7 @@
 import csv
 import json
 import shutil
+import struct
 
 import pytest
 
@@ -98,6 +99,20 @@ def test_train_base_train_lh_and_eval_read_mnist(mnist_dir, tmp_path, capsys):
         tree = tree_from_json((lh / "tree.json").read_text())
         assert tree.class_names == [str(d) for d in range(10)]
         assert "over 12 samples" in capsys.readouterr().out
+
+
+def test_a_damaged_mnist_header_exits_1_with_an_error_line(mnist_dir, tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "dataset": "mnist", "extractor_dims": [784, 8, 4]}))
+    images = mnist_dir / "train-images-idx3-ubyte"
+    raw = images.read_bytes()
+    images.write_bytes(raw[:4] + struct.pack(">III", 60000, 65536, 65536) + raw[16:])
+    code = main(["train-base", "--config", str(config), "--data-dir", str(mnist_dir),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "train-images-idx3-ubyte" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
 
 
 def test_eval_reads_only_the_test_split(run, capsys):

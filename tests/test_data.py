@@ -88,7 +88,37 @@ class TestMnistLoader:
         write_idx_pair(tmp_path, "t10k", images, labels)
         path = tmp_path / "train-images-idx3-ubyte"
         path.write_bytes(path.read_bytes()[:-100])
-        with pytest.raises(DataFormatError, match="pixel bytes"):
+        with pytest.raises(DataFormatError, match="image bytes"):
+            load_mnist(tmp_path, "train")
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("claim", [(60000, 65536, 65536), (2**32 - 1,) * 3],
+                             ids=["60000x65536x65536", "2^32-1 each"])
+    def test_a_damaged_header_is_a_format_error_not_an_allocation(self, tmp_path, claim, gz):
+        # the header's sizes are checked against the bytes read, never used to size a read
+        rng = np.random.default_rng(5)
+        images = rng.integers(0, 256, size=(3, 28, 28), dtype=np.uint8)
+        write_idx_pair(tmp_path, "train", images, rng.integers(0, 10, size=3, dtype=np.uint8),
+                       gz=gz)
+        body = struct.pack(">IIII", 0x00000803, *claim) + images.tobytes()
+        path = tmp_path / ("train-images-idx3-ubyte" + (".gz" if gz else ""))
+        path.write_bytes(gzip.compress(body) if gz else body)
+        with pytest.raises(DataFormatError, match="train-images-idx3-ubyte"):
+            load_mnist(tmp_path, "train")
+
+    @pytest.mark.parametrize("gz", [False, True], ids=["plain", "gz"])
+    @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"])
+    def test_bytes_after_the_payload_are_rejected(self, tmp_path, name, gz):
+        rng = np.random.default_rng(6)
+        write_idx_pair(tmp_path, "train", rng.integers(0, 256, size=(3, 28, 28), dtype=np.uint8),
+                       rng.integers(0, 10, size=3, dtype=np.uint8))
+        path = tmp_path / name
+        body = path.read_bytes() + b"\0"
+        if gz:
+            path.unlink()
+            path = tmp_path / (name + ".gz")
+        path.write_bytes(gzip.compress(body) if gz else body)
+        with pytest.raises(DataFormatError, match=name):
             load_mnist(tmp_path, "train")
 
     def test_count_mismatch_rejected(self, tmp_path):

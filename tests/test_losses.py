@@ -6,7 +6,8 @@ import pytest
 from lhc.autodiff import ShapeError, Tape, Tensor, check_param_gradients
 from lhc.data import one_hot
 from lhc.losses import (TERMS, base_loss, bias_regularizer, class_loss, fixed_table_loss,
-                        l2_penalty, string_target_loss, structured_string_loss, total_loss)
+                        gamma_at, l2_penalty, string_target_loss, structured_string_loss,
+                        total_loss)
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet
 from lhc.nn import ParameterSet
 from lhc.training import RunConfig, phase2_forward
@@ -105,7 +106,7 @@ class TestTotalLoss:
     def test_all_zero_weights_give_zero(self):
         params, labels, l_prime, p, q = self.toy()
         config = RunConfig(L=2, alpha=0, beta=0, gamma=0, delta=0)
-        loss, terms = total_loss(labels, l_prime, p, q, params, config)
+        loss, terms = total_loss(labels, l_prime, p, q, params, config, 1)
         assert loss.item() == 0.0
         assert terms["total"] == 0.0
 
@@ -116,7 +117,7 @@ class TestTotalLoss:
         q = bit_rows(*[(0.5, 0.5)] * 4)
         p = bit_rows(*[(0.5, 0.5)] * 4)
         config = RunConfig(L=4, alpha=0, beta=0, gamma=1.0, delta=0)
-        loss, terms = total_loss(labels, l_prime, p, q, params, config)
+        loss, terms = total_loss(labels, l_prime, p, q, params, config, 1)
         assert loss.item() == pytest.approx(-2.0)
         assert terms["term_bias"] == pytest.approx(-2.0)
 
@@ -124,7 +125,7 @@ class TestTotalLoss:
         # independent oracle: plain-float accumulation over the same arrays
         params, labels, l_prime, p, q = self.toy(seed=5)
         config = RunConfig(L=2, alpha=1.3, beta=0.7, gamma=0.2, delta=1e-3, mu=0.6)
-        loss, terms = total_loss(labels, l_prime, p, q, params, config)
+        loss, terms = total_loss(labels, l_prime, p, q, params, config, 1)
 
         batch = labels.shape[0]
         t_class = 0.0
@@ -165,7 +166,7 @@ class TestTotalLoss:
             params, labels, l_prime, p, q = self.toy(seed=seed)
             config = RunConfig(L=2)
             if objective == "total_loss":
-                loss, terms = total_loss(labels, l_prime, p, q, params, config)
+                loss, terms = total_loss(labels, l_prime, p, q, params, config, 1)
             elif objective == "base_loss":
                 loss, terms = base_loss(labels, l_prime, params, config)
             else:
@@ -175,12 +176,30 @@ class TestTotalLoss:
             assert terms["total"] == loss.item()
             assert terms["total"] == pytest.approx(sum(terms[k] for k in keys[:-1]), abs=1e-9)
 
-    def test_gamma_override_scales_bias_term(self):
+    def test_gamma_decay_scales_bias_term(self):
         params, labels, l_prime, p, q = self.toy(seed=2)
-        config = RunConfig(L=2, gamma=0.4)
-        _, full = total_loss(labels, l_prime, p, q, params, config)
-        _, half = total_loss(labels, l_prime, p, q, params, config, gamma=0.2)
+        config = RunConfig(L=2, gamma=0.4, gamma_decay=0.5, gamma_decay_every=3)
+        _, full = total_loss(labels, l_prime, p, q, params, config, 1)
+        _, half = total_loss(labels, l_prime, p, q, params, config, 4)
         assert half["term_bias"] == pytest.approx(full["term_bias"] / 2.0)
+
+    @pytest.mark.parametrize("decay", [0.5, 0.0])
+    def test_term_bias_is_the_scheduled_gamma_times_the_regularizer(self, decay):
+        params, labels, l_prime, p, q = self.toy(seed=3)
+        config = RunConfig(L=2, gamma=0.3, gamma_decay=decay, gamma_decay_every=4)
+        for epoch in (1, 4, 5, 9):
+            _, terms = total_loss(labels, l_prime, p, q, params, config, epoch)
+            assert terms["term_bias"] == -gamma_at(config, epoch) * bias_regularizer(q).item()
+
+
+class TestGammaSchedule:
+    @pytest.mark.parametrize("decay", [0.5, 0.0])
+    def test_gamma_decays_once_every_gamma_decay_every_epochs(self, decay):
+        every = 4
+        config = RunConfig(gamma=0.3, gamma_decay=decay, gamma_decay_every=every)
+        assert gamma_at(config, 1) == gamma_at(config, every) == 0.3
+        assert gamma_at(config, every + 1) == 0.3 * decay
+        assert gamma_at(config, 2 * every + 1) == 0.3 * decay ** 2
 
     def test_gradients_flow_through_all_four_terms(self):
         rng = np.random.default_rng(4)
@@ -196,7 +215,7 @@ class TestTotalLoss:
             l = Tensor(labels)
             q = c2s.forward(l)
             return total_loss(l, s2c.forward(q), lh.forward(Tensor(feats)), q, params,
-                              config)[0]
+                              config, 1)[0]
 
         err = check_param_gradients(loss, [t for _, t in params.trainable()])
         assert err < 1e-5
@@ -216,7 +235,7 @@ class TestTotalLoss:
             labels = one_hot(rng.integers(0, num_classes, 5), num_classes)
             with Tape() as tape:
                 l_prime, p, q = phase2_forward(c2s, s2c, lh, labels, rng.standard_normal((5, 6)))
-                total_loss(Tensor(labels), l_prime, p, q, params, RunConfig(L=length))
+                total_loss(Tensor(labels), l_prime, p, q, params, RunConfig(L=length), 1)
             assert len(tape) == expected
 
 

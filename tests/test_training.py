@@ -303,7 +303,8 @@ def step_gradients(forward, labels: np.ndarray, feats: np.ndarray, seed: int = 7
             Str2ClassNet(params, num_classes, 3, rng, hidden_dim=10),
             LhClassifierNet(params, feats.shape[1], 5, 3, rng))
     with Tape() as tape:
-        loss, _ = total_loss(Tensor(labels), *forward(nets), params, training.RunConfig(L=3))
+        loss, _ = total_loss(Tensor(labels), *forward(nets), params, training.RunConfig(L=3),
+                             1)
     tape.backward(loss)
     return loss.item(), {name: t.grad for name, t in params.trainable()}
 
@@ -468,7 +469,7 @@ def test_every_trainer_reports_the_epoch_it_returns(planted):
     ("delta", "1e-4"), ("gamma_decay", [0.5]), ("extractor_dims", [784]),
     ("extractor_dims", [784, 0]), ("dataset", None), ("string_ce_order", 1),
     ("mu", 1.0), ("mu", 0.0), ("mu", -0.1), ("mu", 1.5), ("alpha", -1.0), ("gamma", -1.0),
-    ("delta", -1e-4), ("string_ce_order", "xx")])
+    ("delta", -1e-4), ("string_ce_order", "xx"), ("dataset", "foo"), ("dataset", "MNIST")])
 def test_run_config_rejects_out_of_range_counts(name, value):
     with pytest.raises(ValueError, match=name):
         training.RunConfig(**{name: value})
