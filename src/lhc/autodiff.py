@@ -92,14 +92,13 @@ class Tape:
 
     Entries are appended in execution order, which is automatically a
     topological order of the graph, so a single reversed sweep suffices.
-    A tape can be consumed by backward() exactly once. A thread has at
-    most one active tape: entering a second raises RuntimeError, and ops
-    on one thread never record onto another thread's tape.
+    backward() consumes a tape, once, and drops its closures with their
+    arrays. A thread has at most one active tape: entering a second raises
+    RuntimeError, and ops on one thread never record onto another thread's tape.
     """
 
     def __init__(self):
-        self._entries: list[Callable[[], None]] = []
-        self._consumed = False
+        self._entries: list[Callable[[], None]] | None = []  # None once consumed
 
     def __enter__(self) -> "Tape":
         if _active_tape() is not None:
@@ -111,20 +110,20 @@ class Tape:
         _state.tape = None
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries or ())
 
     def record(self, backward_fn: Callable[[], None]) -> None:
         self._entries.append(backward_fn)
 
     def backward(self, root: Tensor) -> None:
-        """Seed d(root)/d(root)=1 and accumulate grads through the record."""
-        if self._consumed:
+        """Seed d(root)/d(root)=1 and accumulate grads through the record, then drop it."""
+        if self._entries is None:
             raise RuntimeError("tape already consumed by a previous backward()")
         if root.data.size != 1:
             raise ShapeError(f"backward root must be scalar, got shape {root.shape}")
-        self._consumed = True
+        entries, self._entries = self._entries, None
         root.accumulate_grad(np.ones_like(root.data))
-        for fn in reversed(self._entries):
+        for fn in reversed(entries):
             fn()
 
 

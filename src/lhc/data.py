@@ -18,6 +18,7 @@ import math
 import numbers
 import os
 import struct
+import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -101,14 +102,17 @@ def _read_idx(path: Path, magic: int, what: str) -> np.ndarray:
     The magic's last byte is the rank, and the header holds one big-endian
     u32 size per axis. The sizes are checked against the bytes read, so no
     header value sizes an allocation, and bytes after the payload are
-    rejected.
+    rejected. A damaged .gz file raises DataFormatError too.
     """
     gz = path.with_name(path.name + ".gz")
     if path.exists():
         raw = path.read_bytes()
     elif gz.exists():
-        with gzip.open(gz, "rb") as fh:
-            raw = fh.read()
+        try:
+            with gzip.open(gz, "rb") as fh:
+                raw = fh.read()
+        except (EOFError, zlib.error, gzip.BadGzipFile) as exc:
+            raise DataFormatError(f"{gz}: damaged gzip data: {exc}") from exc
     else:
         raise DataFormatError(f"missing IDX file {path} (or {gz.name})")
     start = 4 + 4 * (magic & 0xFF)
@@ -196,14 +200,13 @@ def generate_planted(spec: PlantedHierarchySpec) -> tuple[LabeledDataset, String
 
     n = spec.num_classes * spec.samples_per_class
     features = np.empty((n, spec.feature_dim))
-    labels = np.empty(n, dtype=np.int64)
     for c in range(spec.num_classes):
-        path = format(c, f"0{spec.depth}b")
-        lo = c * spec.samples_per_class
-        hi = lo + spec.samples_per_class
-        features[lo:hi] = means[path] + spec.sigma_within * rng.standard_normal(
-            (spec.samples_per_class, spec.feature_dim))
-        labels[lo:hi] = c
+        # in place, bitwise mean + sigma * z from the same draws, with no temporaries
+        rows = features[c * spec.samples_per_class:(c + 1) * spec.samples_per_class]
+        rng.standard_normal(out=rows)
+        rows *= spec.sigma_within
+        rows += means[format(c, f"0{spec.depth}b")]
+    labels = np.repeat(np.arange(spec.num_classes, dtype=np.int64), spec.samples_per_class)
 
     dataset = LabeledDataset(features, labels, num_classes=spec.num_classes)
     truth = StringLookupTable({c: format(c, f"0{spec.depth}b") for c in range(spec.num_classes)})

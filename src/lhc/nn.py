@@ -233,7 +233,8 @@ class Adam:
 # into the payload; the payload is the little-endian f64 arrays concatenated
 # in manifest order.
 
-def save_checkpoint(path, params: ParameterSet, hyperparams: dict | None = None) -> None:
+def save_checkpoint(path, params: ParameterSet | dict[str, Tensor],
+                    hyperparams: dict | None = None) -> None:
     entries = []
     offset = 0
     blobs = []

@@ -789,7 +789,10 @@ def load_base_model(path) -> tuple[BaseModel, dict]:
 
 def save_lh_result(path, result: LhTrainResult, config: RunConfig,
                    class_names: list[str] | None) -> None:
-    save_checkpoint(path, result.params, {
+    """Write what eval and export-tree read: the extractor, Class2Str and the LH classifier."""
+    saved = {n: t for n, t in result.params.items()
+             if n.startswith(("extractor.", "class2str.", "lh."))}
+    save_checkpoint(path, saved, {
         "kind": "lh",
         "config": config.to_dict(),
         "num_classes": len(result.strings),
@@ -807,13 +810,14 @@ class LhArtifacts:
 
 
 def load_lh_result(path) -> LhArtifacts:
+    """An lh checkpoint's model; a file that also holds str2class.* raises CheckpointError."""
     params, meta, config = _load_run_checkpoint(path, "lh")
     rng = np.random.default_rng(0)
     fresh = ParameterSet()
     extractor = MlpExtractor(fresh, config.extractor_dims, rng)
-    # all three nets, so that _adopt finds every saved name
-    class2str, _, lh = _phase2_nets(fresh, meta["num_classes"], extractor.feature_dim, config,
-                                    rng)
+    class2str = Class2StrNet(fresh, meta["num_classes"], config.L, rng,
+                             hidden_dim=config.c2s_hidden)
+    lh = LhClassifierNet(fresh, extractor.feature_dim, config.lstm_hidden, config.L, rng)
     _adopt(fresh, params)
     table = freeze_lookup(class2str, class_names=meta.get("class_names"))
     return LhArtifacts(params=fresh, extractor=extractor, lh=lh, table=table, config=config)

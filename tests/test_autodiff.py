@@ -1,5 +1,6 @@
 import math
 import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -190,6 +191,19 @@ def test_tape_records_only_graded_ops_and_runs_once():
     np.testing.assert_allclose(x.grad, [2.0, 4.0])
     with pytest.raises(RuntimeError):
         tape.backward(y)
+
+
+def test_a_consumed_tape_frees_its_closures_and_their_arrays():
+    x = Tensor([1.0, 2.0], requires_grad=True)
+    with Tape() as tape:
+        hidden = square(x)
+        y = sum_(hidden)
+    alive = weakref.ref(hidden.data)
+    del hidden
+    assert alive() is not None  # the recorded closures hold the intermediate
+    tape.backward(y)
+    assert alive() is None and len(tape) == 0
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
 
 
 def test_backward_needs_scalar_root():

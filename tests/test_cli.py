@@ -1,14 +1,18 @@
 import csv
+import gzip
 import json
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from lhc import data, training
 from lhc.cli import main
+from lhc.networks import Str2ClassNet
+from lhc.nn import load_checkpoint, save_checkpoint
 from lhc.tree import tree_from_json
-from test_data import mnist_dir  # noqa: F401 (a fixture)
+from test_data import GZ_DAMAGE, mnist_dir  # noqa: F401 (a fixture)
 
 # 4 classes, 1 epoch per phase: with L=2 the learned encoding collides, with
 # L=8 it is one-to-one, so both outcomes of train-lh are exercised
@@ -113,6 +117,38 @@ def test_a_damaged_mnist_header_exits_1_with_an_error_line(mnist_dir, tmp_path, 
     err = capsys.readouterr().err
     assert err.startswith("error:") and "train-images-idx3-ubyte" in err
     assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("damage", sorted(GZ_DAMAGE))
+def test_a_damaged_gz_mnist_file_exits_1_with_an_error_line(mnist_dir, tmp_path, capsys,
+                                                            damage):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "dataset": "mnist", "extractor_dims": [784, 8, 4]}))
+    images = mnist_dir / "train-images-idx3-ubyte"
+    (mnist_dir / (images.name + ".gz")).write_bytes(GZ_DAMAGE[damage](gzip.compress(
+        images.read_bytes())))
+    images.unlink()
+    code = main(["train-base", "--config", str(config), "--data-dir", str(mnist_dir),
+                 "--out", str(tmp_path / "out")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "train-images-idx3-ubyte.gz: damaged gzip data" in err
+    assert "Traceback" not in err and not (tmp_path / "out").exists()
+
+
+def test_eval_of_an_lh_checkpoint_that_keeps_str2class_exits_1(run, tmp_path, capsys):
+    # the layout train-lh wrote before Str2Class left the checkpoint
+    root, _ = run
+    params, meta = load_checkpoint(root / "lh8" / "model.lhc1")
+    Str2ClassNet(params, meta["num_classes"], 8, np.random.default_rng(0),
+                 hidden_dim=CONFIG["s2c_hidden"])
+    save_checkpoint(tmp_path / "old.lhc1", params, meta)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(tmp_path / "old.lhc1"),
+                 "--data-dir", str(root / "data")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "str2class.fc1.weight" in err and "Traceback" not in err
 
 
 def test_eval_reads_only_the_test_split(run, capsys):

@@ -25,6 +25,13 @@ def write_idx_pair(directory, split, images, labels, image_magic=0x00000803,
         (directory / lab_name).write_bytes(lab_bytes)
 
 
+# A damaged .gz IDX file, from its intact bytes: each raises something other
+# than DataFormatError inside gzip (EOFError, zlib.error, gzip.BadGzipFile)
+GZ_DAMAGE = {"truncated": lambda gz: gz[:-20],
+             "corrupt deflate": lambda gz: gz[:10] + b"\xff" * 4 + gz[14:],  # a reserved block type
+             "not gzip": gzip.decompress}
+
+
 @pytest.fixture
 def mnist_dir(tmp_path):
     rng = np.random.default_rng(0)
@@ -121,6 +128,17 @@ class TestMnistLoader:
         with pytest.raises(DataFormatError, match=name):
             load_mnist(tmp_path, "train")
 
+    @pytest.mark.parametrize("damage", sorted(GZ_DAMAGE))
+    @pytest.mark.parametrize("name", ["train-images-idx3-ubyte", "train-labels-idx1-ubyte"])
+    def test_a_damaged_gz_file_is_a_format_error_naming_it(self, tmp_path, name, damage):
+        rng = np.random.default_rng(7)
+        write_idx_pair(tmp_path, "train", rng.integers(0, 256, size=(3, 28, 28), dtype=np.uint8),
+                       rng.integers(0, 10, size=3, dtype=np.uint8), gz=True)
+        path = tmp_path / (name + ".gz")
+        path.write_bytes(GZ_DAMAGE[damage](path.read_bytes()))
+        with pytest.raises(DataFormatError, match=f"{name}.gz: damaged gzip data"):
+            load_mnist(tmp_path, "train")
+
     def test_count_mismatch_rejected(self, tmp_path):
         rng = np.random.default_rng(4)
         images = rng.integers(0, 256, size=(4, 28, 28), dtype=np.uint8)
@@ -151,6 +169,25 @@ class TestPlanted:
         ds2, tree2 = generate_planted(spec)
         assert ds1.features.tobytes() == ds2.features.tobytes()
         assert tree1.class_to_string == tree2.class_to_string
+
+    @pytest.mark.parametrize("depth, sigma_within, seed", [(2, 0.1, 0), (3, 3.0, 7)])
+    def test_each_class_is_its_mean_plus_sigma_within_times_its_own_draws(self, depth,
+                                                                          sigma_within, seed):
+        # the means' random walk, then each class's (n, D) block, all from one seeded stream
+        spec = PlantedHierarchySpec(depth=depth, feature_dim=5, sigma_within=sigma_within,
+                                    samples_per_class=6, seed=seed)
+        rng = np.random.default_rng(seed)
+        means, prefixes = {"": np.zeros(5)}, [""]
+        for _ in range(depth):
+            prefixes = [p + bit for p in prefixes for bit in "01"]
+            for child in prefixes:
+                means[child] = means[child[:-1]] + spec.sigma_level * rng.standard_normal(5)
+        expected = np.concatenate([means[format(c, f"0{depth}b")]
+                                   + sigma_within * rng.standard_normal((6, 5))
+                                   for c in range(2 ** depth)])
+        ds, _ = generate_planted(spec)
+        assert ds.features.tobytes() == expected.tobytes()
+        assert ds.labels.tobytes() == np.repeat(np.arange(2 ** depth), 6).tobytes()
 
     def test_tree_leaves_cover_all_classes_at_depth(self):
         spec = PlantedHierarchySpec(depth=3, feature_dim=4, seed=0)

@@ -25,7 +25,6 @@ def rigged_lh_params(config: training.RunConfig) -> ParameterSet:
     training.MlpExtractor(params, config.extractor_dims, rng)
     params.freeze(params.names_with_prefix("extractor."))
     c2s = Class2StrNet(params, len(STRINGS), config.L, rng, hidden_dim=config.c2s_hidden)
-    Str2ClassNet(params, len(STRINGS), config.L, rng, hidden_dim=config.s2c_hidden)
     LhClassifierNet(params, config.extractor_dims[-1], config.lstm_hidden, config.L, rng)
     c2s.trunk.weight.data[...] = 3.0 * np.eye(len(STRINGS))
     w = c2s.heads.weight.data
@@ -136,18 +135,50 @@ def test_extractor_dims_other_than_the_base_model_s_are_rejected_before_any_work
         phase2_trainers(ds, config)[trainer](base, replace(config, extractor_dims=dims))
 
 
-def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(planted, tmp_path):
+@pytest.fixture(scope="module")
+def lh_run(planted):
+    """(base, config, result) of a train_lh run whose strings are one per class."""
     ds, config, base = planted
     config = replace(config, L=8)  # one string per class at this seed
-    result = training.train_lh(base, ds, config)
+    return base, config, training.train_lh(base, ds, config)
+
+
+def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(planted, lh_run, tmp_path):
+    ds = planted[0]
+    base, config, result = lh_run
     training.save_lh_result(tmp_path / "model.lhc1", result, config, ds.class_names)
     _, meta = load_checkpoint(tmp_path / "model.lhc1")
     assert set(meta) == {"kind", "config", "num_classes", "class_names"}
     loaded = training.load_lh_result(tmp_path / "model.lhc1")
     assert loaded.config == config
     assert loaded.extractor.dims == config.extractor_dims == base.extractor.dims
-    assert loaded.params.tobytes() == result.params.tobytes()
+    assert loaded.params.tobytes() == result.params.tobytes(loaded.params.names())
     assert loaded.table.class_to_string == result.table.class_to_string
+
+
+def test_an_lh_checkpoint_holds_the_extractor_class2str_and_the_lh_classifier_only(lh_run,
+                                                                                   tmp_path):
+    # Str2Class only trains: eval and export-tree read the other three modules
+    _, config, result = lh_run
+    training.save_lh_result(tmp_path / "model.lhc1", result, config, None)
+    saved, _ = load_checkpoint(tmp_path / "model.lhc1")
+    names = [n for n in result.params.names() if not n.startswith("str2class.")]
+    assert saved.names() == names
+    assert {n.split(".")[0] for n in names} == {"extractor", "class2str", "lh"}
+    assert saved.tobytes() == result.params.tobytes(names)
+    assert saved.frozen_names() == frozenset(result.params.names_with_prefix("extractor."))
+    loaded = training.load_lh_result(tmp_path / "model.lhc1")
+    assert loaded.params.names() == names and "str2class.fc1.weight" not in loaded.params
+
+
+def test_an_lh_checkpoint_in_the_layout_that_kept_str2class_is_rejected(lh_run, tmp_path):
+    _, config, result = lh_run
+    # every tensor of the run, Str2Class's too, as save_lh_result wrote them before
+    save_checkpoint(tmp_path / "old.lhc1", result.params, {
+        "kind": "lh", "config": config.to_dict(), "num_classes": len(result.strings),
+        "class_names": None})
+    with pytest.raises(CheckpointError, match=r"name mismatch: \['str2class\.fc1\.bias'"):
+        training.load_lh_result(tmp_path / "old.lhc1")
 
 
 def test_evaluate_counts_strings_missing_from_the_table(planted):

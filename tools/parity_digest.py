@@ -18,6 +18,14 @@ train-lh, eval, export-tree and gradcheck (report.json without its
 wall-clock field). gamma decays every 2 phase-2 epochs of 4, so the
 schedule is covered too. Only APIs that have not changed in a long while
 are called, so that a parent tree runs it as well.
+
+An LH checkpoint round trip (save_lh_result, then load_lh_result) of a
+train_lh run with one string per class digests what eval and export-tree
+read back: the table's strings and class names, the loaded extractor's and
+LH classifier's bytes, and evaluate on the loaded model. It stays equal
+where a change alters the file's bytes but not what is read from them. The
+change that dropped Str2Class's tensors from the LH checkpoint changed
+"file lh/model.lhc1" that way, by design, and nothing else.
 """
 
 from __future__ import annotations
@@ -97,6 +105,26 @@ def trainers() -> None:
                  lh.predict_bits(feats).tobytes())
 
 
+def lh_round_trip(root: Path) -> None:
+    name, depth, dim, per_class, dims, _, batch = SHAPES[0]
+    seed, length = 1, 10  # one string per class at this seed
+    spec = data.PlantedHierarchySpec(depth=depth, feature_dim=dim, samples_per_class=per_class,
+                                     seed=seed)
+    train, test = data.train_test_split(data.generate_planted(spec)[0], 0.2, seed)
+    config = training.RunConfig(seed=seed, extractor_dims=dims, L=length, batch_size=batch,
+                                **SCHEDULE)
+    result = training.train_lh(training.train_base(train, config)[0], train, config)
+    if result.table is None:
+        raise RuntimeError("the round-trip run collided; pick a seed with one string per class")
+    path = root / "round-trip.lhc1"
+    training.save_lh_result(path, result, config, train.class_names)
+    loaded = training.load_lh_result(path)
+    emit(f"{name} L={length} lh checkpoint round trip",
+         sorted(loaded.table.class_to_string.items()), loaded.table.class_names,
+         loaded.params.tobytes(loaded.params.names_with_prefix("extractor.")),
+         lh_bytes(loaded.lh), training.evaluate(loaded.table, loaded.lh, loaded.extractor, test))
+
+
 def gradchecks() -> None:
     for seed in GRADCHECK_SEEDS:
         emit(f"gradcheck_report seed {seed}", sorted(training.gradcheck_report(seed).items()))
@@ -164,6 +192,7 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(os.path.realpath(tmp))
         mnist(root)
+        lh_round_trip(root)
         commands(root)
     combined = hashlib.sha256("\n".join(digests).encode()).hexdigest()
     print(f"{combined}  combined")
