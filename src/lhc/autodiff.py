@@ -73,12 +73,12 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        # kept as handed over (copied only if not C-ordered) and summed out of
+        # place, since ops such as add hand one array to several operands
         if self.grad is None:
-            # a copy, never an alias: ops such as add hand one array to
-            # several operands, and later accumulations write in place
-            self.grad = np.array(g, dtype=np.float64, order="C")
+            self.grad = np.asarray(g, dtype=np.float64, order="C")
         else:
-            self.grad += g
+            self.grad = self.grad + g
 
     def zero_grad(self) -> None:
         self.grad = None

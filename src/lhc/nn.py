@@ -83,10 +83,6 @@ class ParameterSet:
     def trainable(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in self._params.items() if t.requires_grad]
 
-    def zero_grad(self) -> None:
-        for t in self._params.values():
-            t.zero_grad()
-
     def tobytes(self, names: Iterable[str] | None = None) -> bytes:
         """Concatenated raw bytes of the named parameters, for bitwise checks."""
         picked = sorted(names) if names is not None else sorted(self._params)
@@ -161,8 +157,9 @@ class Adam:
     """Adam with bias correction; frozen parameters are never touched.
 
     The parameters trainable at construction are moved into one flat
-    buffer, and each tensor's data becomes a view of its stretch of it, so
-    a step updates them all with one pass of elementwise numpy calls. The
+    buffer, flat, and each tensor's data becomes a view of its stretch of
+    it, so a step updates them all with one pass of elementwise numpy calls
+    and flat.copy() is a snapshot of every trainable value. The
     arithmetic is elementwise, so the result equals, bit for bit, the same
     update applied tensor by tensor. The gradient vector and two scratch
     vectors are allocated once, here, so a step allocates nothing the size
@@ -175,21 +172,20 @@ class Adam:
     eps = 1e-8
 
     def __init__(self, params: ParameterSet, lr: float):
-        self.params = params
         self.lr = lr
         self.t = 0
         self._trainable = params.trainable()
-        self._flat = np.concatenate([t.data.ravel() for _, t in self._trainable]
-                                    or [np.zeros(0)])
+        self.flat = np.concatenate([t.data.ravel() for _, t in self._trainable]
+                                   or [np.zeros(0)])
         offset = 0
         for _, t in self._trainable:
-            t.data = self._flat[offset:offset + t.data.size].reshape(t.data.shape)
+            t.data = self.flat[offset:offset + t.data.size].reshape(t.data.shape)
             offset += t.data.size
-        self._m = np.zeros_like(self._flat)
-        self._v = np.zeros_like(self._flat)
-        self._g = np.empty_like(self._flat)
-        self._a = np.empty_like(self._flat)
-        self._b = np.empty_like(self._flat)
+        self._m = np.zeros_like(self.flat)
+        self._v = np.zeros_like(self.flat)
+        self._g = np.empty_like(self.flat)
+        self._a = np.empty_like(self.flat)
+        self._b = np.empty_like(self.flat)
 
     def step(self) -> None:
         """theta -= lr * m_hat / (sqrt(v_hat) + eps), computed in place.
@@ -198,15 +194,14 @@ class Adam:
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g), m_hat = m / (1 - b1^t),
         v_hat = v / (1 - b2^t), so each update is bitwise that form's.
         """
-        self.t += 1
+        g, a, b, m, v = self._g, self._a, self._b, self._m, self._v
+        offset = 0
         for name, p in self._trainable:
             if p.grad is None:
                 raise MissingGradientError(f"no gradient for trainable parameter {name!r}")
-        g, a, b, m, v = self._g, self._a, self._b, self._m, self._v
-        offset = 0
-        for _, p in self._trainable:
             g[offset:offset + p.data.size] = p.grad.ravel()
             offset += p.data.size
+        self.t += 1
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=a)
         m += a
@@ -220,10 +215,11 @@ class Adam:
         np.sqrt(b, out=b)
         b += self.eps
         a /= b
-        self._flat -= a
+        self.flat -= a
 
     def zero_grad(self) -> None:
-        self.params.zero_grad()
+        for _, p in self._trainable:
+            p.zero_grad()
 
 
 # ------------------------------------------------------------- checkpoints

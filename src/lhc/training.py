@@ -342,7 +342,7 @@ def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | N
             continue
         if val_acc > best_val:
             best_val, best_epoch, stale = val_acc, epoch, 0
-            best_snap = [t.data.copy() for _, t in params.trainable()]
+            best_snap = adam.flat.copy()
         else:
             stale += 1
             if stale >= config.early_stop_patience:
@@ -353,8 +353,7 @@ def fit(params: ParameterSet, fit_ds: LabeledDataset, val_ds: LabeledDataset | N
         raise FrozenExtractorChanged("frozen parameters changed during training")
     if best_snap is None:
         return rows, len(rows), stop_reason
-    for (_, t), data in zip(params.trainable(), best_snap):
-        t.data[...] = data
+    adam.flat[...] = best_snap
     return rows, best_epoch, stop_reason
 
 
@@ -783,7 +782,7 @@ def load_base_model(path) -> tuple[BaseModel, dict]:
                           np.random.default_rng(0), fc_dims=meta.get("fc_dims") or [])
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: {exc}") from exc
-    _adopt(fresh, params)
+    _adopt(fresh, params, path)
     return model, meta
 
 
@@ -802,7 +801,6 @@ def save_lh_result(path, result: LhTrainResult, config: RunConfig,
 
 @dataclass
 class LhArtifacts:
-    params: ParameterSet
     extractor: MlpExtractor
     lh: LhClassifierNet
     table: StringLookupTable
@@ -818,19 +816,19 @@ def load_lh_result(path) -> LhArtifacts:
     class2str = Class2StrNet(fresh, meta["num_classes"], config.L, rng,
                              hidden_dim=config.c2s_hidden)
     lh = LhClassifierNet(fresh, extractor.feature_dim, config.lstm_hidden, config.L, rng)
-    _adopt(fresh, params)
+    _adopt(fresh, params, path)
     table = freeze_lookup(class2str, class_names=meta.get("class_names"))
-    return LhArtifacts(params=fresh, extractor=extractor, lh=lh, table=table, config=config)
+    return LhArtifacts(extractor=extractor, lh=lh, table=table, config=config)
 
 
-def _adopt(dst: ParameterSet, src: ParameterSet) -> None:
-    """Copy values and frozen flags between identically named sets."""
+def _adopt(dst: ParameterSet, src: ParameterSet, path) -> None:
+    """Copy values and frozen flags between identically named sets; src was read from path."""
     if set(dst.names()) != set(src.names()):
         missing = sorted(set(dst.names()) ^ set(src.names()))
-        raise CheckpointError(f"parameter name mismatch: {missing}")
+        raise CheckpointError(f"{path}: parameter name mismatch: {missing}")
     for name, t in src.items():
         if dst[name].data.shape != t.data.shape:
-            raise CheckpointError(f"shape mismatch for {name}: "
+            raise CheckpointError(f"{path}: shape mismatch for {name}: "
                                   f"{dst[name].data.shape} vs {t.data.shape}")
         dst[name].data[...] = t.data
     dst.freeze(src.frozen_names())

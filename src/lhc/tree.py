@@ -58,7 +58,6 @@ def canonicalize(table: StringLookupTable) -> CanonicalForm:
 
 @dataclass(frozen=True)
 class TreeComparison:
-    equal: bool
     shared_clusters: int
     total_a: int
     total_b: int
@@ -76,12 +75,11 @@ class TreeComparison:
 
 
 def tree_distance(a: CanonicalForm, b: CanonicalForm) -> TreeComparison:
-    """Equality plus the count of leaf-clusters present in both."""
+    """The count of leaf-clusters present in both; equal forms (==) are the same tree."""
     if a.leaf_ids != b.leaf_ids:
         raise ValueError(f"leaf sets differ: {sorted(a.leaf_ids)} vs {sorted(b.leaf_ids)}")
     shared = len(a.clusters & b.clusters)
-    return TreeComparison(equal=(a == b), shared_clusters=shared,
-                          total_a=len(a.clusters), total_b=len(b.clusters))
+    return TreeComparison(shared_clusters=shared, total_a=len(a.clusters), total_b=len(b.clusters))
 
 
 TREE_JSON_VERSION = 2

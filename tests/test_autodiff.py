@@ -254,7 +254,7 @@ def test_a_thread_has_one_active_tape():
     assert len(tape) == 1
 
 
-def test_first_gradient_is_copied_not_aliased():
+def test_an_operands_later_gradient_leaves_a_shared_first_one_alone():
     # add hands one gradient array to both operands; the later use of `a`
     # (first on the tape, so last in backward) must not write into b.grad
     a = Tensor([1.0, 2.0], requires_grad=True)
@@ -265,6 +265,17 @@ def test_first_gradient_is_copied_not_aliased():
     tape.backward(y)
     np.testing.assert_array_equal(a.grad, [4.0, 4.0])
     np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+
+
+def test_a_first_gradient_is_kept_not_copied():
+    # add hands out.grad to both operands, and a C-ordered float64 array is kept as is
+    a = Tensor([1.0, 2.0], requires_grad=True)
+    b = Tensor([3.0, 4.0], requires_grad=True)
+    with Tape() as tape:
+        y = sum_(add(a, b))
+    tape.backward(y)
+    assert np.shares_memory(a.grad, b.grad)
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
 
 
 def test_sigmoid_is_bitwise_the_piecewise_formula():

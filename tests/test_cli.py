@@ -149,6 +149,7 @@ def test_eval_of_an_lh_checkpoint_that_keeps_str2class_exits_1(run, tmp_path, ca
     assert code == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "str2class.fc1.weight" in err and "Traceback" not in err
+    assert f"{tmp_path / 'old.lhc1'}: parameter name mismatch" in err.splitlines()[0]
 
 
 def test_eval_reads_only_the_test_split(run, capsys):

@@ -19,7 +19,7 @@ from lhc.networks import StringLookupTable
 from lhc.nn import CheckpointError, ParameterSet, load_checkpoint, save_checkpoint
 from lhc.tree import export_tree, tree_from_json
 
-from test_training import checkpoint_parts
+from test_training import assert_loaded_from, checkpoint_parts
 
 SETTINGS = dict(derandomize=True, database=None, deadline=None,
                 suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -148,15 +148,15 @@ def test_model_checkpoints_round_trip_exactly(tmp_path, model_checkpoints, kind)
     if kind == "base":
         loaded_params = loaded[0].params
         assert loaded[1] == meta
+        assert loaded_params.names() == params.names()
+        assert loaded_params.tobytes() == params.tobytes()
+        assert loaded_params.frozen_names() == params.frozen_names()
     else:
         # an lh checkpoint's metadata lives on as its config and its table's classes
-        loaded_params = loaded.params
         assert loaded.config.to_dict() == meta["config"]
         assert (loaded.table.num_classes, loaded.table.class_names) == (meta["num_classes"],
                                                                         meta["class_names"])
-    assert loaded_params.names() == params.names()
-    assert loaded_params.tobytes() == params.tobytes()
-    assert loaded_params.frozen_names() == params.frozen_names()
+        assert_loaded_from(loaded, params)
 
 
 @pytest.mark.parametrize("kind", sorted(MODEL_LOADERS))

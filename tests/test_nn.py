@@ -155,8 +155,10 @@ class TestAdam:
         params.add("w", np.zeros(2)).grad = np.ones(2)
         params.add("late", np.zeros(3))
         adam = Adam(params, lr=1e-3)
+        before = params.tobytes()
         with pytest.raises(MissingGradientError, match="'late'"):
             adam.step()
+        assert adam.t == 0 and params.tobytes() == before
 
     def test_update_sequence_is_deterministic(self):
         def run():
@@ -214,7 +216,7 @@ class TestAdam:
         adam = Adam(params, lr=1e-3)
         adam.step()
         _, peak = peak_traced_bytes(adam.step)
-        assert peak < adam._flat.nbytes
+        assert peak < adam.flat.nbytes
 
     def test_step_counter_increments_once_per_update(self):
         params = ParameterSet()

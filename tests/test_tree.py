@@ -112,9 +112,9 @@ class TestCanonicalize:
         _, planted = generate_planted(PlantedHierarchySpec(depth=3, feature_dim=2,
                                                            samples_per_class=1))
         longer = build_tree({c: s + str(c % 2) for c, s in planted.class_to_string.items()})
-        cmp = tree_distance(canonicalize(longer), canonicalize(planted))
-        assert cmp.equal
-        assert cmp.shared_fraction == 1.0
+        longer_form, planted_form = canonicalize(longer), canonicalize(planted)
+        assert longer_form == planted_form
+        assert tree_distance(longer_form, planted_form).shared_fraction == 1.0
 
     @settings(max_examples=60, derandomize=True, database=None, deadline=None)
     @given(length=st.integers(1, 5), data=st.data())
@@ -135,15 +135,14 @@ class TestTreeDistance:
     def test_identical_trees(self):
         a = canonicalize(build_tree({c: format(c, "03b") for c in range(8)}))
         cmp = tree_distance(a, a)
-        assert cmp.equal
         assert cmp.shared_clusters == cmp.total_a == 7
         assert cmp.shared_fraction == 1.0
 
     def test_one_swapped_pair_loses_clusters(self):
         a = canonicalize(build_tree({0: "00", 1: "01", 2: "10", 3: "11"}))
         b = canonicalize(build_tree({0: "00", 2: "01", 1: "10", 3: "11"}))
+        assert a != b
         cmp = tree_distance(a, b)
-        assert not cmp.equal
         assert cmp.shared_clusters < cmp.total_a
         assert cmp.shared_clusters == 1  # only the root cluster survives
 
@@ -156,8 +155,8 @@ class TestTreeDistance:
     def test_one_class_trees_are_equal(self):
         a = canonicalize(build_tree({3: "01"}))
         assert a == CanonicalForm(clusters=frozenset(), leaf_ids=frozenset({3}))
-        cmp = tree_distance(a, canonicalize(build_tree({3: "1"})))
-        assert cmp.equal and cmp.shared_fraction == 1.0
+        b = canonicalize(build_tree({3: "1"}))
+        assert a == b and tree_distance(a, b).shared_fraction == 1.0
 
 
 EDGE_RE = re.compile(r'^  "n_[01]*" -> "n_[01]*" \[label="[01]"\];$')

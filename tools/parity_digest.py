@@ -80,6 +80,12 @@ def lh_bytes(lh) -> bytes:
         lh.head.weight, lh.head.bias))
 
 
+def extractor_bytes(extractor) -> bytes:
+    """The extractor's tensors in ParameterSet.tobytes' sorted-name order (up to 10 layers)."""
+    return b"".join(t.data.tobytes() for layer in extractor.layers
+                    for t in (layer.bias, layer.weight))
+
+
 def trainers() -> None:
     for name, depth, dim, per_class, dims, length, batch in SHAPES:
         for seed in SEEDS:
@@ -121,7 +127,7 @@ def lh_round_trip(root: Path) -> None:
     loaded = training.load_lh_result(path)
     emit(f"{name} L={length} lh checkpoint round trip",
          sorted(loaded.table.class_to_string.items()), loaded.table.class_names,
-         loaded.params.tobytes(loaded.params.names_with_prefix("extractor.")),
+         extractor_bytes(loaded.extractor),
          lh_bytes(loaded.lh), training.evaluate(loaded.table, loaded.lh, loaded.extractor, test))
 
 
