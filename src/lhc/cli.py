@@ -65,17 +65,18 @@ def cmd_train_lh(args) -> int:
     base, _ = training.load_base_model(args.checkpoint)
     result = training.train_lh(base, train, config, test_ds=test)
     out = _prepare_out(args, config)
-    training.save_lh_result(out / "model.lhc1", result, config, train.class_names)
     result.report.write_csv(out / "metrics.csv")
     (out / "report.json").write_text(result.report.to_json() + "\n")
-    if result.table is not None:
-        (out / "tree.json").write_text(export_tree(result.table, "json") + "\n")
-        (out / "tree.dot").write_text(export_tree(result.table, "dot"))
+    extras = result.report.extras
     print(f"string-match test accuracy {result.report.final_test_accuracy:.4f}, "
-          f"mean bit bias {result.report.extras['mean_bit_bias']:.4f}")
-    if result.table is None:
-        print(f"warning: {result.report.extras['collision']}", file=sys.stderr)
+          f"mean bit bias {extras['mean_bit_bias']:.4f}, restored epoch {extras['best_epoch']}, "
+          f"{len(set(result.strings.values()))} distinct strings for {len(result.strings)} classes")
+    if result.table is None:  # so no checkpoint or tree for eval and export-tree to read
+        print(f"warning: {extras['collision']}", file=sys.stderr)
         return 1
+    training.save_lh_result(out / "model.lhc1", result, config, train.class_names)
+    (out / "tree.json").write_text(export_tree(result.table, "json") + "\n")
+    (out / "tree.dot").write_text(export_tree(result.table, "dot"))
     return 0
 
 

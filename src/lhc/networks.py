@@ -7,9 +7,9 @@ hard_bits takes each bit's argmax (ties go to 0) as a (B, L) 0/1 matrix,
 strings_of spells those rows as L-character strings, and a
 StringLookupTable holds the frozen class-to-string bijection, with its
 strings also as a (C, L) bit matrix, bits. The table is also the learned
-hierarchy, the prefix tree of its strings. A run stores it once, as the
-leaf list of tree.json (tree.export_tree), and tree.tree_from_json(text)
-reads it back as a StringLookupTable.
+hierarchy, the prefix tree of its strings. A run stores it in one form,
+the leaf list of tree.json (tree.tree_obj), and its LH checkpoint holds that
+same list; tree.tree_from_obj reads it back as a StringLookupTable.
 
 Inference runs in row blocks (run_in_row_blocks) whose widest float64
 slab, such as the LSTM's (4n, rows) gates, fits in about

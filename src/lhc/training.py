@@ -38,10 +38,10 @@ from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
 from .data import DATASETS, BatchIterator, LabeledDataset, one_hot
 from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet, Str2ClassNet,
-                       StringLookupTable, freeze_lookup, hard_bits, run_in_row_blocks,
-                       strings_of)
+                       StringLookupTable, hard_bits, run_in_row_blocks, strings_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
                  save_checkpoint)
+from .tree import tree_from_obj, tree_obj
 
 # Rows per predict_bits call in evaluate and _string_match. predict_bits
 # blocks its own work, so this chunk only fixes the call count, which
@@ -744,41 +744,33 @@ def save_base_model(path, model: BaseModel, config: RunConfig,
 def _load_run_checkpoint(path, kind: str) -> tuple[ParameterSet, dict, RunConfig]:
     """An LHC1 checkpoint of kind "base" or "lh": its parameters, metadata and RunConfig.
 
-    Missing or ill-typed metadata raises CheckpointError. config must hold a
-    valid RunConfig, num_classes an int >= 1 and class_names null or one str
-    per class. A base checkpoint's fc_dims are checked by load_base_model.
-    An lh checkpoint's sizes all come from its config; keys beyond these,
-    such as the feature_dim and extractor_dims that older lh checkpoints
-    carry, are ignored.
+    A config that is not a valid RunConfig raises CheckpointError. Each
+    loader checks the rest of its kind's metadata and ignores other keys,
+    such as the feature_dim and extractor_dims that older lh checkpoints carry.
     """
     params, meta = load_checkpoint(path)
     if meta.get("kind") != kind:
         raise CheckpointError(f"{path}: expected a {kind} checkpoint, got {meta.get('kind')!r}")
-    num_classes, names = meta.get("num_classes"), meta.get("class_names")
-    problems = []
-    if not isinstance(meta.get("config"), dict):
-        problems.append("config is not an object")
-    if not _is_int(num_classes, 1):
-        problems.append("num_classes is not an int >= 1")
-    if names is not None and not (isinstance(names, list) and len(names) == num_classes
-                                  and all(isinstance(n, str) for n in names)):
-        problems.append("class_names is neither null nor one str per class")
-    if problems:
-        raise CheckpointError(f"{path}: bad checkpoint metadata: {'; '.join(problems)}")
     try:
-        config = RunConfig.from_dict(meta["config"])
+        config = RunConfig.from_dict(meta.get("config"))
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: config: {exc}") from exc
     return params, meta, config
 
 
 def load_base_model(path) -> tuple[BaseModel, dict]:
-    """An LHC1 base checkpoint's model; fc_dims that BaseModel rejects raise CheckpointError."""
+    """An LHC1 base checkpoint's model and metadata; bad metadata raises CheckpointError."""
     params, meta, config = _load_run_checkpoint(path, "base")
+    num_classes, names = meta.get("num_classes"), meta.get("class_names")
     fresh = ParameterSet()
     try:
+        if not _is_int(num_classes, 1):
+            raise ValueError("num_classes is not an int >= 1")
+        if names is not None and not (isinstance(names, list) and len(names) == num_classes
+                                      and all(isinstance(n, str) for n in names)):
+            raise ValueError("class_names is neither null nor one str per class")
         # a missing or null record is no head at all, not BaseModel's default one
-        model = BaseModel(fresh, config.extractor_dims, meta["num_classes"],
+        model = BaseModel(fresh, config.extractor_dims, num_classes,
                           np.random.default_rng(0), fc_dims=meta.get("fc_dims") or [])
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: {exc}") from exc
@@ -788,15 +780,17 @@ def load_base_model(path) -> tuple[BaseModel, dict]:
 
 def save_lh_result(path, result: LhTrainResult, config: RunConfig,
                    class_names: list[str] | None) -> None:
-    """Write what eval and export-tree read: the extractor, Class2Str and the LH classifier."""
-    saved = {n: t for n, t in result.params.items()
-             if n.startswith(("extractor.", "class2str.", "lh."))}
-    save_checkpoint(path, saved, {
-        "kind": "lh",
-        "config": config.to_dict(),
-        "num_classes": len(result.strings),
-        "class_names": class_names,
-    })
+    """Write the extractor and LH classifier tensors, and the table as tree.json's leaf list.
+
+    class_names names the leaves (None names class c "c"). A collided
+    result has no table and raises ValueError.
+    """
+    if result.table is None:
+        raise ValueError(f"{path}: the run's strings collide, so it has no table to save")
+    table = StringLookupTable(result.table.class_to_string, class_names=class_names)
+    saved = {n: t for n, t in result.params.items() if n.startswith(("extractor.", "lh."))}
+    save_checkpoint(path, saved, {"kind": "lh", "config": config.to_dict(),
+                                  "tree": tree_obj(table)})
 
 
 @dataclass
@@ -808,16 +802,26 @@ class LhArtifacts:
 
 
 def load_lh_result(path) -> LhArtifacts:
-    """An lh checkpoint's model; a file that also holds str2class.* raises CheckpointError."""
+    """An lh checkpoint's model, and its table, read from the leaf list by tree.tree_from_obj.
+
+    Leaves that fail that check, or whose ids are not 0..C-1 or strings not
+    config.L bits long, raise CheckpointError, as does a file in an older
+    layout, which holds class2str.* (and before that str2class.*) tensors.
+    """
     params, meta, config = _load_run_checkpoint(path, "lh")
     rng = np.random.default_rng(0)
     fresh = ParameterSet()
     extractor = MlpExtractor(fresh, config.extractor_dims, rng)
-    class2str = Class2StrNet(fresh, meta["num_classes"], config.L, rng,
-                             hidden_dim=config.c2s_hidden)
     lh = LhClassifierNet(fresh, extractor.feature_dim, config.lstm_hidden, config.L, rng)
     _adopt(fresh, params, path)
-    table = freeze_lookup(class2str, class_names=meta.get("class_names"))
+    try:
+        table = tree_from_obj(meta.get("tree"))
+        if list(table.class_to_string) != list(range(table.num_classes)):
+            raise ValueError(f"class ids are not 0..{table.num_classes - 1}")
+        if table.string_length != config.L:
+            raise ValueError(f"strings have {table.string_length} bits, but config L={config.L}")
+    except ValueError as exc:
+        raise CheckpointError(f"{path}: bad checkpoint metadata: tree: {exc}") from exc
     return LhArtifacts(extractor=extractor, lh=lh, table=table, config=config)
 
 

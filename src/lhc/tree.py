@@ -5,9 +5,9 @@ leaf at depth L, and the node at prefix p holds the classes whose strings
 start with p. canonicalize and the DOT export derive the tree from the
 strings. A node with one child adds nothing to the hierarchy, so
 canonicalize contracts single-child chains and every cluster it reports
-holds two or more classes. tree.json lists the leaves, one per class, and
-tree_from_json reads them back into a StringLookupTable, whose checks are
-the one validator of a class-to-string mapping.
+holds two or more classes. tree.json and an LH checkpoint's metadata list
+the leaves, one per class (tree_obj); tree_from_json and tree_from_obj read
+them back into a StringLookupTable, the one validator of a mapping.
 """
 
 from __future__ import annotations
@@ -90,13 +90,17 @@ def _dot_quoted(text: str) -> str:
     return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
+def tree_obj(table: StringLookupTable) -> dict:
+    """tree.json's object: the version and the leaves in class-id order."""
+    return {"version": TREE_JSON_VERSION, "leaves": [
+        {"class_id": c, "class_name": name, "string": s}
+        for (c, s), name in zip(table.class_to_string.items(), table.class_names)]}
+
+
 def export_tree(table: StringLookupTable, format: str) -> str:
     """Render as graphviz DOT or as tree.json, the list of leaves in class-id order."""
     if format == "json":
-        leaves = [{"class_id": c, "class_name": name, "string": s}
-                  for (c, s), name in zip(table.class_to_string.items(), table.class_names)]
-        return json.dumps({"version": TREE_JSON_VERSION, "leaves": leaves},
-                          indent=2, sort_keys=True)
+        return json.dumps(tree_obj(table), indent=2, sort_keys=True)
     if format == "dot":
         lines = ["digraph hierarchy {", "  node [shape=circle, label=\"\"];"]
         strings = table.class_to_string.values()
@@ -111,16 +115,16 @@ def export_tree(table: StringLookupTable, format: str) -> str:
 
 
 def tree_from_json(text: str) -> StringLookupTable:
-    """Inverse of export_tree(table, "json"); raises ValueError on any malformed file.
-
-    Each leaf needs exactly an int class_id, a str class_name and a str
-    string, and class ids must be distinct; StringLookupTable checks the
-    strings.
-    """
+    """Inverse of export_tree(table, "json"); raises ValueError on any malformed file."""
     try:
         obj = json.loads(text)
     except RecursionError:
         raise ValueError("tree JSON nests too deeply") from None
+    return tree_from_obj(obj)
+
+
+def tree_from_obj(obj) -> StringLookupTable:
+    """Inverse of tree_obj; a malformed object or mapping raises ValueError."""
     if not isinstance(obj, dict):
         raise ValueError("tree JSON must be an object")
     if obj.get("version") != TREE_JSON_VERSION:

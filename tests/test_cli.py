@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import re
 import shutil
 import struct
 
@@ -9,7 +10,7 @@ import pytest
 
 from lhc import data, training
 from lhc.cli import main
-from lhc.networks import Str2ClassNet
+from lhc.networks import Class2StrNet, Str2ClassNet
 from lhc.nn import load_checkpoint, save_checkpoint
 from lhc.tree import tree_from_json
 from test_data import GZ_DAMAGE, mnist_dir  # noqa: F401 (a fixture)
@@ -61,10 +62,35 @@ def test_train_lh_exit_code_and_lookup_follow_the_collision(run, length, collide
     assert set(report) == REPORT_KEYS
     assert (report["extras"]["collision"] is not None) == collides
     assert codes[f"train-lh L={length}"] == (1 if collides else 0)
-    # tree.json is the run's one record of the learned class-to-string mapping
-    for name in ("tree.json", "tree.dot"):
+    # tree.json is the run's one record of the learned class-to-string mapping, and the
+    # checkpoint holds its leaves: a collided run has neither
+    for name in ("tree.json", "tree.dot", "model.lhc1"):
         assert (out / name).is_file() == (not collides)
     assert not (out / "lookup.json").exists()
+
+
+@pytest.mark.parametrize("length, collides", [(2, True), (8, False)])
+def test_train_lh_prints_the_restored_epoch_and_the_count_of_distinct_strings(run, tmp_path,
+                                                                              capsys, length,
+                                                                              collides):
+    root, _ = run
+    capsys.readouterr()
+    main(["train-lh", "--config", str(root / "config.json"), "--data-dir", str(root / "data"),
+          "--checkpoint", str(root / "base" / "model.lhc1"), "--out", str(tmp_path),
+          "--L", str(length)])
+    printed = capsys.readouterr().out
+    extras = json.loads((tmp_path / "report.json").read_text())["extras"]
+    if collides:
+        # a pair (a, b), a < b, says class b repeats the string of a class before it
+        pairs = re.findall(r"classes (\d+) and (\d+)", extras["collision"])
+        distinct = 4 - len({b for _, b in pairs})
+    else:
+        distinct = len(set(tree_from_json((tmp_path / "tree.json").read_text())
+                           .class_to_string.values()))
+    assert (distinct < 4) == collides
+    assert printed.startswith("string-match test accuracy ") and printed.count("\n") == 1
+    assert printed.endswith(f", restored epoch {extras['best_epoch']}, "
+                            f"{distinct} distinct strings for 4 classes\n")
 
 
 @pytest.mark.parametrize("length, expected", [(2, 1), (8, 0)])
@@ -73,10 +99,15 @@ def test_eval_and_export_tree_exit_codes(run, capsys, length, expected):
     checkpoint = str(root / f"lh{length}" / "model.lhc1")
     capsys.readouterr()
     assert main(["eval", "--checkpoint", checkpoint, "--data-dir", str(root / "data")]) == expected
-    capsys.readouterr()
+    eval_err = capsys.readouterr().err
     assert main(["export-tree", "--checkpoint", checkpoint, "--format", "json"]) == expected
-    exported = capsys.readouterr().out
-    if expected == 0:
+    exported, export_err = capsys.readouterr()
+    if expected == 1:
+        # the collided run wrote no checkpoint: one error line names the missing file
+        for err in (eval_err, export_err):
+            assert err.startswith("error:") and err.count("\n") == 1 and checkpoint in err
+            assert "Traceback" not in err
+    else:
         # the checkpoint rebuilds the mapping that train-lh wrote
         assert exported + "\n" == (root / f"lh{length}" / "tree.json").read_text()
         tree = tree_from_json(exported)
@@ -137,19 +168,24 @@ def test_a_damaged_gz_mnist_file_exits_1_with_an_error_line(mnist_dir, tmp_path,
 
 
 def test_eval_of_an_lh_checkpoint_that_keeps_str2class_exits_1(run, tmp_path, capsys):
-    # the layout train-lh wrote before Str2Class left the checkpoint
+    # the layouts train-lh wrote before the table's leaves replaced Class2Str in the
+    # checkpoint, and before that, before Str2Class left it
     root, _ = run
     params, meta = load_checkpoint(root / "lh8" / "model.lhc1")
-    Str2ClassNet(params, meta["num_classes"], 8, np.random.default_rng(0),
-                 hidden_dim=CONFIG["s2c_hidden"])
-    save_checkpoint(tmp_path / "old.lhc1", params, meta)
-    capsys.readouterr()
-    code = main(["eval", "--checkpoint", str(tmp_path / "old.lhc1"),
-                 "--data-dir", str(root / "data")])
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "str2class.fc1.weight" in err and "Traceback" not in err
-    assert f"{tmp_path / 'old.lhc1'}: parameter name mismatch" in err.splitlines()[0]
+    old_meta = {"kind": "lh", "config": meta["config"], "num_classes": 4, "class_names": None}
+    rng = np.random.default_rng(0)
+    Class2StrNet(params, 4, 8, rng, hidden_dim=CONFIG["c2s_hidden"])
+    save_checkpoint(tmp_path / "class2str.lhc1", params, old_meta)
+    Str2ClassNet(params, 4, 8, rng, hidden_dim=CONFIG["s2c_hidden"])
+    save_checkpoint(tmp_path / "str2class.lhc1", params, old_meta)
+    for name, extra in [("class2str", []), ("str2class", ["str2class.fc1.weight"])]:
+        path = tmp_path / f"{name}.lhc1"
+        capsys.readouterr()
+        assert main(["eval", "--checkpoint", str(path), "--data-dir", str(root / "data")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert f"{path}: parameter name mismatch" in err.splitlines()[0]
+        assert all(n in err for n in ["class2str.heads.weight", "class2str.trunk.bias", *extra])
 
 
 def test_eval_reads_only_the_test_split(run, capsys):

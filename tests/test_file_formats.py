@@ -17,7 +17,7 @@ from lhc import training
 from lhc.data import DataFormatError, LabeledDataset, load_features, save_features
 from lhc.networks import StringLookupTable
 from lhc.nn import CheckpointError, ParameterSet, load_checkpoint, save_checkpoint
-from lhc.tree import export_tree, tree_from_json
+from lhc.tree import export_tree, tree_from_json, tree_obj
 
 from test_training import assert_loaded_from, checkpoint_parts
 
@@ -152,10 +152,9 @@ def test_model_checkpoints_round_trip_exactly(tmp_path, model_checkpoints, kind)
         assert loaded_params.tobytes() == params.tobytes()
         assert loaded_params.frozen_names() == params.frozen_names()
     else:
-        # an lh checkpoint's metadata lives on as its config and its table's classes
+        # an lh checkpoint's metadata lives on as its config and its table
         assert loaded.config.to_dict() == meta["config"]
-        assert (loaded.table.num_classes, loaded.table.class_names) == (meta["num_classes"],
-                                                                        meta["class_names"])
+        assert tree_obj(loaded.table) == meta["tree"]
         assert_loaded_from(loaded, params)
 
 

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -13,26 +14,25 @@ from lhc.losses import total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
 from lhc.nn import (Adam, CheckpointError, ParameterSet, load_checkpoint, save_checkpoint,
                     xavier_uniform)
+from lhc.tree import export_tree, tree_obj
 from test_networks import BLOCK_CASES
 
 STRINGS = ["011", "100", "110", "001"]
 
 
 def rigged_lh_params(config: training.RunConfig) -> ParameterSet:
-    """An lh parameter set, built as load_lh_result builds it, encoding class c as STRINGS[c]."""
+    """An lh parameter set, built as load_lh_result builds it; lh_tree() holds its table."""
     rng = np.random.default_rng(3)
     params = ParameterSet()
     training.MlpExtractor(params, config.extractor_dims, rng)
     params.freeze(params.names_with_prefix("extractor."))
-    c2s = Class2StrNet(params, len(STRINGS), config.L, rng, hidden_dim=config.c2s_hidden)
     LhClassifierNet(params, config.extractor_dims[-1], config.lstm_hidden, config.L, rng)
-    c2s.trunk.weight.data[...] = 3.0 * np.eye(len(STRINGS))
-    w = c2s.heads.weight.data
-    w[0::2] = rng.uniform(-0.2, 0.2, size=w[0::2].shape)  # P(bit = 0) logits
-    w[1::2] = np.array([[1.0 if s[i] == "1" else -1.0 for s in STRINGS]
-                        for i in range(config.L)]) * rng.uniform(0.5, 2.0, size=w[1::2].shape)
-    c2s.heads.bias.data[...] = rng.uniform(-0.1, 0.1, size=2 * config.L)
     return params
+
+
+def lh_tree(names: list[str] | None = None, strings: list[str] = STRINGS) -> dict:
+    """An lh checkpoint's leaf list, encoding class c as strings[c]."""
+    return tree_obj(StringLookupTable(dict(enumerate(strings)), class_names=names))
 
 
 def loaded_tensors(loaded: training.LhArtifacts) -> dict[str, Tensor]:
@@ -61,8 +61,8 @@ def test_rigged_lh_checkpoint_loads_to_its_strings_and_other_versions_are_reject
                                 s2c_hidden=8)
     params = rigged_lh_params(config)
     # older lh checkpoints also record the sizes that config holds; the loader ignores them
-    meta = {"kind": "lh", "config": config.to_dict(), "num_classes": len(STRINGS),
-            "feature_dim": 4, "extractor_dims": config.extractor_dims, "class_names": None}
+    meta = {"kind": "lh", "config": config.to_dict(), "tree": lh_tree(),
+            "feature_dim": 4, "extractor_dims": config.extractor_dims}
     save_checkpoint(tmp_path / "v2.lhc1", params, meta)
     loaded = training.load_lh_result(tmp_path / "v2.lhc1")
     assert loaded.table.class_to_string == dict(enumerate(STRINGS))
@@ -83,8 +83,7 @@ def test_rigged_lh_checkpoint_loads_to_its_strings_and_other_versions_are_reject
 def test_an_lh_checkpoint_s_old_size_keys_are_ignored(tmp_path, legacy_sizes):
     config = training.RunConfig(extractor_dims=[6, 5, 4], L=3, lstm_hidden=5, c2s_hidden=4,
                                 s2c_hidden=8)
-    meta = {"kind": "lh", "config": config.to_dict(), "num_classes": len(STRINGS),
-            "class_names": None, **legacy_sizes}
+    meta = {"kind": "lh", "config": config.to_dict(), "tree": lh_tree(), **legacy_sizes}
     save_checkpoint(tmp_path / "model.lhc1", rigged_lh_params(config), meta)
     loaded = training.load_lh_result(tmp_path / "model.lhc1")
     assert loaded.extractor.dims == config.extractor_dims
@@ -172,7 +171,7 @@ def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(planted, lh_run, 
     base, config, result = lh_run
     training.save_lh_result(tmp_path / "model.lhc1", result, config, ds.class_names)
     _, meta = load_checkpoint(tmp_path / "model.lhc1")
-    assert set(meta) == {"kind", "config", "num_classes", "class_names"}
+    assert set(meta) == {"kind", "config", "tree"}
     loaded = training.load_lh_result(tmp_path / "model.lhc1")
     assert loaded.config == config
     assert loaded.extractor.dims == config.extractor_dims == base.extractor.dims
@@ -180,27 +179,58 @@ def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(planted, lh_run, 
     assert loaded.table.class_to_string == result.table.class_to_string
 
 
-def test_an_lh_checkpoint_holds_the_extractor_class2str_and_the_lh_classifier_only(lh_run,
+def test_an_lh_checkpoint_holds_the_extractor_the_lh_classifier_and_the_leaves_only(lh_run,
                                                                                    tmp_path):
-    # Str2Class only trains: eval and export-tree read the other three modules
+    # Class2Str and Str2Class only train: eval and export-tree read the other two modules,
+    # and the table as tree.json's leaf list
     _, config, result = lh_run
     training.save_lh_result(tmp_path / "model.lhc1", result, config, None)
-    saved, _ = load_checkpoint(tmp_path / "model.lhc1")
-    names = [n for n in result.params.names() if not n.startswith("str2class.")]
+    saved, meta = load_checkpoint(tmp_path / "model.lhc1")
+    names = [n for n in result.params.names() if n.startswith(("extractor.", "lh."))]
     assert saved.names() == names
-    assert {n.split(".")[0] for n in names} == {"extractor", "class2str", "lh"}
+    assert {n.split(".")[0] for n in result.params.names()} - {"extractor", "lh"} == {
+        "class2str", "str2class"}
     assert saved.tobytes() == result.params.tobytes(names)
     assert saved.frozen_names() == frozenset(result.params.names_with_prefix("extractor."))
+    assert meta["tree"] == json.loads(export_tree(result.table, "json"))
 
 
 def test_an_lh_checkpoint_in_the_layout_that_kept_str2class_is_rejected(lh_run, tmp_path):
     _, config, result = lh_run
-    # every tensor of the run, Str2Class's too, as save_lh_result wrote them before
-    save_checkpoint(tmp_path / "old.lhc1", result.params, {
-        "kind": "lh", "config": config.to_dict(), "num_classes": len(result.strings),
-        "class_names": None})
-    with pytest.raises(CheckpointError, match=r"name mismatch: \['str2class\.fc1\.bias'"):
-        training.load_lh_result(tmp_path / "old.lhc1")
+    old_meta = {"kind": "lh", "config": config.to_dict(), "num_classes": len(result.strings),
+                "class_names": None}
+    # as save_lh_result wrote them before the leaves replaced Class2Str, and before that,
+    # with Str2Class's tensors too
+    layouts = {"class2str": (r"\['class2str\.heads\.bias', ", False),
+               "str2class": (r"\['class2str\.heads\.bias', .*'str2class\.fc1\.bias'", True)}
+    for name, (listed, keeps_str2class) in layouts.items():
+        path = tmp_path / f"{name}.lhc1"
+        save_checkpoint(path, {n: t for n, t in result.params.items()
+                               if keeps_str2class or not n.startswith("str2class.")}, old_meta)
+        with pytest.raises(CheckpointError,
+                           match=rf"^{re.escape(str(path))}: parameter name mismatch: {listed}"):
+            training.load_lh_result(path)
+
+
+def test_load_lh_result_builds_no_class2str(lh_run, tmp_path, monkeypatch):
+    _, config, result = lh_run
+    training.save_lh_result(tmp_path / "model.lhc1", result, config, ["w", "x", "y", "z"])
+
+    def no_class2str(*args, **kwargs):
+        raise AssertionError("load_lh_result built a Class2StrNet")
+
+    monkeypatch.setattr(Class2StrNet, "__init__", no_class2str)
+    loaded = training.load_lh_result(tmp_path / "model.lhc1")
+    assert loaded.table.class_to_string == result.table.class_to_string
+    assert loaded.table.class_names == ["w", "x", "y", "z"]
+    assert_loaded_from(loaded, result.params)
+
+
+def test_a_collided_result_is_not_saved(lh_run, tmp_path):
+    _, config, result = lh_run
+    with pytest.raises(ValueError, match="collide"):
+        training.save_lh_result(tmp_path / "model.lhc1", replace(result, table=None), config, None)
+    assert not (tmp_path / "model.lhc1").exists()
 
 
 def test_evaluate_counts_strings_missing_from_the_table(planted):
@@ -274,7 +304,8 @@ def test_class_names_that_are_not_strings_are_rejected_before_any_training(plant
 
 
 DROP = object()
-# (field, new value or DROP); "sizes" is fc_dims, which only a base checkpoint records
+# (field, new value or DROP); a dotted field is a path into config or the tree. "sizes" is
+# fc_dims; it, num_classes and class_names are base metadata, and the tree is lh metadata
 META_EDITS = {
     "no config": ("config", DROP),
     "list config": ("config", []),
@@ -288,38 +319,52 @@ META_EDITS = {
     "sizes past num_classes": ("fc_dims", [4, 7]),
     "config with mu 1.5": ("config.mu", 1.5),
     "config with lstm_layers 2": ("config.lstm_layers", 2),
+    "no leaves": ("tree", DROP),
+    "tree version 1": ("tree.version", 1),
+    "a leaf with no string": ("tree.leaves.2.string", DROP),
+    "a class_id at two leaves": ("tree.leaves.2.class_id", 1),
+    "two classes with one string": ("tree.leaves.2.string", STRINGS[1]),
+    "class ids 0, 1, 2, 4": ("tree.leaves.3.class_id", 4),
+    "strings one bit past L": ("tree", lh_tree(strings=[s + "0" for s in STRINGS])),
 }
+META_KINDS = {"config": ("base", "lh"), "tree": ("lh",)}  # all other fields: ("base",)
 
 
 def checkpoint_parts(kind: str):
     """Loadable (params, metadata) of a base or an lh checkpoint with four classes."""
     config = training.RunConfig(extractor_dims=[6, 5, 4], L=3, lstm_hidden=5, c2s_hidden=4,
                                 s2c_hidden=8)
-    meta = {"kind": kind, "config": config.to_dict(), "num_classes": len(STRINGS),
-            "class_names": ["a", "b", "c", "d"]}
+    meta = {"kind": kind, "config": config.to_dict()}
+    names = ["a", "b", "c", "d"]
     if kind == "base":
         params = ParameterSet()
         training.BaseModel(params, config.extractor_dims, len(STRINGS), np.random.default_rng(0))
-        return params, {**meta, "fc_dims": [4, len(STRINGS)]}
-    return rigged_lh_params(config), meta
+        return params, {**meta, "num_classes": len(STRINGS), "class_names": names,
+                        "fc_dims": [4, len(STRINGS)]}
+    return rigged_lh_params(config), {**meta, "tree": lh_tree(names)}
 
 
 @pytest.mark.parametrize("kind, edit", [
     pytest.param(kind, edit, id=f"{edit}-{kind}") for edit in sorted(META_EDITS)
-    for kind in ("base", "lh") if kind == "base" or META_EDITS[edit][0] != "fc_dims"])
+    for kind in META_KINDS.get(META_EDITS[edit][0].split(".")[0], ("base",))])
 def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_path, kind, edit):
     params, meta = checkpoint_parts(kind)
     field, value = META_EDITS[edit]
-    if field.startswith("config."):
-        meta["config"][field.removeprefix("config.")] = value
-    elif value is DROP:
-        del meta[field]
+    *keys, last = field.split(".")
+    target = meta
+    for key in keys:
+        target = target[int(key) if isinstance(target, list) else key]
+    if value is DROP:
+        del target[last]
     else:
-        meta[field] = value
-    save_checkpoint(tmp_path / "model.lhc1", params, meta)
+        target[last] = value
+    path = tmp_path / "model.lhc1"
+    save_checkpoint(path, params, meta)
     load = training.load_base_model if kind == "base" else training.load_lh_result
-    with pytest.raises(CheckpointError, match="metadata"):
-        load(tmp_path / "model.lhc1")
+    # never a bare ValueError or CollisionError: the file's own typed error, naming it
+    match = rf"^{re.escape(str(path))}: bad checkpoint metadata"
+    with pytest.raises(CheckpointError, match=match):
+        load(path)
 
 
 def test_a_base_checkpoint_whose_fc_head_does_not_start_at_the_extractor_width_is_rejected(

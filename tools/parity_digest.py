@@ -25,7 +25,12 @@ read back: the table's strings and class names, the loaded extractor's and
 LH classifier's bytes, and evaluate on the loaded model. It stays equal
 where a change alters the file's bytes but not what is read from them. The
 change that dropped Str2Class's tensors from the LH checkpoint changed
-"file lh/model.lhc1" that way, by design, and nothing else.
+"file lh/model.lhc1" that way, by design, and nothing else. The change
+that stored the table's leaves in the LH checkpoint in place of Class2Str's
+tensors changed "file lh/model.lhc1" the same way, and "lhc train-lh" by
+design too: its accuracy line also prints the restored epoch and the count
+of distinct strings. save_lh_result keeps its class_names argument, so this
+script runs on trees from before and after that change.
 """
 
 from __future__ import annotations
