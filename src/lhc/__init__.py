@@ -16,8 +16,7 @@ from .networks import (Class2StrNet, CollisionError, LhClassifierNet,
 from .nn import Adam, LstmCell, Linear, ParameterSet, load_checkpoint, save_checkpoint
 from .tree import (CanonicalForm, build_tree, canonicalize, export_tree,
                    tree_distance, tree_from_json)
-from .training import (AblationResult, BaseModel, EvalResult, RunConfig,
-                       TrainReport, ablate_random_embedding, count_params,
+from .training import (BaseModel, EvalResult, RunConfig, TrainReport, count_params,
                        evaluate, parameter_reduction, random_lookup_table,
                        sweep_string_length, train_base, train_lh)
 

@@ -20,8 +20,9 @@ computation (inference mode).
 Besides the elementwise and linear-algebra primitives there are fused
 ops with hand-written backwards, one tape entry each: `linear` (x W^T + b),
 `pair_softmax` (softmax over adjacent column pairs, the packed
-bit-distribution layout) and `sum_squares`. Each gives the same forward
-values, bit for bit, as the chain of primitives it replaces.
+bit-distribution layout), `sum_squares` and `weighted_sum` (an objective's
+weighted scalar terms). Each gives the same values, bit for bit, as the
+chain of primitives it replaces.
 `lstm_sequence` runs a whole LSTM layer's unroll as one entry, with the
 package's one hand-written LSTM backward (BPTT). Its reference is
 `lstm_cell`, one LSTM step composed of primitives: an unroll of it matches
@@ -54,13 +55,14 @@ def _active_tape():
 class Tensor:
     """Dense float64 array with an optional accumulated gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad")
+    __slots__ = ("data", "grad", "grad_view", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
         # ascontiguousarray promotes 0-d to 1-d; keep true scalars 0-d
         self.data = np.ascontiguousarray(arr) if arr.ndim else arr
         self.grad: np.ndarray | None = None
+        self.grad_view: np.ndarray | None = None  # set by nn.Adam for a trainable
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -73,10 +75,16 @@ class Tensor:
         return float(self.data.reshape(()))
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        # kept as handed over (copied only if not C-ordered) and summed out of
-        # place, since ops such as add hand one array to several operands
-        if self.grad is None:
+        # with a grad_view, the first gradient is copied in (so -0.0 survives) and later
+        # ones are added in place; without, g is kept as handed over (copied only if not
+        # C-ordered) and summed out of place, as ops such as add hand one array to several
+        if self.grad is None and self.grad_view is not None:
+            np.copyto(self.grad_view, g)
+            self.grad = self.grad_view
+        elif self.grad is None:
             self.grad = np.asarray(g, dtype=np.float64, order="C")
+        elif self.grad is self.grad_view:
+            self.grad += g
         else:
             self.grad = self.grad + g
 
@@ -548,6 +556,30 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
 
     _maybe_record(out, backward)
     return out
+
+
+def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> tuple[Tensor, list[float]]:
+    """sum_k w_k t_k over rank-0 terms, as one op; returns it and each w_k t_k as a float.
+
+    Summed pairwise, (t0 + t1) + (t2 + t3), so the value and gradients equal, bit
+    for bit, those of that chain of scale and add. Term k receives out.grad * w_k.
+    """
+    if not terms or len(terms) != len(weights) or any(t.data.ndim for t in terms):
+        raise ShapeError(f"weighted_sum: {len(weights)} weights, terms {[t.shape for t in terms]}")
+    scaled = total = [t.item() * float(w) for t, w in zip(terms, weights)]
+    while len(total) > 1:  # pairwise; an odd last value carries over
+        total = [a + b for a, b in zip(total[::2], total[1::2])] + total[len(total) // 2 * 2:]
+    out = Tensor(total[0], any(t.requires_grad for t in terms))
+
+    def backward():
+        if out.grad is None:
+            return
+        for t, w in zip(terms, weights):
+            if t.requires_grad:
+                t.accumulate_grad(out.grad * w)
+
+    _maybe_record(out, backward)
+    return out, scaled
 
 
 def sum_(a: Tensor) -> Tensor:

@@ -74,7 +74,7 @@ def cmd_train_lh(args) -> int:
     if result.table is None:  # so no checkpoint or tree for eval and export-tree to read
         print(f"warning: {extras['collision']}", file=sys.stderr)
         return 1
-    training.save_lh_result(out / "model.lhc1", result, config, train.class_names)
+    training.save_lh_result(out / "model.lhc1", result, config)
     (out / "tree.json").write_text(export_tree(result.table, "json") + "\n")
     (out / "tree.dot").write_text(export_tree(result.table, "dot"))
     return 0
@@ -101,16 +101,18 @@ def cmd_ablate(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
     base, _ = training.load_base_model(args.checkpoint)
-    result = training.ablate_random_embedding(base, train, test, config)
-    print(f"learned embedding accuracy {result.learned_accuracy:.4f}, "
-          f"random embedding accuracy {result.random_accuracy:.4f}, "
-          f"delta {result.delta:+.4f}")
+    learned = training.train_lh(base, train, config, test_ds=test).report.final_test_accuracy
+    table = training.random_lookup_table(train.num_classes, config.L, config.seed,
+                                         class_names=train.class_names)
+    random = training.train_fixed_embedding(base, train, table, config,
+                                            test_ds=test)[1].final_test_accuracy
+    print(f"learned embedding accuracy {learned:.4f}, random embedding accuracy {random:.4f}, "
+          f"delta {learned - random:+.4f}")
     if args.out:
         out = _prepare_out(args, config)
         with open(out / "ablation.json", "w") as fh:
-            json.dump({"learned_accuracy": result.learned_accuracy,
-                       "random_accuracy": result.random_accuracy,
-                       "delta": result.delta}, fh, indent=2, sort_keys=True)
+            json.dump({"learned_accuracy": learned, "random_accuracy": random,
+                       "delta": learned - random}, fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
 

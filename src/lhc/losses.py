@@ -8,9 +8,9 @@ total = alpha * H(l, l') + beta * sum_i mu^i H(p_i, q_i)
 summed as (class + string) + (bias + L2). The phase-1 objective (base_loss)
 is H(l, l') + delta * L2(W), and the fixed-table objective
 (fixed_table_loss) is beta * sum_i mu^i H(t_i, p_i) + delta * L2(W) against
-one-hot targets t; each adds its term to the L2 term. Every objective
-returns the loss tensor and its scaled term values as floats keyed by the
-columns of TERMS it has, in TERMS order, "total" last.
+one-hot targets t. Each lists its (term, weight) pairs in that order (joint_terms
+for the joint one), which weigh sums as one autodiff.weighted_sum; it returns the
+loss tensor and each weighted term as a float keyed by TERMS, "total" last.
 
 The bias term enters negated because it is a reward: it peaks when every
 bit distribution commits to 0 or 1. All batch inputs are rank-2, and bit
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, add, cross_entropy, scale, sum_squares
+from .autodiff import ShapeError, Tensor, cross_entropy, scale, sum_squares, weighted_sum
 from .nn import ParameterSet
 
 if TYPE_CHECKING:  # training imports this module
@@ -81,18 +81,17 @@ def l2_penalty(params: ParameterSet) -> Tensor:
     return sum_squares([t for _, t in trainable])
 
 
-def _plus_l2(key: str, term: Tensor, params: ParameterSet,
-             config: RunConfig) -> tuple[Tensor, dict[str, float]]:
-    """One scaled term plus the delta-weighted L2 penalty, and their values."""
-    t_l2 = scale(l2_penalty(params), config.delta)
-    loss = add(term, t_l2)
-    return loss, {key: term.item(), "term_l2": t_l2.item(), "total": loss.item()}
+def weigh(terms: dict[str, tuple[Tensor, float]]) -> tuple[Tensor, dict[str, float]]:
+    """The sum of (term, weight) pairs as one op, and each weighted term's value, then "total"."""
+    loss, scaled = weighted_sum([t for t, _ in terms.values()], [w for _, w in terms.values()])
+    return loss, {**dict(zip(terms, scaled)), "total": loss.item()}
 
 
 def base_loss(labels: Tensor, predicted: Tensor, params: ParameterSet,
               config: RunConfig) -> tuple[Tensor, dict[str, float]]:
     """Phase-1 objective: H(l, l') + delta * L2(W); alpha weighs the joint objective only."""
-    return _plus_l2("term_class", class_loss(labels, predicted), params, config)
+    return weigh({"term_class": (class_loss(labels, predicted), 1.0),
+                  "term_l2": (l2_penalty(params), config.delta)})
 
 
 def fixed_table_loss(target_bits: np.ndarray, p: Tensor, params: ParameterSet,
@@ -101,8 +100,8 @@ def fixed_table_loss(target_bits: np.ndarray, p: Tensor, params: ParameterSet,
     batch, length = target_bits.shape
     target = np.zeros((batch, 2 * length))
     target[np.arange(batch)[:, np.newaxis], 2 * np.arange(length) + target_bits] = 1.0
-    term = scale(string_target_loss(Tensor(target), p, config.mu), config.beta)
-    return _plus_l2("term_string", term, params, config)
+    return weigh({"term_string": (string_target_loss(Tensor(target), p, config.mu), config.beta),
+                  "term_l2": (l2_penalty(params), config.delta)})
 
 
 def gamma_at(config: RunConfig, epoch: int) -> float:
@@ -113,15 +112,15 @@ def gamma_at(config: RunConfig, epoch: int) -> float:
     return config.gamma * config.gamma_decay ** ((epoch - 1) // config.gamma_decay_every)
 
 
-def joint_terms(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
-                params: ParameterSet, config: RunConfig, epoch: int) -> dict[str, Tensor]:
-    """The joint objective's four scaled terms at a 1-based epoch, keyed by TERMS."""
+def joint_terms(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor, params: ParameterSet,
+                config: RunConfig, epoch: int) -> dict[str, tuple[Tensor, float]]:
+    """The joint objective's four (term, weight) pairs at a 1-based epoch, keyed by TERMS."""
     return {
-        "term_class": scale(class_loss(labels, predicted), config.alpha),
-        "term_string": scale(structured_string_loss(p, q, config.mu, config.string_ce_order),
-                             config.beta),
-        "term_bias": scale(bias_regularizer(q), -gamma_at(config, epoch)),
-        "term_l2": scale(l2_penalty(params), config.delta),
+        "term_class": (class_loss(labels, predicted), config.alpha),
+        "term_string": (structured_string_loss(p, q, config.mu, config.string_ce_order),
+                        config.beta),
+        "term_bias": (bias_regularizer(q), -gamma_at(config, epoch)),
+        "term_l2": (l2_penalty(params), config.delta),
     }
 
 
@@ -130,10 +129,7 @@ def total_loss(labels: Tensor, predicted: Tensor, p: Tensor, q: Tensor,
                epoch: int) -> tuple[Tensor, dict[str, float]]:
     """Joint objective at a 1-based epoch, which sets the bias term's gamma_at.
 
-    Returns the scalar loss tensor (for backward) and the values of
+    Returns the scalar loss tensor (for backward) and the weighted values of
     joint_terms plus "total", their sum, keyed by TERMS.
     """
-    terms = joint_terms(labels, predicted, p, q, params, config, epoch)
-    total = add(add(terms["term_class"], terms["term_string"]),
-                add(terms["term_bias"], terms["term_l2"]))
-    return total, {**{k: t.item() for k, t in terms.items()}, "total": total.item()}
+    return weigh(joint_terms(labels, predicted, p, q, params, config, epoch))

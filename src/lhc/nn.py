@@ -9,8 +9,10 @@ the phase-2 protocol keeps the feature extractor bitwise untouched.
 Linear runs as one fused autodiff op per call. LhClassifierNet runs its
 LstmCell as the cell's input product and one lstm_sequence; the cell's
 step, the primitive-composed lstm_cell, stays as the reference that op is
-tested against. Adam keeps every trainable tensor in one flat buffer, so a
-step is a fixed handful of numpy calls whatever the number of tensors.
+tested against. Adam keeps every trainable tensor's value in one flat
+vector and its gradient in another, each tensor's data and grad a view of
+its stretch, so a step is a fixed handful of numpy calls whatever the
+number of tensors.
 """
 
 from __future__ import annotations
@@ -156,15 +158,12 @@ class LstmCell:
 class Adam:
     """Adam with bias correction; frozen parameters are never touched.
 
-    The parameters trainable at construction are moved into one flat
-    buffer, flat, and each tensor's data becomes a view of its stretch of
-    it, so a step updates them all with one pass of elementwise numpy calls
-    and flat.copy() is a snapshot of every trainable value. The
-    arithmetic is elementwise, so the result equals, bit for bit, the same
-    update applied tensor by tensor. The gradient vector and two scratch
-    vectors are allocated once, here, so a step allocates nothing the size
-    of the buffer. beta1, beta2 and eps are the usual constants; only the
-    learning rate lr is a setting.
+    The parameters trainable at construction move into one flat vector,
+    flat, and their gradients into another, flat_grad: each tensor's data
+    and grad_view are views of its stretch of them. A step is then one pass
+    of elementwise numpy calls, bitwise the same update applied tensor by
+    tensor, that allocates nothing the size of flat, and flat.copy() is a
+    snapshot of every trainable value. Only the learning rate lr is a setting.
     """
 
     beta1 = 0.9
@@ -177,15 +176,13 @@ class Adam:
         self._trainable = params.trainable()
         self.flat = np.concatenate([t.data.ravel() for _, t in self._trainable]
                                    or [np.zeros(0)])
-        offset = 0
-        for _, t in self._trainable:
-            t.data = self.flat[offset:offset + t.data.size].reshape(t.data.shape)
-            offset += t.data.size
-        self._m = np.zeros_like(self.flat)
-        self._v = np.zeros_like(self.flat)
-        self._g = np.empty_like(self.flat)
-        self._a = np.empty_like(self.flat)
-        self._b = np.empty_like(self.flat)
+        self.flat_grad = np.zeros_like(self.flat)
+        bounds = np.cumsum([0] + [t.data.size for _, t in self._trainable])
+        for (_, t), lo, hi in zip(self._trainable, bounds, bounds[1:]):
+            t.data = self.flat[lo:hi].reshape(t.data.shape)
+            t.grad_view = self.flat_grad[lo:hi].reshape(t.data.shape)
+        self._m, self._v = np.zeros_like(self.flat), np.zeros_like(self.flat)
+        self._a, self._b = np.empty_like(self.flat), np.empty_like(self.flat)  # scratch
 
     def step(self) -> None:
         """theta -= lr * m_hat / (sqrt(v_hat) + eps), computed in place.
@@ -194,13 +191,12 @@ class Adam:
         m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) (g g), m_hat = m / (1 - b1^t),
         v_hat = v / (1 - b2^t), so each update is bitwise that form's.
         """
-        g, a, b, m, v = self._g, self._a, self._b, self._m, self._v
-        offset = 0
         for name, p in self._trainable:
             if p.grad is None:
                 raise MissingGradientError(f"no gradient for trainable parameter {name!r}")
-            g[offset:offset + p.data.size] = p.grad.ravel()
-            offset += p.data.size
+            if p.grad is not p.grad_view:  # assigned directly, not written by a backward
+                np.copyto(p.grad_view, p.grad)
+        g, a, b, m, v = self.flat_grad, self._a, self._b, self._m, self._v
         self.t += 1
         m *= self.beta1
         np.multiply(g, 1.0 - self.beta1, out=a)

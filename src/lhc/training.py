@@ -36,7 +36,7 @@ import numpy as np
 
 from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
 from .data import DATASETS, BatchIterator, LabeledDataset, one_hot
-from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss
+from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss, weigh
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet, Str2ClassNet,
                        StringLookupTable, hard_bits, run_in_row_blocks, strings_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
@@ -676,27 +676,6 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
                        best_epoch=best_epoch, stop_reason=stop_reason)
 
 
-@dataclass
-class AblationResult:
-    learned_accuracy: float
-    random_accuracy: float
-
-    @property
-    def delta(self) -> float:
-        return self.learned_accuracy - self.random_accuracy
-
-
-def ablate_random_embedding(base: BaseModel, train_ds: LabeledDataset,
-                            test_ds: LabeledDataset, config: RunConfig) -> AblationResult:
-    """Learned embedding vs a fixed random bijective embedding, same budget and seed."""
-    learned = train_lh(base, train_ds, config, test_ds=test_ds)
-    table = random_lookup_table(train_ds.num_classes, config.L, config.seed,
-                                class_names=train_ds.class_names)
-    _, random_report = train_fixed_embedding(base, train_ds, table, config, test_ds=test_ds)
-    return AblationResult(learned_accuracy=learned.report.final_test_accuracy,
-                          random_accuracy=random_report.final_test_accuracy)
-
-
 # ------------------------------------------------------ parameter accounting
 
 def count_params(params: ParameterSet, prefix: str) -> int:
@@ -778,19 +757,16 @@ def load_base_model(path) -> tuple[BaseModel, dict]:
     return model, meta
 
 
-def save_lh_result(path, result: LhTrainResult, config: RunConfig,
-                   class_names: list[str] | None) -> None:
+def save_lh_result(path, result: LhTrainResult, config: RunConfig) -> None:
     """Write the extractor and LH classifier tensors, and the table as tree.json's leaf list.
 
-    class_names names the leaves (None names class c "c"). A collided
-    result has no table and raises ValueError.
+    A collided result has no table and raises ValueError.
     """
     if result.table is None:
         raise ValueError(f"{path}: the run's strings collide, so it has no table to save")
-    table = StringLookupTable(result.table.class_to_string, class_names=class_names)
     saved = {n: t for n, t in result.params.items() if n.startswith(("extractor.", "lh."))}
     save_checkpoint(path, saved, {"kind": "lh", "config": config.to_dict(),
-                                  "tree": tree_obj(table)})
+                                  "tree": tree_obj(result.table)})
 
 
 @dataclass
@@ -843,8 +819,8 @@ def _adopt(dst: ParameterSet, src: ParameterSet, path) -> None:
 def gradcheck_report(seed: int, batch: int = 2) -> dict[str, float]:
     """Max relative gradient error per loss term on a toy instance, at RunConfig's weights.
 
-    Each term is checked through losses.joint_terms and the sum through
-    losses.total_loss, the code train_lh runs, at epoch 1's gamma.
+    Each term of losses.joint_terms is checked alone through losses.weigh, and the
+    sum through losses.total_loss, the code train_lh runs, at epoch 1's gamma.
     """
     num_classes, feature_dim = 4, 6
     rng = np.random.default_rng(seed)
@@ -859,12 +835,10 @@ def gradcheck_report(seed: int, batch: int = 2) -> dict[str, float]:
         return (Tensor(labels),) + phase2_forward(class2str, str2class, lh, labels, feats)
 
     def term(name):
-        return lambda: joint_terms(*graph(), params, config, 1)[name]
-
-    def loss_total():
-        return total_loss(*graph(), params, config, 1)[0]
+        return lambda: weigh({name: joint_terms(*graph(), params, config, 1)[name]})[0]
 
     tensors = [t for _, t in params.trainable()]
     errors = {name: check_param_gradients(term(name), tensors) for name in TERMS[:-1]}
-    errors["total"] = check_param_gradients(loss_total, tensors)
+    errors["total"] = check_param_gradients(lambda: total_loss(*graph(), params, config, 1)[0],
+                                            tensors)
     return errors

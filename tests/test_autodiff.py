@@ -8,7 +8,7 @@ import pytest
 from lhc.autodiff import (ShapeError, Tape, Tensor, _sigmoid, add, add_bias, concat,
                           check_param_gradients, cross_entropy, linear, lstm_cell,
                           lstm_sequence, matmul, mul, pair_softmax, reshape, scale, sigmoid, slice_, softmax,
-                          square, sum_, sum_squares, tanh, transpose)
+                          square, sum_, sum_squares, tanh, transpose, weighted_sum)
 
 
 def test_matmul_identity():
@@ -471,3 +471,59 @@ def test_sum_squares_equals_the_square_sum_add_chain():
     for g_fused, g_ref in zip(fused[1], ref[1]):
         assert g_fused.tobytes() == g_ref.tobytes()
     assert frozen.grad is None
+
+
+@pytest.mark.parametrize("weights", [(0.37, 1e-4), (1.0, 0.8, -0.1, 1e-4)])
+def test_weighted_sum_equals_the_scale_add_chain(weights):
+    for seed in range(16):
+        rng = np.random.default_rng(seed)
+        tensors = _graded(rng, *[(3, 2)] * len(weights))
+        # terms of unlike magnitudes, so that another summing order rounds differently
+        coefficients = [Tensor(rng.standard_normal((3, 2)) * 10.0 ** k)
+                        for k in range(len(tensors))]
+        scaled = []
+
+        def terms():
+            return [sum_(mul(t, c)) for t, c in zip(tensors, coefficients)]
+
+        def fused():
+            loss, values = weighted_sum(terms(), weights)
+            scaled.append(values)
+            return [loss]
+
+        def chain():
+            s = [scale(t, w) for t, w in zip(terms(), weights)]
+            scaled.append([t.item() for t in s])
+            # (t0 + t1) + (t2 + t3), as total_loss summed its four weighted terms
+            return [add(s[0], s[1]) if len(s) == 2 else add(add(s[0], s[1]), add(s[2], s[3]))]
+
+        (out,), grads = _grads(fused, tensors, seed)
+        (ref_out,), ref_grads = _grads(chain, tensors, seed)
+        assert out.tobytes() == ref_out.tobytes()
+        assert np.array(scaled[0]).tobytes() == np.array(scaled[1]).tobytes()
+        for g, g_ref in zip(grads, ref_grads):
+            assert g.tobytes() == g_ref.tobytes()
+        assert check_param_gradients(lambda: weighted_sum(terms(), weights)[0], tensors) < 1e-6
+
+
+def test_weighted_sum_takes_a_constant_term_and_a_zero_weight():
+    # Tensor(0.0) is l2_penalty's value for a set with nothing to train
+    x = Tensor([1.0, -2.0], requires_grad=True)
+    with Tape() as tape:
+        loss, scaled = weighted_sum([sum_squares([x]), Tensor(0.0)], [0.0, 1e-4])
+    assert len(tape) == 2 and loss.item() == 0.0 and scaled == [0.0, 0.0]
+    tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+    with Tape() as tape:
+        loss, scaled = weighted_sum([Tensor(2.0), Tensor(3.0)], [0.5, 2.0])
+    assert len(tape) == 0 and not loss.requires_grad and scaled == [1.0, 6.0]
+    assert loss.item() == 7.0
+
+
+def test_weighted_sum_needs_one_weight_per_rank_0_term():
+    with pytest.raises(ShapeError):
+        weighted_sum([Tensor(1.0), Tensor(2.0)], [1.0])
+    with pytest.raises(ShapeError):
+        weighted_sum([Tensor([1.0])], [1.0])
+    with pytest.raises(ShapeError):
+        weighted_sum([], [])

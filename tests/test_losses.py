@@ -10,7 +10,7 @@ from lhc.losses import (TERMS, base_loss, bias_regularizer, class_loss, fixed_ta
                         total_loss)
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet
 from lhc.nn import ParameterSet
-from lhc.training import RunConfig, phase2_forward
+from lhc.training import BaseModel, RunConfig, phase2_forward
 
 
 def bit_rows(*pairs):
@@ -222,11 +222,12 @@ class TestGammaSchedule:
 
     def test_one_training_step_records_a_fixed_number_of_tape_entries(self):
         # fused Linear, pair softmax and sum of squares, two matmuls that
-        # gather the per-class q and l' rows to the samples, and six for the
+        # gather the per-class q and l' rows to the samples, six for the
         # LH classifier whatever L is: projection, input product, one
         # lstm_sequence for the whole unroll, one head linear over every
-        # step's hidden state, and the reshape to (B, 2L) before pair_softmax
-        for num_classes, length, expected in ((8, 4, 30), (32, 8, 30)):
+        # step's hidden state, and the reshape to (B, 2L) before pair_softmax,
+        # and one weighted_sum for the four weighted terms
+        for num_classes, length, expected in ((8, 4, 24), (32, 8, 24)):
             rng = np.random.default_rng(0)
             params = ParameterSet()
             c2s = Class2StrNet(params, num_classes, length, rng, hidden_dim=16)
@@ -237,6 +238,24 @@ class TestGammaSchedule:
                 l_prime, p, q = phase2_forward(c2s, s2c, lh, labels, rng.standard_normal((5, 6)))
                 total_loss(Tensor(labels), l_prime, p, q, params, RunConfig(L=length), 1)
             assert len(tape) == expected
+        # the other two objectives end in cross_entropy, its batch mean, the L2
+        # sum of squares and weighted_sum: a base step adds them to the
+        # extractor's linear, tanh and linear and the FC head's linear and
+        # softmax (9), a fixed-table step to the LH classifier's six (10)
+        rng = np.random.default_rng(1)
+        params = ParameterSet()
+        model = BaseModel(params, [6, 8, 4], 3, rng)
+        with Tape() as tape:
+            base_loss(Tensor(one_hot(np.array([0, 2, 1]), 3)),
+                      model.forward(Tensor(rng.standard_normal((3, 6)))), params, RunConfig())
+        assert len(tape) == 9
+        params = ParameterSet()
+        lh = LhClassifierNet(params, 6, 8, 3, rng)
+        with Tape() as tape:
+            fixed_table_loss(np.array([[0, 1, 1], [1, 0, 0]]),
+                             lh.forward(Tensor(rng.standard_normal((2, 6)))), params,
+                             RunConfig(L=3))
+        assert len(tape) == 10
 
 
 class TestStringTargetLoss:

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from lhc.autodiff import Tape, Tensor, check_param_gradients, mul, sum_
+from lhc.autodiff import Tape, Tensor, add, check_param_gradients, mul, scale, sum_
 from lhc.nn import (Adam, CheckpointError, Linear, LstmCell, MissingGradientError,
                     ParameterSet, load_checkpoint, save_checkpoint, xavier_uniform)
 
@@ -217,6 +217,57 @@ class TestAdam:
         adam.step()
         _, peak = peak_traced_bytes(adam.step)
         assert peak < adam.flat.nbytes
+
+    def test_a_backward_writes_every_gradient_into_adams_flat_vector(self):
+        def run(assign):
+            rng = np.random.default_rng(9)
+            params = ParameterSet()
+            layer = Linear(params, "fc", 3, 2, rng)
+            Linear(params, "frozen", 3, 3, rng)
+            params.freeze(params.names_with_prefix("frozen."))
+            adam = Adam(params, lr=1e-2)
+            for _ in range(3):
+                with Tape() as tape:
+                    out = sum_(mul(layer(Tensor(rng.standard_normal((4, 3)))),
+                                   Tensor(rng.standard_normal((4, 2)))))
+                tape.backward(out)
+                for _, p in params.trainable():
+                    assert np.shares_memory(p.grad, adam.flat_grad)
+                    if assign:  # a .grad assigned directly is copied in by step
+                        p.grad = p.grad.copy()
+                adam.step()
+                adam.zero_grad()
+            return params.tobytes()
+
+        assert run(assign=False) == run(assign=True)
+
+    def test_a_first_gradient_of_negative_zero_stays_negative_zero(self):
+        params = ParameterSet()
+        p = params.add("w", np.array([1.0, 2.0]))
+        adam = Adam(params, lr=0.1)
+        for factor in ([3.0, 3.0], [-0.0, 0.0]):  # the first leaves 3.0 in the flat vector
+            adam.zero_grad()
+            with Tape() as tape:
+                out = sum_(mul(p, Tensor(factor)))
+            tape.backward(out)
+        # copied, not added to the last step's 3.0 or to zeros: 0.0 + -0.0 is +0.0
+        assert np.signbit(p.grad).tolist() == [True, False] and p.grad.tolist() == [0.0, 0.0]
+        assert np.shares_memory(p.grad, adam.flat_grad)
+
+    def test_an_array_add_hands_to_two_trainables_is_not_written_into(self):
+        params = ParameterSet()
+        a = params.add("a", np.array([1.0, 2.0]))
+        b = params.add("b", np.array([3.0, 4.0]))
+        Adam(params, lr=0.1)
+        with Tape() as tape:
+            u = scale(a, 3.0)  # recorded first, so `a` receives it last in backward
+            s = add(a, b)
+            y = add(sum_(s), sum_(u))
+        tape.backward(y)
+        np.testing.assert_array_equal(s.grad, [1.0, 1.0])  # the array add handed to a and b
+        np.testing.assert_array_equal(a.grad, [4.0, 4.0])
+        np.testing.assert_array_equal(b.grad, [1.0, 1.0])
+        assert not np.shares_memory(a.grad, s.grad) and not np.shares_memory(b.grad, s.grad)
 
     def test_step_counter_increments_once_per_update(self):
         params = ParameterSet()

@@ -166,10 +166,9 @@ def lh_run(planted):
     return base, config, training.train_lh(base, ds, config)
 
 
-def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(planted, lh_run, tmp_path):
-    ds = planted[0]
+def test_an_lh_checkpoint_records_its_sizes_in_its_config_only(lh_run, tmp_path):
     base, config, result = lh_run
-    training.save_lh_result(tmp_path / "model.lhc1", result, config, ds.class_names)
+    training.save_lh_result(tmp_path / "model.lhc1", result, config)
     _, meta = load_checkpoint(tmp_path / "model.lhc1")
     assert set(meta) == {"kind", "config", "tree"}
     loaded = training.load_lh_result(tmp_path / "model.lhc1")
@@ -184,7 +183,7 @@ def test_an_lh_checkpoint_holds_the_extractor_the_lh_classifier_and_the_leaves_o
     # Class2Str and Str2Class only train: eval and export-tree read the other two modules,
     # and the table as tree.json's leaf list
     _, config, result = lh_run
-    training.save_lh_result(tmp_path / "model.lhc1", result, config, None)
+    training.save_lh_result(tmp_path / "model.lhc1", result, config)
     saved, meta = load_checkpoint(tmp_path / "model.lhc1")
     names = [n for n in result.params.names() if n.startswith(("extractor.", "lh."))]
     assert saved.names() == names
@@ -214,7 +213,8 @@ def test_an_lh_checkpoint_in_the_layout_that_kept_str2class_is_rejected(lh_run, 
 
 def test_load_lh_result_builds_no_class2str(lh_run, tmp_path, monkeypatch):
     _, config, result = lh_run
-    training.save_lh_result(tmp_path / "model.lhc1", result, config, ["w", "x", "y", "z"])
+    named = StringLookupTable(result.table.class_to_string, class_names=["w", "x", "y", "z"])
+    training.save_lh_result(tmp_path / "model.lhc1", replace(result, table=named), config)
 
     def no_class2str(*args, **kwargs):
         raise AssertionError("load_lh_result built a Class2StrNet")
@@ -229,7 +229,7 @@ def test_load_lh_result_builds_no_class2str(lh_run, tmp_path, monkeypatch):
 def test_a_collided_result_is_not_saved(lh_run, tmp_path):
     _, config, result = lh_run
     with pytest.raises(ValueError, match="collide"):
-        training.save_lh_result(tmp_path / "model.lhc1", replace(result, table=None), config, None)
+        training.save_lh_result(tmp_path / "model.lhc1", replace(result, table=None), config)
     assert not (tmp_path / "model.lhc1").exists()
 
 

@@ -29,8 +29,12 @@ change that dropped Str2Class's tensors from the LH checkpoint changed
 that stored the table's leaves in the LH checkpoint in place of Class2Str's
 tensors changed "file lh/model.lhc1" the same way, and "lhc train-lh" by
 design too: its accuracy line also prints the restored epoch and the count
-of distinct strings. save_lh_result keeps its class_names argument, so this
-script runs on trees from before and after that change.
+of distinct strings. The change that dropped save_lh_result's class_names
+argument (the table names its classes) and made Adam's flat gradient
+vector the record of every gradient, with the objectives summed by one
+weighted_sum op, alters no digest. The round trip passes class_names only
+where save_lh_result still takes it, so this script runs on trees from
+before and after that change.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import contextlib
 import gzip
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -128,7 +133,9 @@ def lh_round_trip(root: Path) -> None:
     if result.table is None:
         raise RuntimeError("the round-trip run collided; pick a seed with one string per class")
     path = root / "round-trip.lhc1"
-    training.save_lh_result(path, result, config, train.class_names)
+    names = ((train.class_names,)
+             if len(inspect.signature(training.save_lh_result).parameters) == 4 else ())
+    training.save_lh_result(path, result, config, *names)
     loaded = training.load_lh_result(path)
     emit(f"{name} L={length} lh checkpoint round trip",
          sorted(loaded.table.class_to_string.items()), loaded.table.class_names,
