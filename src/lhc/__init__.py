@@ -17,7 +17,7 @@ from .nn import Adam, LstmCell, Linear, ParameterSet, load_checkpoint, save_chec
 from .tree import (CanonicalForm, build_tree, canonicalize, export_tree,
                    tree_distance, tree_from_json)
 from .training import (BaseModel, EvalResult, RunConfig, TrainReport, count_params,
-                       evaluate, parameter_reduction, random_lookup_table,
-                       sweep_string_length, train_base, train_lh)
+                       evaluate, parameter_reduction, random_lookup_table, train_base,
+                       train_lh)
 
 __version__ = "0.1.0"

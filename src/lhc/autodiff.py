@@ -4,7 +4,8 @@ Rank 0-2 tensors, row-major, no broadcasting: every op states exactly
 which shapes it accepts and raises ShapeError otherwise. Ops executed
 while a Tape is active append their adjoint closures to it; Tape.backward
 replays the closures once, in reverse execution order, accumulating
-gradients into every tensor with requires_grad set.
+gradients into every tensor with requires_grad set. It alone skips an op
+whose output received no gradient, such as a branch the root never reads.
 
 Typical use::
 
@@ -100,9 +101,11 @@ class Tape:
 
     Entries are appended in execution order, which is automatically a
     topological order of the graph, so a single reversed sweep suffices.
-    backward() consumes a tape, once, and drops its closures with their
-    arrays. A thread has at most one active tape: entering a second raises
-    RuntimeError, and ops on one thread never record onto another thread's tape.
+    It runs an entry, an op's backward closure, only once the op's output
+    (the closure's .out) holds a gradient. backward() consumes a tape, once,
+    and drops its closures with their arrays. A thread has at most one active
+    tape: entering a second raises RuntimeError, and ops on one thread never
+    record onto another thread's tape.
     """
 
     def __init__(self):
@@ -132,12 +135,19 @@ class Tape:
         entries, self._entries = self._entries, None
         root.accumulate_grad(np.ones_like(root.data))
         for fn in reversed(entries):
-            fn()
+            if fn.out.grad is not None:  # else nothing downstream read the op's output
+                fn()
 
 
 def _maybe_record(out: Tensor, backward_fn: Callable[[], None]) -> None:
+    """Record backward_fn on the active tape, if any, when out requires a gradient.
+
+    out rides on the closure as .out for Tape.backward: bench/tracer.py wraps record, which takes
+    the closure alone, and wraps the closure with functools.wraps, which copies that attribute.
+    """
     tape = _active_tape()
     if tape is not None and out.requires_grad:
+        backward_fn.out = out
         tape.record(backward_fn)
 
 
@@ -156,8 +166,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, a.requires_grad or b.requires_grad)
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
             a.accumulate_grad(out.grad @ b.data.T)
         if b.requires_grad:
@@ -173,7 +181,7 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T, a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             a.accumulate_grad(out.grad.T)
 
     _maybe_record(out, backward)
@@ -185,8 +193,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data + b.data, a.requires_grad or b.requires_grad)
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
             a.accumulate_grad(out.grad)
         if b.requires_grad:
@@ -201,8 +207,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data * b.data, a.requires_grad or b.requires_grad)
 
     def backward():
-        if out.grad is None:
-            return
         if a.requires_grad:
             a.accumulate_grad(out.grad * b.data)
         if b.requires_grad:
@@ -217,7 +221,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c, a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             a.accumulate_grad(out.grad * c)
 
     _maybe_record(out, backward)
@@ -231,8 +235,6 @@ def add_bias(m: Tensor, v: Tensor) -> Tensor:
     out = Tensor(m.data + v.data[np.newaxis, :], m.requires_grad or v.requires_grad)
 
     def backward():
-        if out.grad is None:
-            return
         if m.requires_grad:
             m.accumulate_grad(out.grad)
         if v.requires_grad:
@@ -259,8 +261,6 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
     def backward():
         g = out.grad
-        if g is None:
-            return
         if b.requires_grad:
             b.accumulate_grad(g.sum(axis=0))
         if x.requires_grad:
@@ -285,7 +285,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(_sigmoid(a.data), a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
 
     _maybe_record(out, backward)
@@ -397,8 +397,6 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int) -> Tensor:
     out = Tensor(hs.reshape(batch * steps, n), needs_grad)
 
     def backward():
-        if out.grad is None:
-            return
         ifog = _ifog(n)
         wp = wn.copy()  # W_h's permuted rows, signs restored exactly
         np.negative(wp[:3 * n], out=wp[:3 * n])
@@ -459,7 +457,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data), a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             a.accumulate_grad(out.grad * (1.0 - out.data * out.data))
 
     _maybe_record(out, backward)
@@ -470,7 +468,7 @@ def square(a: Tensor) -> Tensor:
     out = Tensor(a.data * a.data, a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             a.accumulate_grad(out.grad * 2.0 * a.data)
 
     _maybe_record(out, backward)
@@ -489,8 +487,6 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     offsets = np.cumsum([p.data.shape[axis] for p in parts])[:-1]
 
     def backward():
-        if out.grad is None:
-            return
         for p, seg in zip(parts, np.split(out.grad, offsets, axis=axis)):
             if p.requires_grad:
                 p.accumulate_grad(seg)
@@ -510,7 +506,7 @@ def slice_(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[index].copy(), a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             g = np.zeros_like(a.data)
             g[index] = out.grad
             a.accumulate_grad(g)
@@ -526,7 +522,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(a.data.reshape(shape), a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             a.accumulate_grad(out.grad.reshape(a.data.shape))
 
     _maybe_record(out, backward)
@@ -547,8 +543,6 @@ def sum_squares(tensors: Sequence[Tensor]) -> Tensor:
     out = Tensor(total, any(t.requires_grad for t in tensors))
 
     def backward():
-        if out.grad is None:
-            return
         g2 = out.grad.item() * 2.0
         for t in tensors:
             if t.requires_grad:
@@ -572,8 +566,6 @@ def weighted_sum(terms: Sequence[Tensor], weights: Sequence[float]) -> tuple[Ten
     out = Tensor(total[0], any(t.requires_grad for t in terms))
 
     def backward():
-        if out.grad is None:
-            return
         for t, w in zip(terms, weights):
             if t.requires_grad:
                 t.accumulate_grad(out.grad * w)
@@ -587,7 +579,7 @@ def sum_(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), a.requires_grad)
 
     def backward():
-        if out.grad is not None and a.requires_grad:
+        if a.requires_grad:
             a.accumulate_grad(np.full_like(a.data, out.grad.item()))
 
     _maybe_record(out, backward)
@@ -629,7 +621,7 @@ def softmax(a: Tensor) -> Tensor:
     out = Tensor(s, a.requires_grad)
 
     def backward():
-        if out.grad is None or not a.requires_grad:
+        if not a.requires_grad:
             return
         g = out.grad
         dot = (g * out.data).sum(axis=-1, keepdims=True)
@@ -666,7 +658,7 @@ def pair_softmax(a: Tensor) -> Tensor:
     out = Tensor(s, a.requires_grad)
 
     def backward():
-        if out.grad is None or not a.requires_grad:
+        if not a.requires_grad:
             return
         g = out.grad
         g0, g1 = g[:, 0::2], g[:, 1::2]
@@ -700,8 +692,6 @@ def cross_entropy(target: Tensor, pred: Tensor, weights: np.ndarray | None = Non
     out = Tensor(-(t * log_p).sum(), target.requires_grad or pred.requires_grad)
 
     def backward():
-        if out.grad is None:
-            return
         g = out.grad.item()
         if pred.requires_grad:
             active = pred.data >= LOG_EPS  # floored entries carry no gradient

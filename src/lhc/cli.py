@@ -101,18 +101,20 @@ def cmd_ablate(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
     base, _ = training.load_base_model(args.checkpoint)
-    learned = training.train_lh(base, train, config, test_ds=test).report.final_test_accuracy
+    result = training.train_lh(base, train, config, test_ds=test)
+    learned, collision = result.report.final_test_accuracy, result.table is None
     table = training.random_lookup_table(train.num_classes, config.L, config.seed,
                                          class_names=train.class_names)
     random = training.train_fixed_embedding(base, train, table, config,
                                             test_ds=test)[1].final_test_accuracy
-    print(f"learned embedding accuracy {learned:.4f}, random embedding accuracy {random:.4f}, "
-          f"delta {learned - random:+.4f}")
+    print(f"learned embedding accuracy {learned:.4f}" + (" (collision)" if collision else "")
+          + f", random embedding accuracy {random:.4f}, delta {learned - random:+.4f}")
     if args.out:
         out = _prepare_out(args, config)
         with open(out / "ablation.json", "w") as fh:
-            json.dump({"learned_accuracy": learned, "random_accuracy": random,
-                       "delta": learned - random}, fh, indent=2, sort_keys=True)
+            json.dump({"learned_accuracy": learned, "learned_collision": collision,
+                       "random_accuracy": random, "delta": learned - random},
+                      fh, indent=2, sort_keys=True)
             fh.write("\n")
     return 0
 
@@ -122,15 +124,18 @@ def cmd_sweep_l(args) -> int:
     train, test = _load_split_datasets(config, args.data_dir)
     base, _ = training.load_base_model(args.checkpoint)
     l_values = [int(v) for v in args.l_values.split(",")]
-    points = training.sweep_string_length(base, train, test, l_values, config)
+    for length in l_values:  # every length is checked before the first run
+        training.check_string_length(train.num_classes, length)
+    points = []  # (L, test accuracy, collision)
+    for length in l_values:
+        result = training.train_lh(base, train, replace(config, L=length), test_ds=test)
+        points.append((length, result.report.final_test_accuracy, result.table is None))
     out = _prepare_out(args, config)
     with open(out / "sweep.csv", "w") as fh:
         fh.write("L,accuracy,collision\n")
-        for point in points:
-            fh.write(f"{point['L']},{point['accuracy']!r},{int(point['collision'])}\n")
-    for point in points:
-        print(f"L={point['L']}: accuracy {point['accuracy']:.4f}"
-              + (" (collision)" if point["collision"] else ""))
+        for length, accuracy, collision in points:
+            fh.write(f"{length},{accuracy!r},{int(collision)}\n")
+            print(f"L={length}: accuracy {accuracy:.4f}" + (" (collision)" if collision else ""))
     return 0
 
 

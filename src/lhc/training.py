@@ -1,5 +1,5 @@
-"""Two-phase training, evaluation, parameter accounting, the random-embedding
-ablation and the string-length sweep.
+"""Two-phase training, evaluation, parameter accounting and the random-embedding
+ablation.
 
 Phase 1 (train_base) trains the extractor with its FC head. Phase 2
 (train_lh) trains the LH classifier jointly with Class2Str and Str2Class
@@ -30,7 +30,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -92,7 +92,7 @@ def _check_max_length(string_length: int) -> None:
                          f"{MAX_STRING_LENGTH}")
 
 
-def _check_string_length(num_classes: int, string_length: int) -> None:
+def check_string_length(num_classes: int, string_length: int) -> None:
     """Raise ValueError unless there are >= 2 classes and L-bit strings can name each one.
 
     L must also be at most MAX_STRING_LENGTH.
@@ -545,7 +545,7 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     """
     _check_test_split(train_ds, test_ds)
     num_classes = train_ds.num_classes
-    _check_string_length(num_classes, config.L)
+    check_string_length(num_classes, config.L)
     start = time.perf_counter()
     rng = np.random.default_rng(config.seed)
 
@@ -625,7 +625,7 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
 def random_lookup_table(num_classes: int, string_length: int, seed: int,
                         class_names: list[str] | None = None) -> StringLookupTable:
     """Uniform random one-to-one class-to-string table (rejection sampling)."""
-    _check_string_length(num_classes, string_length)
+    check_string_length(num_classes, string_length)
     rng = np.random.default_rng(seed)
     space = 2 ** string_length
     taken: set[int] = set()
@@ -686,25 +686,6 @@ def count_params(params: ParameterSet, prefix: str) -> int:
 def parameter_reduction(reference: int, compressed: int) -> float:
     """Fractional reduction 1 - compressed/reference."""
     return 1.0 - compressed / reference
-
-
-# ------------------------------------------------------------------- sweep
-
-def sweep_string_length(base: BaseModel, train_ds: LabeledDataset,
-                        test_ds: LabeledDataset, l_values: list[int],
-                        config: RunConfig) -> list[dict]:
-    """Retrain the phase-2 trio per string length, report test accuracy.
-
-    Every length is checked before the first run.
-    """
-    for l in l_values:
-        _check_string_length(train_ds.num_classes, l)
-    points = []
-    for l in l_values:
-        result = train_lh(base, train_ds, replace(config, L=l), test_ds=test_ds)
-        points.append({"L": l, "accuracy": result.report.final_test_accuracy,
-                       "collision": result.table is None})
-    return points
 
 
 # ------------------------------------------------------------- checkpoints
@@ -780,9 +761,9 @@ class LhArtifacts:
 def load_lh_result(path) -> LhArtifacts:
     """An lh checkpoint's model, and its table, read from the leaf list by tree.tree_from_obj.
 
-    Leaves that fail that check, or whose ids are not 0..C-1 or strings not
-    config.L bits long, raise CheckpointError, as does a file in an older
-    layout, which holds class2str.* (and before that str2class.*) tensors.
+    Leaves that fail that check or _check_table_fits (ids 0..C-1, config.L-bit
+    strings) raise CheckpointError, as does a file in an older layout, which
+    holds class2str.* (and before that str2class.*) tensors.
     """
     params, meta, config = _load_run_checkpoint(path, "lh")
     rng = np.random.default_rng(0)
@@ -792,10 +773,7 @@ def load_lh_result(path) -> LhArtifacts:
     _adopt(fresh, params, path)
     try:
         table = tree_from_obj(meta.get("tree"))
-        if list(table.class_to_string) != list(range(table.num_classes)):
-            raise ValueError(f"class ids are not 0..{table.num_classes - 1}")
-        if table.string_length != config.L:
-            raise ValueError(f"strings have {table.string_length} bits, but config L={config.L}")
+        _check_table_fits(table, table.num_classes, config.L)
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: tree: {exc}") from exc
     return LhArtifacts(extractor=extractor, lh=lh, table=table, config=config)

@@ -1,3 +1,4 @@
+import functools
 import math
 import threading
 import weakref
@@ -204,6 +205,41 @@ def test_a_consumed_tape_frees_its_closures_and_their_arrays():
     tape.backward(y)
     assert alive() is None and len(tape) == 0
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def _record_wrapped(record):
+    """Tape.record that records each closure inside a functools.wraps wrapper, as a tracer does."""
+    def wrapping_record(self, backward_fn):
+        return record(self, functools.wraps(backward_fn)(lambda: backward_fn()))
+
+    return wrapping_record
+
+
+@pytest.mark.parametrize("wrapped", [False, True])
+def test_the_tape_skips_an_op_whose_output_received_no_gradient(monkeypatch, wrapped):
+    # a dead branch is recorded, and its backward would fail on the None gradient
+    # of its output, so the tape must skip it; the used inputs' gradients are
+    # bitwise those of the graph without the branch
+    if wrapped:
+        monkeypatch.setattr(Tape, "record", _record_wrapped(Tape.record))
+    rng = np.random.default_rng(0)
+    x_np, w_np = rng.standard_normal((3, 4)), rng.standard_normal((4, 2))
+
+    def run(dead_branch):
+        x, w = Tensor(x_np, requires_grad=True), Tensor(w_np, requires_grad=True)
+        with Tape() as tape:
+            h = matmul(x, w)
+            if dead_branch:
+                tanh(h)
+                scale(x, 2.0)
+            loss = sum_(square(h))
+        entries = len(tape)
+        tape.backward(loss)
+        return entries, x.grad.tobytes(), w.grad.tobytes()
+
+    live, dead = run(False), run(True)
+    assert dead[0] == live[0] + 2
+    assert dead[1:] == live[1:]
 
 
 def test_backward_needs_scalar_root():

@@ -358,11 +358,22 @@ def test_sweep_l_rejects_a_too_short_length_before_any_training(run, monkeypatch
     assert not (root / "sweep-short").exists()
 
 
-def test_ablate_writes_learned_minus_random(run):
+@pytest.mark.parametrize("length, collides", [(2, True), (3, False)])
+def test_ablate_writes_learned_minus_random(run, tmp_path, capsys, length, collides):
     root, _ = run
-    code = main(["ablate", "--config", str(root / "config.json"), "--data-dir",
-                 str(root / "data"), "--checkpoint", str(root / "base" / "model.lhc1"),
-                 "--out", str(root / "ablate")])
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**CONFIG, "L": length}))
+    capsys.readouterr()
+    code = main(["ablate", "--config", str(config), "--data-dir", str(root / "data"),
+                 "--checkpoint", str(root / "base" / "model.lhc1"),
+                 "--out", str(tmp_path / "out")])
     assert code == 0
-    result = json.loads((root / "ablate" / "ablation.json").read_text())
+    result = json.loads((tmp_path / "out" / "ablation.json").read_text())
     assert result["delta"] == result["learned_accuracy"] - result["random_accuracy"]
+    # a collided learned encoding is recorded as collided, as sweep-l's collision column does
+    run_config = training.RunConfig.from_dict({**CONFIG, "L": length})
+    base, _ = training.load_base_model(root / "base" / "model.lhc1")
+    train = data.load_split(run_config.dataset, root / "data", "train")
+    assert (training.train_lh(base, train, run_config).table is None) is collides
+    assert result["learned_collision"] is collides
+    assert ("(collision)" in capsys.readouterr().out) is collides

@@ -65,3 +65,32 @@ def test_every_run_config_field_is_read_outside_run_config():
             for node in ast.walk(top)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert sorted(fields - read) == []
+
+
+def _is_out_grad(node: ast.AST) -> bool:
+    """Whether node reads an op output's gradient: out.grad, or x.out.grad."""
+    return (isinstance(node, ast.Attribute) and node.attr == "grad"
+            and (isinstance(node.value, ast.Name) and node.value.id == "out"
+                 or isinstance(node.value, ast.Attribute) and node.value.attr == "out"))
+
+
+def test_only_the_tape_tests_whether_an_ops_output_received_a_gradient():
+    # Tape.backward skips an op whose output got no gradient; an op's backward
+    # that tests that again, on out.grad or a local copy (g = out.grad), is a
+    # second home for the decision
+    tree = ast.parse((SRC / "autodiff.py").read_text())
+    tape = next(node for node in tree.body if isinstance(node, ast.ClassDef)
+                and node.name == "Tape")
+    tape_backward = next(node for node in tape.body if isinstance(node, ast.FunctionDef)
+                         and node.name == "backward")
+    copies = {target.id for node in ast.walk(tree) if isinstance(node, ast.Assign)
+              and _is_out_grad(node.value) for target in node.targets
+              if isinstance(target, ast.Name)}
+    tests = [node for node in ast.walk(tree) if isinstance(node, ast.Compare)
+             and any(isinstance(o, ast.Constant) and o.value is None
+                     for o in [node.left, *node.comparators])
+             and any(_is_out_grad(o) or isinstance(o, ast.Name) and o.id in copies
+                     for o in [node.left, *node.comparators])]
+    in_tape = set(ast.walk(tape_backward))
+    assert [node.lineno for node in tests if node not in in_tape] == []
+    assert any(node in in_tape for node in tests), "Tape.backward no longer tests out.grad"

@@ -14,27 +14,16 @@ train_fixed_embedding at the bench's train-d3 and train-d5-L8 shapes (fewer
 rows and epochs), seeds 1-2; predict_bits; evaluate; gradcheck_report at
 seeds 0-2; load_mnist of a synthetic IDX pair, plain and gzipped; and the
 stdout, stderr and written files of the lhc commands synth-gen, train-base,
-train-lh, eval, export-tree and gradcheck (report.json without its
-wall-clock field). gamma decays every 2 phase-2 epochs of 4, so the
-schedule is covered too. Only APIs that have not changed in a long while
+train-lh, eval, export-tree, gradcheck, sweep-l and ablate (report.json
+without its wall-clock field). gamma decays every 2 phase-2 epochs of 4, so
+the schedule is covered too. Only APIs that have not changed in a long while
 are called, so that a parent tree runs it as well.
 
 An LH checkpoint round trip (save_lh_result, then load_lh_result) of a
 train_lh run with one string per class digests what eval and export-tree
 read back: the table's strings and class names, the loaded extractor's and
 LH classifier's bytes, and evaluate on the loaded model. It stays equal
-where a change alters the file's bytes but not what is read from them. The
-change that dropped Str2Class's tensors from the LH checkpoint changed
-"file lh/model.lhc1" that way, by design, and nothing else. The change
-that stored the table's leaves in the LH checkpoint in place of Class2Str's
-tensors changed "file lh/model.lhc1" the same way, and "lhc train-lh" by
-design too: its accuracy line also prints the restored epoch and the count
-of distinct strings. The change that dropped save_lh_result's class_names
-argument (the table names its classes) and made Adam's flat gradient
-vector the record of every gradient, with the objectives summed by one
-weighted_sum op, alters no digest. The round trip passes class_names only
-where save_lh_result still takes it, so this script runs on trees from
-before and after that change.
+where a change alters the file's bytes but not what is read from them.
 """
 
 from __future__ import annotations
@@ -42,7 +31,6 @@ from __future__ import annotations
 import contextlib
 import gzip
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -133,9 +121,7 @@ def lh_round_trip(root: Path) -> None:
     if result.table is None:
         raise RuntimeError("the round-trip run collided; pick a seed with one string per class")
     path = root / "round-trip.lhc1"
-    names = ((train.class_names,)
-             if len(inspect.signature(training.save_lh_result).parameters) == 4 else ())
-    training.save_lh_result(path, result, config, *names)
+    training.save_lh_result(path, result, config)
     loaded = training.load_lh_result(path)
     emit(f"{name} L={length} lh checkpoint round trip",
          sorted(loaded.table.class_to_string.items()), loaded.table.class_names,
@@ -184,16 +170,19 @@ def commands(root: Path) -> None:
     run_cli(root, "synth-gen", "synth-gen", "--depth", "2", "--feature-dim", "6",
             "--samples-per-class", "30", "--seed", "3", "--out", str(root / "synth"))
     common = ["--config", str(config), "--data-dir", str(root / "synth")]
+    base = ["--checkpoint", str(root / "base" / "model.lhc1")]
     run_cli(root, "train-base", "train-base", *common, "--out", str(root / "base"))
-    run_cli(root, "train-lh", "train-lh", *common, "--checkpoint",
-            str(root / "base" / "model.lhc1"), "--out", str(root / "lh"))
+    run_cli(root, "train-lh", "train-lh", *common, *base, "--out", str(root / "lh"))
     checkpoint = str(root / "lh" / "model.lhc1")
     run_cli(root, "eval", "eval", "--checkpoint", checkpoint, "--data-dir", str(root / "synth"))
     for fmt in ("dot", "json"):
         run_cli(root, f"export-tree {fmt}", "export-tree", "--checkpoint", checkpoint,
                 "--format", fmt)
     run_cli(root, "gradcheck", "gradcheck", "--seed", "1")
-    for sub in ("synth", "base", "lh"):
+    run_cli(root, "sweep-l", "sweep-l", *common, *base, "--l-values", "2,3",
+            "--out", str(root / "sweep"))
+    run_cli(root, "ablate", "ablate", *common, *base, "--out", str(root / "ablate"))
+    for sub in ("synth", "base", "lh", "sweep", "ablate"):
         for path in sorted((root / sub).iterdir()):
             body = path.read_bytes()
             if path.name == "report.json":
