@@ -142,6 +142,8 @@ class Tape:
 def _maybe_record(out: Tensor, backward_fn: Callable[[], None]) -> None:
     """Record backward_fn on the active tape, if any, when out requires a gradient.
 
+    A one-input op is recorded only if its input requires a gradient, which its backward relies on.
+
     out rides on the closure as .out for Tape.backward: bench/tracer.py wraps record, which takes
     the closure alone, and wraps the closure with functools.wraps, which copies that attribute.
     """
@@ -181,8 +183,7 @@ def transpose(a: Tensor) -> Tensor:
     out = Tensor(a.data.T, a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.T)
+        a.accumulate_grad(out.grad.T)
 
     _maybe_record(out, backward)
     return out
@@ -221,8 +222,7 @@ def scale(a: Tensor, c: float) -> Tensor:
     out = Tensor(a.data * c, a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * c)
+        a.accumulate_grad(out.grad * c)
 
     _maybe_record(out, backward)
     return out
@@ -285,8 +285,7 @@ def sigmoid(a: Tensor) -> Tensor:
     out = Tensor(_sigmoid(a.data), a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
+        a.accumulate_grad(out.grad * out.data * (1.0 - out.data))
 
     _maybe_record(out, backward)
     return out
@@ -457,8 +456,7 @@ def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data), a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * (1.0 - out.data * out.data))
+        a.accumulate_grad(out.grad * (1.0 - out.data * out.data))
 
     _maybe_record(out, backward)
     return out
@@ -468,8 +466,7 @@ def square(a: Tensor) -> Tensor:
     out = Tensor(a.data * a.data, a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad * 2.0 * a.data)
+        a.accumulate_grad(out.grad * 2.0 * a.data)
 
     _maybe_record(out, backward)
     return out
@@ -506,10 +503,9 @@ def slice_(a: Tensor, axis: int, start: int, stop: int) -> Tensor:
     out = Tensor(a.data[index].copy(), a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            g = np.zeros_like(a.data)
-            g[index] = out.grad
-            a.accumulate_grad(g)
+        g = np.zeros_like(a.data)
+        g[index] = out.grad
+        a.accumulate_grad(g)
 
     _maybe_record(out, backward)
     return out
@@ -522,8 +518,7 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     out = Tensor(a.data.reshape(shape), a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(a.data.shape))
+        a.accumulate_grad(out.grad.reshape(a.data.shape))
 
     _maybe_record(out, backward)
     return out
@@ -579,8 +574,7 @@ def sum_(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum(), a.requires_grad)
 
     def backward():
-        if a.requires_grad:
-            a.accumulate_grad(np.full_like(a.data, out.grad.item()))
+        a.accumulate_grad(np.full_like(a.data, out.grad.item()))
 
     _maybe_record(out, backward)
     return out
@@ -621,8 +615,6 @@ def softmax(a: Tensor) -> Tensor:
     out = Tensor(s, a.requires_grad)
 
     def backward():
-        if not a.requires_grad:
-            return
         g = out.grad
         dot = (g * out.data).sum(axis=-1, keepdims=True)
         a.accumulate_grad(out.data * (g - dot))
@@ -658,8 +650,6 @@ def pair_softmax(a: Tensor) -> Tensor:
     out = Tensor(s, a.requires_grad)
 
     def backward():
-        if not a.requires_grad:
-            return
         g = out.grad
         g0, g1 = g[:, 0::2], g[:, 1::2]
         dot = g0 * s0

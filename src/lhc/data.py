@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .networks import StringLookupTable
+from .networks import StringLookupTable, check_class_names
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -37,6 +37,17 @@ LHF1_MAX_CLASSES = 0xFFFF  # LHF1 labels are u16
 
 class DataFormatError(ValueError):
     """A dataset file violates its declared format."""
+
+
+def is_count(value, least: int) -> bool:
+    """Whether value is an int >= least; a bool is an int to Python, but never a count here."""
+    return not isinstance(value, bool) and isinstance(value, numbers.Integral) and value >= least
+
+
+def is_finite_real(value) -> bool:
+    """Whether value is a real number other than a bool, NaN or an infinity; safe for any int."""
+    return (not isinstance(value, bool) and isinstance(value, numbers.Real)
+            and -math.inf < value < math.inf)
 
 
 def _check_finite(features: np.ndarray) -> None:
@@ -55,7 +66,7 @@ def _check_finite(features: np.ndarray) -> None:
 class LabeledDataset:
     """N x D feature rows with integer class labels in [0, num_classes).
 
-    class_names, if given, holds one str name per class.
+    class_names, if given, holds one str name per class (check_class_names).
     """
 
     features: np.ndarray
@@ -76,11 +87,10 @@ class LabeledDataset:
                 f"labels outside [0, {self.num_classes}): range "
                 f"[{self.labels.min()}, {self.labels.max()}]")
         _check_finite(self.features)
-        if self.class_names is not None and len(self.class_names) != self.num_classes:
-            raise DataFormatError(f"{len(self.class_names)} class names for "
-                                  f"{self.num_classes} classes")
-        if self.class_names is not None and not all(isinstance(n, str) for n in self.class_names):
-            raise DataFormatError(f"class names must be str, got {list(self.class_names)!r}")
+        try:
+            check_class_names(self.class_names, self.num_classes)
+        except ValueError as exc:
+            raise DataFormatError(str(exc)) from None
 
     def __len__(self) -> int:
         return self.features.shape[0]
@@ -161,18 +171,15 @@ class PlantedHierarchySpec:
     seed: int = 0
 
     def __post_init__(self):
-        # checked before any draw; a bool is an int to Python, but never a size here
+        # checked before any draw
         for name, least in (("depth", 1), ("feature_dim", 1), ("samples_per_class", 1),
                             ("seed", 0)):
             value = getattr(self, name)
-            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
-                    or value < least):
+            if not is_count(value, least):
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         for name in ("sigma_level", "sigma_within"):
             value = getattr(self, name)
-            # the comparison is False for NaN and for inf
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not 0 < value < math.inf):
+            if not (is_finite_real(value) and value > 0):
                 raise ValueError(f"{name} must be a finite real number > 0, got {value!r}")
 
     @property

@@ -87,22 +87,31 @@ def strings_of(dist: np.ndarray) -> dict[int, str]:
     return {i: "".join(map(str, row)) for i, row in enumerate(hard_bits(dist).tolist())}
 
 
+def check_class_names(names, num_classes: int) -> None:
+    """Raise ValueError unless names is None or a list or tuple of num_classes str."""
+    if names is None:
+        return
+    if not isinstance(names, (list, tuple)):  # a str has a length and str items too
+        raise ValueError(f"class names must be a list or tuple of str, got {names!r}")
+    if len(names) != num_classes:
+        raise ValueError(f"{len(names)} class names for {num_classes} classes")
+    if not all(isinstance(n, str) for n in names):
+        raise ValueError(f"class names must be str, got {list(names)!r}")
+
+
 class StringLookupTable:
     """Frozen bijection between class ids and distinct L-bit strings.
 
-    class_names, if given, holds one str name per class in class-id order. bits
-    is the read-only (C, L) int64 matrix of the strings, one row per class
-    in class-id order, so row c is class c when the ids are 0..C-1.
+    class_names, if given, holds one str name per class in class-id order
+    (check_class_names). bits is the read-only (C, L) int64 matrix of the
+    strings, one row per class in class-id order, so row c is class c when
+    the ids are 0..C-1.
     """
 
     def __init__(self, class_to_string: dict[int, str], class_names: list[str] | None = None):
         if not class_to_string:
             raise ValueError("lookup table needs at least one entry")
-        if class_names is not None and len(class_names) != len(class_to_string):
-            raise ValueError(f"{len(class_names)} class names for "
-                             f"{len(class_to_string)} classes")
-        if class_names is not None and not all(isinstance(n, str) for n in class_names):
-            raise ValueError(f"class names must be str, got {list(class_names)!r}")
+        check_class_names(class_names, len(class_to_string))
         lengths = {len(s) for s in class_to_string.values()}
         if len(lengths) != 1:
             raise ValueError(f"strings must share one length, got lengths {sorted(lengths)}")

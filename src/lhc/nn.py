@@ -12,7 +12,7 @@ step, the primitive-composed lstm_cell, stays as the reference that op is
 tested against. Adam keeps every trainable tensor's value in one flat
 vector and its gradient in another, each tensor's data and grad a view of
 its stretch, so a step is a fixed handful of numpy calls whatever the
-number of tensors.
+number of tensors. Gradients enter it only through Tensor.accumulate_grad.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ CHECKPOINT_VERSION = 2
 
 
 class MissingGradientError(RuntimeError):
-    """A non-frozen parameter reached an optimizer step without a gradient."""
+    """A trainable parameter reached an optimizer step with no gradient in Adam's flat vector."""
 
 
 class CheckpointError(ValueError):
@@ -160,7 +160,9 @@ class Adam:
 
     The parameters trainable at construction move into one flat vector,
     flat, and their gradients into another, flat_grad: each tensor's data
-    and grad_view are views of its stretch of them. A step is then one pass
+    and grad_view are views of its stretch of them. Gradients enter only
+    through Tensor.accumulate_grad, so step raises MissingGradientError for
+    a .grad that is not the grad_view. A step is then one pass
     of elementwise numpy calls, bitwise the same update applied tensor by
     tensor, that allocates nothing the size of flat, and flat.copy() is a
     snapshot of every trainable value. Only the learning rate lr is a setting.
@@ -192,10 +194,9 @@ class Adam:
         v_hat = v / (1 - b2^t), so each update is bitwise that form's.
         """
         for name, p in self._trainable:
-            if p.grad is None:
-                raise MissingGradientError(f"no gradient for trainable parameter {name!r}")
-            if p.grad is not p.grad_view:  # assigned directly, not written by a backward
-                np.copyto(p.grad_view, p.grad)
+            if p.grad is not p.grad_view:  # None, or assigned directly, not accumulated
+                raise MissingGradientError(f"no gradient for trainable parameter {name!r} "
+                                           "in the flat vector")
         g, a, b, m, v = self.flat_grad, self._a, self._b, self._m, self._v
         self.t += 1
         m *= self.beta1

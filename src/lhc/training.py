@@ -28,17 +28,17 @@ from __future__ import annotations
 import csv
 import json
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
-from .data import DATASETS, BatchIterator, LabeledDataset, one_hot
+from .data import DATASETS, BatchIterator, LabeledDataset, is_count, is_finite_real, one_hot
 from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss, weigh
 from .networks import (Class2StrNet, CollisionError, LhClassifierNet, Str2ClassNet,
-                       StringLookupTable, hard_bits, run_in_row_blocks, strings_of)
+                       StringLookupTable, check_class_names, hard_bits, run_in_row_blocks,
+                       strings_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
                  save_checkpoint)
 from .tree import tree_from_obj, tree_obj
@@ -75,15 +75,10 @@ _OPTIONAL_INT_FIELDS = ("c2s_hidden", "s2c_hidden")  # None picks the net's defa
 _REAL_FIELDS = ("mu", "alpha", "beta", "gamma", "delta", "lr", "gamma_decay")  # finite
 
 
-def _is_int(value, least: int) -> bool:
-    return (not isinstance(value, bool) and isinstance(value, numbers.Integral)
-            and value >= least)
-
-
 def _dims_ok(dims) -> bool:
     """Whether dims lists the sizes of at least one layer: two or more ints >= 1."""
     return (isinstance(dims, (list, tuple)) and len(dims) >= 2
-            and all(_is_int(d, 1) for d in dims))
+            and all(is_count(d, 1) for d in dims))
 
 
 def _check_max_length(string_length: int) -> None:
@@ -140,14 +135,12 @@ class RunConfig:
     def __post_init__(self):
         for name, least in _INT_FIELD_MINIMUM.items():
             value = getattr(self, name)
-            if not (_is_int(value, least) or (value is None and name in _OPTIONAL_INT_FIELDS)):
+            if not (is_count(value, least) or (value is None and name in _OPTIONAL_INT_FIELDS)):
                 raise ValueError(f"{name} must be an int >= {least}, got {value!r}")
         _check_max_length(self.L)
         for name in _REAL_FIELDS:
             value = getattr(self, name)
-            # the comparison is False for NaN and safe for ints too large for a float
-            if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-                    or not -math.inf < value < math.inf):
+            if not is_finite_real(value):
                 raise ValueError(f"{name} must be a finite real number, got {value!r}")
         if self.lr <= 0:
             raise ValueError(f"lr must be > 0, got {self.lr!r}")
@@ -180,7 +173,7 @@ class RunConfig:
             raise ValueError(f"config must be a JSON object, got {type(obj).__name__}")
         obj = dict(obj)
         layers = obj.pop("lstm_layers", 1)
-        if not (_is_int(layers, 1) and layers == 1):
+        if not (is_count(layers, 1) and layers == 1):
             raise ValueError(f"lstm_layers must be 1, the one LSTM layer, got {layers!r}")
         known = set(cls.__dataclass_fields__)
         unknown = set(obj) - known
@@ -724,11 +717,9 @@ def load_base_model(path) -> tuple[BaseModel, dict]:
     num_classes, names = meta.get("num_classes"), meta.get("class_names")
     fresh = ParameterSet()
     try:
-        if not _is_int(num_classes, 1):
+        if not is_count(num_classes, 1):
             raise ValueError("num_classes is not an int >= 1")
-        if names is not None and not (isinstance(names, list) and len(names) == num_classes
-                                      and all(isinstance(n, str) for n in names)):
-            raise ValueError("class_names is neither null nor one str per class")
+        check_class_names(names, num_classes)
         # a missing or null record is no head at all, not BaseModel's default one
         model = BaseModel(fresh, config.extractor_dims, num_classes,
                           np.random.default_rng(0), fc_dims=meta.get("fc_dims") or [])
@@ -794,13 +785,14 @@ def _adopt(dst: ParameterSet, src: ParameterSet, path) -> None:
 
 # ------------------------------------------------------------ grad checking
 
-def gradcheck_report(seed: int, batch: int = 2) -> dict[str, float]:
+def gradcheck_report(seed: int) -> dict[str, float]:
     """Max relative gradient error per loss term on a toy instance, at RunConfig's weights.
 
     Each term of losses.joint_terms is checked alone through losses.weigh, and the
-    sum through losses.total_loss, the code train_lh runs, at epoch 1's gamma.
+    sum through losses.total_loss, the code train_lh runs, at epoch 1's gamma. Its 6 rows
+    over 4 classes repeat a class, so the backward sums samples' gradients into its row.
     """
-    num_classes, feature_dim = 4, 6
+    num_classes, feature_dim, batch = 4, 6, 6
     rng = np.random.default_rng(seed)
     params = ParameterSet()
     config = RunConfig(L=2, lstm_hidden=5, c2s_hidden=8, s2c_hidden=8)

@@ -134,8 +134,7 @@ def tree_from_obj(obj) -> StringLookupTable:
         raise ValueError("tree JSON must hold exactly a version and a list of leaves")
     for leaf in obj["leaves"]:
         if not isinstance(leaf, dict) or set(leaf) != _LEAF_KEYS \
-                or type(leaf["class_id"]) is not int or not isinstance(leaf["class_name"], str) \
-                or not isinstance(leaf["string"], str):
+                or type(leaf["class_id"]) is not int or not isinstance(leaf["string"], str):
             raise ValueError("tree JSON: each leaf needs exactly an int class_id, "
                              "a str class_name and a str string")
     leaves = sorted(obj["leaves"], key=lambda leaf: leaf["class_id"])

@@ -390,6 +390,11 @@ class TestLabeledDatasetValidation:
         with pytest.raises(DataFormatError, match="class names for 2 classes"):
             LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), num_classes=2, class_names=names)
 
+    def test_rejects_a_str_given_as_class_names(self):
+        # "ab" has two str items, but it is one name, not a list of two
+        with pytest.raises(DataFormatError, match="list or tuple of str, got 'ab'"):
+            LabeledDataset(np.zeros((2, 2)), np.array([0, 1]), num_classes=2, class_names="ab")
+
     @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
     def test_rejects_non_finite_rows(self, value):
         feats = np.zeros((3, 2))

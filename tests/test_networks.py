@@ -155,11 +155,12 @@ class TestLhClassifier:
         # part; it must still get a zero gradient for Adam to step
         params = ParameterSet()
         lh = LhClassifierNet(params, 4, 3, 1, np.random.default_rng(0))
+        adam = Adam(params, lr=1e-3)  # before the backward, whose gradients it takes in
         with Tape() as tape:
             loss = sum_(lh.forward(Tensor(np.ones((2, 4)))))
         tape.backward(loss)
         np.testing.assert_array_equal(lh.cell.w_h.grad, 0.0)
-        Adam(params, lr=1e-3).step()
+        adam.step()
 
     def test_feature_dim_checked(self):
         _, _, _, lh = build_nets()
@@ -368,6 +369,10 @@ class TestLookupTable:
         # tree.json and the DOT export write each name as a string
         with pytest.raises(ValueError, match="class names must be str"):
             StringLookupTable({0: "0", 1: "1"}, class_names=names)
+
+    def test_a_str_given_as_class_names_is_rejected(self):
+        with pytest.raises(ValueError, match="list or tuple of str, got 'ab'"):
+            StringLookupTable({0: "0", 1: "1"}, class_names="ab")
 
     def test_json_round_trip(self):
         # tree.json is the one file record of a learned table

@@ -94,3 +94,29 @@ def test_only_the_tape_tests_whether_an_ops_output_received_a_gradient():
     in_tape = set(ast.walk(tape_backward))
     assert [node.lineno for node in tests if node not in in_tape] == []
     assert any(node in in_tape for node in tests), "Tape.backward no longer tests out.grad"
+
+
+ONE_INPUT_OPS = {"transpose", "scale", "sigmoid", "tanh", "square", "slice_", "reshape", "sum_",
+                 "softmax", "pair_softmax"}
+
+
+def test_no_one_input_op_s_backward_tests_whether_its_input_requires_a_gradient():
+    # _maybe_record records an op only when its output requires a gradient, which for an op
+    # of one input is whether that input does; a backward that tests it again is a second home
+    tree = ast.parse((SRC / "autodiff.py").read_text())
+    one_input = {}
+    for op in tree.body:
+        if not isinstance(op, ast.FunctionDef):
+            continue
+        # out = Tensor(value, a.requires_grad): the output requires what its one input does
+        if any(isinstance(node, ast.Assign) and isinstance(node.value, ast.Call)
+               and isinstance(node.value.func, ast.Name) and node.value.func.id == "Tensor"
+               and len(node.value.args) == 2 and isinstance(node.value.args[1], ast.Attribute)
+               and node.value.args[1].attr == "requires_grad" for node in ast.walk(op)):
+            one_input[op.name] = next(node for node in op.body if isinstance(node, ast.FunctionDef)
+                                      and node.name == "backward")
+    assert set(one_input) == ONE_INPUT_OPS
+    reads = [f"{name}:{node.lineno}" for name, backward in one_input.items()
+             for node in ast.walk(backward)
+             if isinstance(node, ast.Attribute) and node.attr == "requires_grad"]
+    assert reads == []

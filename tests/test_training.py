@@ -303,6 +303,25 @@ def test_class_names_that_are_not_strings_are_rejected_before_any_training(plant
         training.train_lh(base, named, config)
 
 
+@pytest.mark.parametrize("names", [None, ["a", "b"], ("a", "b"), "ab"],
+                         ids=["none", "list", "tuple", "str"])
+def test_a_base_checkpoint_reloads_the_class_names_its_dataset_accepted(tmp_path, names):
+    # one rule says what a list of class names is: the dataset rejects the names, or the
+    # base checkpoint saved from it reloads with the same parameters and names
+    rng = np.random.default_rng(0)
+    try:
+        ds = LabeledDataset(rng.standard_normal((20, 6)), np.arange(20) % 2, 2,
+                            class_names=names)
+    except DataFormatError:
+        return
+    config = training.RunConfig(extractor_dims=[6, 4], batch_size=8, epochs=1)
+    model, _ = training.train_base(ds, config)
+    training.save_base_model(tmp_path / "model.lhc1", model, config, ds.class_names)
+    loaded, meta = training.load_base_model(tmp_path / "model.lhc1")
+    assert loaded.params.tobytes() == model.params.tobytes()
+    assert meta["class_names"] == (None if names is None else list(names))
+
+
 DROP = object()
 # (field, new value or DROP); a dotted field is a path into config or the tree. "sizes" is
 # fc_dims; it, num_classes and class_names are base metadata, and the tree is lh metadata
@@ -313,6 +332,7 @@ META_EDITS = {
     "str num_classes": ("num_classes", "x"),
     "float num_classes": ("num_classes", 2.5),
     "int class_names": ("class_names", 3),
+    "str class_names": ("class_names", "abcd"),
     "no sizes": ("fc_dims", DROP),
     "null sizes": ("fc_dims", None),
     "str sizes": ("fc_dims", "x"),
@@ -432,9 +452,9 @@ def test_distinct_class_step_matches_the_per_sample_step(num_classes, label_ids)
 
 
 def test_gradcheck_report_sums_gradients_over_repeated_classes():
-    # six samples over four classes repeat at least one label, so the gather's
+    # its six samples over four classes repeat at least one label, so the gather's
     # backward adds several samples' gradients into one class row
-    errors = training.gradcheck_report(seed=0, batch=6)
+    errors = training.gradcheck_report(seed=0)
     assert set(errors) == {"term_class", "term_string", "term_bias", "term_l2", "total"}
     assert max(errors.values()) < 1e-5
 
