@@ -19,24 +19,48 @@ only which BLAS kernel a product runs on. OpenBLAS rounds some rows one
 ulp differently in products of a few rows or of a row count that is not
 a multiple of 8, so blocks are multiples of 8 rows and a short tail joins
 the block before it; the tests find the blocked outputs bitwise equal to
-one whole-array forward.
+one whole-array forward of up to 1543 rows, and to one forward per 1024
+rows beyond, since OpenBLAS also changes kernel for the head's (rows*L, n)
+product from 16384 rows on.
+
+A predict_bits call of at least POOL_MIN_ROWS rows hands its blocks to a
+process-wide pool of up to POOL_WORKERS threads, made on first use; numpy
+releases the interpreter lock inside the LSTM's products and ufuncs, so
+two blocks run at once. Each such block gets 3/4 of the budget, which
+keeps two blocks in flight under the gate slab of one whole 4096-row
+batch. Every other call runs its blocks in order on the calling thread.
+Each block writes only its own rows, so the output does not depend on
+which thread ran which block, and it is bitwise the serial blocks' output.
 """
 
 from __future__ import annotations
 
 import itertools
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
 from .autodiff import ShapeError, Tensor, lstm_sequence, pair_softmax, reshape, softmax, tanh
 from .nn import Linear, LstmCell, ParameterSet
 
-# Measured for predict_bits over 200k rows at n = 32, L = 4 and 8, one and
-# two LSTM layers, on a 2-vCPU x86-64 Xeon (2 MiB L2 per core) with one BLAS
-# thread: blocks of 128-1024 rows ran 1.5-1.9x faster than one forward per
-# evaluate chunk, and 512 rows, a 512 KiB gate slab, was at or near the
-# fastest in each case.
+# Measured for predict_bits over 200k rows at n = 32, L = 4 and 8, on a
+# 2-vCPU x86-64 Xeon (2 MiB L2 per core) with one BLAS thread: blocks of
+# 128-1024 rows ran 1.5-1.9x faster than one forward per evaluate chunk,
+# and 512 rows, a 512 KiB gate slab, was at or near the fastest in each case.
 INFERENCE_BLOCK_BYTES = 512 * 1024
+# Threads of the row-block pool, and the least rows of a predict_bits call
+# that uses it: evaluate's PREDICT_CHUNK. On the same host, two threads over
+# a 4096-row call's 128-, 256-, 384- and 512-row blocks ran at 0.98x, 1.17x,
+# 1.43x and 1.64x one (L = 4, medians of 8 alternations), and pooling the
+# 1920-row calls of a 32-class run gained nothing, so smaller calls stay on
+# the calling thread.
+POOL_WORKERS = 2
+POOL_MIN_ROWS = 4096
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
 
 
 def default_hidden_dim(num_classes: int) -> int:
@@ -58,24 +82,64 @@ def hard_bits(dist: np.ndarray) -> np.ndarray:
     return (dist[:, 1::2] > dist[:, 0::2]).astype(np.int64)
 
 
+def _row_block_pool() -> ThreadPoolExecutor | None:
+    """The process's row-block pool, made on first use; None if it may use one CPU only."""
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
+            if cpus > 1:
+                _pool = ThreadPoolExecutor(min(POOL_WORKERS, cpus),
+                                           thread_name_prefix="lhc-row-block")
+        return _pool
+
+
+def _block_starts(n: int, rows: int) -> list[int]:
+    """First rows of the rows-row blocks of n rows; a tail under rows // 2 joins the one before."""
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] < rows // 2:
+        starts.pop()
+    return starts
+
+
 def run_in_row_blocks(fn, x: np.ndarray, in_dim: int, width: int,
-                      out: np.ndarray) -> np.ndarray:
+                      out: np.ndarray, pooled: bool = False) -> np.ndarray:
     """Fill out[lo:hi] with fn(x[lo:hi]) over the row blocks of an (N, in_dim) x.
 
     A block has INFERENCE_BLOCK_BYTES // (8 * width) rows, rounded down to a
     multiple of 8, so a (width, rows) float64 slab fits the budget; width is
     the widest per-row slab fn builds. A tail shorter than half a block
-    joins the block before it. With N = 0 fn is never called and out, of
-    length 0, is returned as it is.
+    joins the block before it. With pooled and N >= POOL_MIN_ROWS the
+    blocks run on the row-block pool, if there is one, with 3/4 of the
+    budget each, but for a last block of N's odd rows (N not a multiple of
+    8), which keeps its size; an exception a block raises is raised here
+    once every block has finished. With N = 0 fn is never called and out,
+    of length 0, is returned as it is.
     """
     if x.ndim != 2 or x.shape[1] != in_dim:
         raise ShapeError(f"expected (N, {in_dim}) rows, got {x.shape}")
     rows = max(8, INFERENCE_BLOCK_BYTES // (8 * width) // 8 * 8)
-    starts = list(range(0, x.shape[0], rows))
-    if len(starts) > 1 and x.shape[0] - starts[-1] < rows // 2:
-        starts.pop()
-    for lo, hi in zip(starts, starts[1:] + [x.shape[0]]):
+    starts = _block_starts(x.shape[0], rows)
+    pool = _row_block_pool() if pooled and x.shape[0] >= POOL_MIN_ROWS else None
+    if pool:
+        # A threaded BLAS rounds a block whose row count is not a multiple of 8
+        # by that count, so the last block keeps its rows if it holds N's odd ones.
+        odd = starts[-1:] if x.shape[0] % 8 else []
+        starts = _block_starts(odd[0] if odd else x.shape[0], rows * 3 // 4 // 8 * 8) + odd
+    blocks = list(zip(starts, starts[1:] + [x.shape[0]]))
+
+    def fill(lo: int, hi: int) -> None:
         out[lo:hi] = fn(x[lo:hi])
+
+    if pool is None:
+        for lo, hi in blocks:
+            fill(lo, hi)
+    else:
+        futures = [pool.submit(fill, lo, hi) for lo, hi in blocks]
+        wait(futures)
+        for future in futures:
+            future.result()
     return out
 
 
@@ -213,6 +277,14 @@ class LhClassifierNet:
     def forward(self, features: Tensor) -> Tensor:
         if features.data.ndim != 2 or features.shape[1] != self.feature_dim:
             raise ShapeError(f"expected (B, {self.feature_dim}) features, got {features.shape}")
+        return self._forward(features)
+
+    def _forward(self, features: Tensor) -> Tensor:
+        """forward without its shape check, for predict_bits' blocks.
+
+        The blocks may run on the row-block pool, and a wrapper that a
+        profiler puts on forward need not be safe to call from two threads.
+        """
         xw = self.cell.input_product(self.projection(features))
         # (B*L, 2), row b*L + t for sample b at step t
         logits = self.head(lstm_sequence(xw, self.cell.w_h, self.string_length))
@@ -222,12 +294,15 @@ class LhClassifierNet:
         """Hard (N, L) int64 bit matrix for (N, D) features, no grad recording.
 
         forward runs over row blocks whose (4n, rows) gate slab fits
-        INFERENCE_BLOCK_BYTES, and equals one forward over the whole batch.
-        N = 0 gives a (0, L) matrix.
+        INFERENCE_BLOCK_BYTES, on the row-block pool from POOL_MIN_ROWS rows
+        on, and equals one forward over the whole batch where OpenBLAS runs
+        that on the same kernels (module docstring). N = 0 gives a (0, L)
+        matrix.
         """
-        return run_in_row_blocks(lambda x: hard_bits(self.forward(Tensor(x)).data), features,
+        return run_in_row_blocks(lambda x: hard_bits(self._forward(Tensor(x)).data), features,
                                  self.feature_dim, 4 * self.hidden_dim,
-                                 np.empty((features.shape[0], self.string_length), np.int64))
+                                 np.empty((features.shape[0], self.string_length), np.int64),
+                                 pooled=True)
 
 
 def freeze_lookup(net: Class2StrNet, class_names: list[str] | None = None) -> StringLookupTable:

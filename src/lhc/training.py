@@ -44,9 +44,11 @@ from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
 from .tree import tree_from_obj, tree_obj
 
 # Rows per predict_bits call in evaluate and _string_match. predict_bits
-# blocks its own work, so this chunk only fixes the call count, which
-# bench/test_bench.py::test_tiny_run_emits_every_metric pins at two calls
-# per chunk of evaluate.
+# blocks its own work and runs a call of networks.POOL_MIN_ROWS (this many)
+# rows or more on two threads, so every full chunk is pooled and only the
+# last, shorter one runs on the calling thread. The chunk also fixes the
+# call count, which bench/test_bench.py::test_tiny_run_emits_every_metric
+# pins at two calls per chunk of evaluate.
 PREDICT_CHUNK = 4096
 
 CSV_COLUMNS = ["epoch", *TERMS, "train_acc", "val_acc"]

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,6 +21,13 @@ from lhc.tree import export_tree, tree_from_json
 BLOCK_CASES = {"1": lambda b: [1], "B-1": lambda b: [b - 1], "B": lambda b: [b],
                "B+1": lambda b: [b + 1], "2B+B/2": lambda b: [b, b, b // 2],
                "3B+7": lambda b: [b, b, b + 7]}
+
+# the rows of each block of a pooled predict_bits call at 32 hidden units: 3/4
+# of the serial 512, with the serial path's last block kept when it holds odd rows
+POOLED_BLOCKS = {4096: [384] * 10 + [256], 4103: [384] * 8 + [512, 519],
+                 10_000: [384] * 25 + [400]}
+needs_pool = pytest.mark.skipif(networks._row_block_pool() is None,
+                                reason="a single CPU: predict_bits runs no row-block pool")
 
 
 def build_nets(seed=0, num_classes=4, length=2, feature_dim=6, hidden=5):
@@ -226,15 +236,95 @@ class TestLhClassifier:
         whole = lh.forward(Tensor(feats)).data
         assert 0 < hard_bits(whole).mean() < 1 or rows == 1
 
-        blocks = []
-        forward = LhClassifierNet.forward
-        monkeypatch.setattr(LhClassifierNet, "forward",
-                            lambda net, x: blocks.append(forward(net, x)) or blocks[-1])
+        blocks = record_blocks(monkeypatch, feats)
         bits = lh.predict_bits(feats)
-        assert [p.shape[0] for p in blocks] == expected_calls
+        assert [p.shape[0] for _, _, p in blocks] == expected_calls
         # the soft distributions too, not only the bits drawn from them
-        assert np.vstack([p.data for p in blocks]).tobytes() == whole.tobytes()
+        assert np.vstack([p.data for _, _, p in blocks]).tobytes() == whole.tobytes()
         assert bits.dtype == np.int64 and bits.tobytes() == hard_bits(whole).tobytes()
+
+    @needs_pool
+    @pytest.mark.parametrize("length", [1, 4, 8])
+    @pytest.mark.parametrize("rows", list(POOLED_BLOCKS))
+    def test_pooled_predict_bits_equals_one_forward_per_1024_rows(self, monkeypatch, length,
+                                                                  rows):
+        # the reference is not one whole forward: from 16384 rows, as the head's
+        # (rows*L, n) product has at L >= 4, OpenBLAS switches kernel and rounds
+        # some rows differently, for the serial blocks as much as the pooled ones
+        rng = np.random.default_rng(20 + length)
+        lh = LhClassifierNet(ParameterSet(), 6, 32, length, rng)
+        feats = rng.standard_normal((rows, 6)) * 3.0
+        reference = np.vstack([lh.forward(Tensor(piece)).data
+                               for piece in np.split(feats, range(1024, rows - 512, 1024))])
+        assert 0 < hard_bits(reference).mean() < 1
+
+        blocks = record_blocks(monkeypatch, feats)
+        bits = lh.predict_bits(feats)
+        blocks.sort(key=lambda b: b[0])
+        assert [p.shape[0] for _, _, p in blocks] == POOLED_BLOCKS[rows]
+        assert np.vstack([p.data for _, _, p in blocks]).tobytes() == reference.tobytes()
+        assert bits.dtype == np.int64 and bits.tobytes() == hard_bits(reference).tobytes()
+        assert threading.get_ident() not in {thread for _, thread, _ in blocks}
+
+        # the serial blocks, as a call below the threshold runs them, give the same rows
+        monkeypatch.setattr(networks, "POOL_MIN_ROWS", rows + 1)
+        serial = record_blocks(monkeypatch, feats)
+        assert lh.predict_bits(feats).tobytes() == bits.tobytes()
+        assert np.vstack([p.data for _, _, p in serial]).tobytes() == reference.tobytes()
+
+    def test_a_call_below_the_pool_threshold_runs_on_the_calling_thread(self, monkeypatch):
+        lh = LhClassifierNet(ParameterSet(), 6, 32, 4, np.random.default_rng(0))
+        feats = np.random.default_rng(1).standard_normal((networks.POOL_MIN_ROWS - 1, 6))
+        blocks = record_blocks(monkeypatch, feats)
+        lh.predict_bits(feats)
+        assert len(blocks) > 1
+        assert {thread for _, thread, _ in blocks} == {threading.get_ident()}
+
+    @needs_pool
+    def test_an_exception_in_a_pooled_block_propagates_and_the_next_call_succeeds(
+            self, monkeypatch):
+        lh = LhClassifierNet(ParameterSet(), 6, 32, 4, np.random.default_rng(0))
+        feats = np.random.default_rng(1).standard_normal((networks.POOL_MIN_ROWS, 6))
+        expected = lh.predict_bits(feats)
+        forward = LhClassifierNet._forward
+
+        def failing(net, x):
+            if x.shape[0] == POOLED_BLOCKS[networks.POOL_MIN_ROWS][-1]:
+                raise RuntimeError("the last block failed")
+            return forward(net, x)
+
+        monkeypatch.setattr(LhClassifierNet, "_forward", failing)
+        with pytest.raises(RuntimeError, match="the last block failed"):
+            lh.predict_bits(feats)
+        monkeypatch.undo()
+        assert lh.predict_bits(feats).tobytes() == expected.tobytes()
+
+    @needs_pool
+    def test_concurrent_pooled_calls_share_one_pool_and_keep_their_rows(self):
+        lh = LhClassifierNet(ParameterSet(), 6, 32, 4, np.random.default_rng(0))
+        feats = [np.random.default_rng(seed).standard_normal((networks.POOL_MIN_ROWS, 6))
+                 for seed in range(4)]
+        expected = [lh.predict_bits(f) for f in feats]
+        results = [None] * len(feats)
+
+        def call(i):
+            for _ in range(3):
+                results[i] = lh.predict_bits(feats[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,)) for i in range(len(feats))]
+            for t in callers:
+                t.start()
+            for t in callers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in callers)
+        assert [r.tobytes() for r in results] == [e.tobytes() for e in expected]
+        workers = [t for t in threading.enumerate() if t.name.startswith("lhc-row-block")]
+        assert 0 < len(workers) <= networks.POOL_WORKERS
 
     @pytest.mark.parametrize("length", [4, 8])
     @pytest.mark.parametrize("rows", [*range(1, 18), 129, 257, 513])
@@ -257,6 +347,21 @@ class TestLhClassifier:
         assert bits.shape == (0, 3) and bits.dtype == np.int64
         with pytest.raises(ShapeError):
             lh.predict_bits(np.empty((0, 5)))
+
+
+def record_blocks(monkeypatch, feats: np.ndarray) -> list:
+    """Hook LhClassifierNet._forward to record (first row, thread id, output) per block of feats."""
+    blocks = []
+    forward = LhClassifierNet._forward
+
+    def recorded(net, x):
+        p = forward(net, x)
+        blocks.append(((x.data.ctypes.data - feats.ctypes.data) // feats.strides[0],
+                       threading.get_ident(), p))
+        return p
+
+    monkeypatch.setattr(LhClassifierNet, "_forward", recorded)
+    return blocks
 
 
 def step_forward(lh: LhClassifierNet, features: Tensor) -> Tensor:

@@ -1,7 +1,11 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -726,3 +730,33 @@ def test_predict_classes_of_no_rows_is_an_empty_class_vector():
     assert classes.shape == (0,) and classes.dtype == np.intp
     with pytest.raises(ShapeError):
         model.predict_classes(np.empty((0, 5)))
+
+
+TRAIN_D3_RUN = """
+import threading
+import numpy as np
+from lhc import data, training
+spec = data.PlantedHierarchySpec(depth=3, feature_dim=32, samples_per_class=500, seed=1)
+train, test = data.train_test_split(data.generate_planted(spec)[0], 0.2, 1)
+config = training.RunConfig(seed=1, extractor_dims=[32, 64, 16], L=4, batch_size=64, epochs=1,
+                            lh_epochs=1)
+base, _ = training.train_base(train, config)
+result = training.train_lh(base, train, config, test_ds=test)
+table = training.random_lookup_table(train.num_classes, config.L, 1)
+training.evaluate(table, result.lh, result.extractor, test)
+print(threading.active_count())
+result.lh.predict_bits(np.zeros((4096, 16)))
+print(threading.active_count())
+"""
+
+
+def test_a_train_d3_sized_run_starts_no_thread():
+    # its calls stay under 4096 rows, so the row-block pool is never made; the
+    # 4096-row call after the count shows that the count would see the pool
+    src = str(Path(training.__file__).resolve().parents[1])
+    run = subprocess.run([sys.executable, "-c", TRAIN_D3_RUN], capture_output=True, text=True,
+                         timeout=300, env={**os.environ, "PYTHONPATH": src})
+    assert run.returncode == 0, run.stderr
+    before, after = map(int, run.stdout.split())
+    assert before == 1
+    assert (after > 1) == (networks._row_block_pool() is not None)

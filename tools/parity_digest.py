@@ -11,7 +11,9 @@ process, and compare:
 
 It covers the rows, parameters and strings of train_base, train_lh and
 train_fixed_embedding at the bench's train-d3 and train-d5-L8 shapes (fewer
-rows and epochs), seeds 1-2; predict_bits; evaluate; gradcheck_report at
+rows and epochs), seeds 1-2; predict_bits; evaluate; predict_bits and
+evaluate over 8800 held-out rows, calls that run on predict_bits' row-block
+threads where the tree has them; gradcheck_report at
 seeds 0-2; load_mnist of a synthetic IDX pair, plain and gzipped; and the
 stdout, stderr and written files of the lhc commands synth-gen, train-base,
 train-lh, eval, export-tree, gradcheck, sweep-l and ablate (report.json
@@ -48,6 +50,9 @@ from lhc import cli, data, training
 SHAPES = (("train-d3", 3, 32, 60, [32, 64, 16], 4, 64),
           ("train-d5-L8", 5, 64, 30, [64, 64, 16], 8, 256))
 SEEDS = (1, 2)
+# held-out rows per class that pooled_inference scores: 8 x 1100 = 8800 rows,
+# evaluate's two 4096-row chunks and a 608-row tail
+BULK_PER_CLASS = 1100
 GRADCHECK_SEEDS = (0, 1, 2)
 # gamma decays at phase-2 epoch 3; patience 2 lets early stopping restore an epoch
 SCHEDULE = {"epochs": 3, "lh_epochs": 4, "gamma_decay": 0.5, "gamma_decay_every": 2,
@@ -84,7 +89,9 @@ def extractor_bytes(extractor) -> bytes:
                     for t in (layer.bias, layer.weight))
 
 
-def trainers() -> None:
+def trainers():
+    """Digest each shape's and seed's runs; return the first run's (result, table)."""
+    first = None
     for name, depth, dim, per_class, dims, length, batch in SHAPES:
         for seed in SEEDS:
             tag = f"{name} seed {seed}"
@@ -104,9 +111,23 @@ def trainers() -> None:
             table = (result.table if result.table is not None
                      else training.random_lookup_table(train.num_classes, length, seed))
             emit(f"{tag} evaluate", training.evaluate(table, result.lh, result.extractor, test))
+            first = first or (result, table)
             lh, fixed = training.train_fixed_embedding(base, train, table, config, test_ds=test)
             emit(f"{tag} train_fixed_embedding", *report_parts(fixed), lh_bytes(lh),
                  lh.predict_bits(feats).tobytes())
+    return first
+
+
+def pooled_inference(result, table) -> None:
+    """predict_bits over 8800 and 8795 rows, and evaluate over the 8800, of a train-d3 run."""
+    name, depth, dim, *_ = SHAPES[0]
+    spec = data.PlantedHierarchySpec(depth=depth, feature_dim=dim,
+                                     samples_per_class=BULK_PER_CLASS, seed=3)
+    bulk, _ = data.generate_planted(spec)
+    feats = result.extractor.feature_matrix(bulk.features)
+    emit(f"{name} seed {SEEDS[0]} predict_bits and evaluate over {len(bulk)} rows",
+         result.lh.predict_bits(feats).tobytes(), result.lh.predict_bits(feats[:-5]).tobytes(),
+         training.evaluate(table, result.lh, result.extractor, bulk))
 
 
 def lh_round_trip(root: Path) -> None:
@@ -194,7 +215,7 @@ def commands(root: Path) -> None:
 
 def main() -> int:
     print(f"lhc from {Path(lhc.__file__).parent}", file=sys.stderr)
-    trainers()
+    pooled_inference(*trainers())
     gradchecks()
     with tempfile.TemporaryDirectory() as tmp:
         root = Path(os.path.realpath(tmp))
