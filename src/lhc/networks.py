@@ -23,18 +23,23 @@ one whole-array forward of up to 1543 rows, and to one forward per 1024
 rows beyond, since OpenBLAS also changes kernel for the head's (rows*L, n)
 product from 16384 rows on.
 
-A predict_bits call of at least POOL_MIN_ROWS rows hands its blocks to a
-process-wide pool of up to POOL_WORKERS threads, made on first use; numpy
-releases the interpreter lock inside the LSTM's products and ufuncs, so
-two blocks run at once. Each such block gets 3/4 of the budget, which
-keeps two blocks in flight under the gate slab of one whole 4096-row
-batch. Every other call runs its blocks in order on the calling thread.
-Each block writes only its own rows, so the output does not depend on
-which thread ran which block, and it is bitwise the serial blocks' output.
+While numpy's BLAS is OpenBLAS running one thread per product (say, with
+OPENBLAS_NUM_THREADS=1), a call of at least POOL_MIN_ROWS rows hands its
+blocks to a process-wide pool of up to POOL_WORKERS threads, made on first
+use; numpy releases the interpreter lock inside the products and ufuncs,
+so two blocks run at once. Over a threaded BLAS, pooled blocks ran slower
+than serial ones, so then, as for every smaller call, the blocks run in
+order on the calling thread. Each pooled block gets at most 3/4 of the
+budget, which keeps two blocks in flight under the gate slab of one whole
+4096-row batch. Each block writes only its own rows, so the output does
+not depend on which thread ran which block, and it is bitwise the serial
+blocks' output.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import itertools
 import os
 import threading
@@ -50,12 +55,16 @@ from .nn import Linear, LstmCell, ParameterSet
 # 128-1024 rows ran 1.5-1.9x faster than one forward per evaluate chunk,
 # and 512 rows, a 512 KiB gate slab, was at or near the fastest in each case.
 INFERENCE_BLOCK_BYTES = 512 * 1024
-# Threads of the row-block pool, and the least rows of a predict_bits call
-# that uses it: evaluate's PREDICT_CHUNK. On the same host, two threads over
-# a 4096-row call's 128-, 256-, 384- and 512-row blocks ran at 0.98x, 1.17x,
-# 1.43x and 1.64x one (L = 4, medians of 8 alternations), and pooling the
-# 1920-row calls of a 32-class run gained nothing, so smaller calls stay on
-# the calling thread.
+# Threads of the row-block pool, and the least rows of a call that uses it:
+# evaluate's PREDICT_CHUNK. On the same host with one BLAS thread, two threads
+# over a 4096-row predict_bits call's 128-, 256-, 384- and 512-row blocks ran
+# at 0.98x, 1.17x, 1.43x and 1.64x one (L = 4, medians of 8 alternations);
+# pooled feature_matrix and predict_classes calls of 6144-200k rows ran at
+# 1.3-1.5x their serial blocks. Pooling the 1920-row predict_bits calls of a
+# 32-class run gained nothing, so smaller calls stay on the calling thread.
+# Under OpenBLAS's default of one thread per CPU, an evaluate of 200k rows
+# ran at 0.64x its serial blocks (medians of 10 alternations), so the pool
+# runs only while the BLAS runs one thread per product.
 POOL_WORKERS = 2
 POOL_MIN_ROWS = 4096
 
@@ -82,16 +91,49 @@ def hard_bits(dist: np.ndarray) -> np.ndarray:
     return (dist[:, 1::2] > dist[:, 0::2]).astype(np.int64)
 
 
+@functools.cache
+def _blas_thread_getter():
+    """OpenBLAS's thread-count function, as numpy links it, or None for another BLAS."""
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    lib = ctypes.CDLL(_multiarray_umath.__file__)  # its symbols include its BLAS's
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads numpy's OpenBLAS may run one product on now, or None for another BLAS."""
+    getter = _blas_thread_getter()
+    return None if getter is None else getter()
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _row_block_pool() -> ThreadPoolExecutor | None:
-    """The process's row-block pool, made on first use; None if it may use one CPU only."""
+    """The process's row-block pool, made on first use.
+
+    None unless numpy's BLAS is OpenBLAS running one thread per product,
+    and the process may use two or more CPUs.
+    """
     global _pool
+    if _blas_threads() != 1:
+        return None
     with _pool_lock:
-        if _pool is None:
-            cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-                    else os.cpu_count() or 1)
-            if cpus > 1:
-                _pool = ThreadPoolExecutor(min(POOL_WORKERS, cpus),
-                                           thread_name_prefix="lhc-row-block")
+        if _pool is None and _usable_cpus() > 1:
+            _pool = ThreadPoolExecutor(min(POOL_WORKERS, _usable_cpus()),
+                                       thread_name_prefix="lhc-row-block")
         return _pool
 
 
@@ -103,43 +145,58 @@ def _block_starts(n: int, rows: int) -> list[int]:
     return starts
 
 
+def _pooled_block_starts(n: int, rows: int) -> list[int]:
+    """First rows of blocks of at most rows rows over n, a multiple of 8.
+
+    A tail under rows // 2 and the block before it split into two blocks of
+    multiples of 8, so no block is larger than rows.
+    """
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] < rows // 2:
+        starts[-1] = starts[-2] + (n - starts[-2]) // 16 * 8
+    return starts
+
+
 def run_in_row_blocks(fn, x: np.ndarray, in_dim: int, width: int,
-                      out: np.ndarray, pooled: bool = False) -> np.ndarray:
+                      out: np.ndarray) -> np.ndarray:
     """Fill out[lo:hi] with fn(x[lo:hi]) over the row blocks of an (N, in_dim) x.
 
     A block has INFERENCE_BLOCK_BYTES // (8 * width) rows, rounded down to a
     multiple of 8, so a (width, rows) float64 slab fits the budget; width is
     the widest per-row slab fn builds. A tail shorter than half a block
-    joins the block before it. With pooled and N >= POOL_MIN_ROWS the
-    blocks run on the row-block pool, if there is one, with 3/4 of the
-    budget each, but for a last block of N's odd rows (N not a multiple of
-    8), which keeps its size; an exception a block raises is raised here
-    once every block has finished. With N = 0 fn is never called and out,
-    of length 0, is returned as it is.
+    joins the block before it. From N = POOL_MIN_ROWS on, the blocks run on
+    the row-block pool, if there is one, with at most 3/4 of the budget
+    each (_pooled_block_starts). If N is not a multiple of 8, the serial
+    path's last block, which holds N's odd rows, keeps its rows and runs on
+    the calling thread once the pooled blocks are done. An exception a
+    pooled block raises is raised here once every pooled block has
+    finished. With N = 0 fn is never called and out, of length 0, is
+    returned as it is.
     """
     if x.ndim != 2 or x.shape[1] != in_dim:
         raise ShapeError(f"expected (N, {in_dim}) rows, got {x.shape}")
+    n = x.shape[0]
     rows = max(8, INFERENCE_BLOCK_BYTES // (8 * width) // 8 * 8)
-    starts = _block_starts(x.shape[0], rows)
-    pool = _row_block_pool() if pooled and x.shape[0] >= POOL_MIN_ROWS else None
-    if pool:
-        # A threaded BLAS rounds a block whose row count is not a multiple of 8
-        # by that count, so the last block keeps its rows if it holds N's odd ones.
-        odd = starts[-1:] if x.shape[0] % 8 else []
-        starts = _block_starts(odd[0] if odd else x.shape[0], rows * 3 // 4 // 8 * 8) + odd
-    blocks = list(zip(starts, starts[1:] + [x.shape[0]]))
+    starts = _block_starts(n, rows)
 
     def fill(lo: int, hi: int) -> None:
         out[lo:hi] = fn(x[lo:hi])
 
+    pool = _row_block_pool() if n >= POOL_MIN_ROWS else None
     if pool is None:
-        for lo, hi in blocks:
+        for lo, hi in zip(starts, starts[1:] + [n]):
             fill(lo, hi)
-    else:
-        futures = [pool.submit(fill, lo, hi) for lo, hi in blocks]
-        wait(futures)
-        for future in futures:
-            future.result()
+        return out
+    # A threaded BLAS rounds a block whose row count is not a multiple of 8
+    # by that count, so a last block that holds N's odd rows keeps its rows.
+    end = starts[-1] if n % 8 else n
+    pooled = _pooled_block_starts(end, max(8, rows * 3 // 4 // 8 * 8))
+    futures = [pool.submit(fill, lo, hi) for lo, hi in zip(pooled, pooled[1:] + [end])]
+    wait(futures)
+    for future in futures:
+        future.result()
+    if end < n:
+        fill(end, n)
     return out
 
 
@@ -294,15 +351,13 @@ class LhClassifierNet:
         """Hard (N, L) int64 bit matrix for (N, D) features, no grad recording.
 
         forward runs over row blocks whose (4n, rows) gate slab fits
-        INFERENCE_BLOCK_BYTES, on the row-block pool from POOL_MIN_ROWS rows
-        on, and equals one forward over the whole batch where OpenBLAS runs
-        that on the same kernels (module docstring). N = 0 gives a (0, L)
-        matrix.
+        INFERENCE_BLOCK_BYTES (run_in_row_blocks), and equals one forward
+        over the whole batch where OpenBLAS runs that on the same kernels
+        (module docstring). N = 0 gives a (0, L) matrix.
         """
         return run_in_row_blocks(lambda x: hard_bits(self._forward(Tensor(x)).data), features,
                                  self.feature_dim, 4 * self.hidden_dim,
-                                 np.empty((features.shape[0], self.string_length), np.int64),
-                                 pooled=True)
+                                 np.empty((features.shape[0], self.string_length), np.int64))
 
 
 def freeze_lookup(net: Class2StrNet, class_names: list[str] | None = None) -> StringLookupTable:

@@ -44,9 +44,10 @@ from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
 from .tree import tree_from_obj, tree_obj
 
 # Rows per predict_bits call in evaluate and _string_match. predict_bits
-# blocks its own work and runs a call of networks.POOL_MIN_ROWS (this many)
-# rows or more on two threads, so every full chunk is pooled and only the
-# last, shorter one runs on the calling thread. The chunk also fixes the
+# blocks its own work and, over a one-thread BLAS, runs a call of
+# networks.POOL_MIN_ROWS (this many) rows or more on two threads, so every
+# full chunk is pooled and only the last, shorter one runs on the calling
+# thread. The chunk also fixes the
 # call count, which bench/test_bench.py::test_tiny_run_emits_every_metric
 # pins at two calls per chunk of evaluate.
 PREDICT_CHUNK = 4096
@@ -214,7 +215,8 @@ class MlpExtractor:
     """Feature extractor: Linear layers with tanh between them, linear output.
 
     feature_matrix runs forward over row blocks whose widest (dim, rows)
-    activation fits networks.INFERENCE_BLOCK_BYTES.
+    activation fits networks.INFERENCE_BLOCK_BYTES, on the row-block pool
+    from networks.POOL_MIN_ROWS rows on.
     """
 
     def __init__(self, params: ParameterSet, dims: list[int], rng: np.random.Generator,

@@ -2,6 +2,8 @@ import tracemalloc
 
 import pytest
 
+from lhc import networks
+
 
 @pytest.fixture
 def peak_traced_bytes():
@@ -15,3 +17,13 @@ def peak_traced_bytes():
             tracemalloc.stop()
         return result, peak
     return measure
+
+
+@pytest.fixture
+def one_blas_thread(monkeypatch):
+    """Let the row-block pool run as under a one-thread BLAS, whatever numpy's BLAS runs.
+
+    Pooled outputs are bitwise the serial ones under a threaded BLAS too, so
+    the pooled-path tests run in every test environment.
+    """
+    monkeypatch.setattr(networks, "_blas_threads", lambda: 1)

@@ -22,12 +22,19 @@ BLOCK_CASES = {"1": lambda b: [1], "B-1": lambda b: [b - 1], "B": lambda b: [b],
                "B+1": lambda b: [b + 1], "2B+B/2": lambda b: [b, b, b // 2],
                "3B+7": lambda b: [b, b, b + 7]}
 
-# the rows of each block of a pooled predict_bits call at 32 hidden units: 3/4
-# of the serial 512, with the serial path's last block kept when it holds odd rows
-POOLED_BLOCKS = {4096: [384] * 10 + [256], 4103: [384] * 8 + [512, 519],
-                 10_000: [384] * 25 + [400]}
-needs_pool = pytest.mark.skipif(networks._row_block_pool() is None,
-                                reason="a single CPU: predict_bits runs no row-block pool")
+# the rows of each block of a pooled predict_bits call at 32 hidden units: at
+# most 3/4 of the serial 512, a short tail and the block before it halved, and
+# the serial path's last block kept when it holds odd rows, run last on the
+# calling thread
+POOLED_BLOCKS = {4096: [384] * 10 + [256], 4103: [384] * 8 + [256, 256, 519],
+                 10_000: [384] * 25 + [200, 200]}
+
+
+def needs_pool(test):
+    """Run test with the row-block pool on (one_blas_thread); skip it on a single CPU."""
+    on_one_cpu = pytest.mark.skipif(networks._usable_cpus() < 2,
+                                    reason="a single CPU: no row-block pool")
+    return on_one_cpu(pytest.mark.usefixtures("one_blas_thread")(test))
 
 
 def build_nets(seed=0, num_classes=4, length=2, feature_dim=6, hidden=5):
@@ -224,6 +231,23 @@ class TestLhClassifier:
         _, peak = peak_traced_bytes(lambda: lh.predict_bits(feats))
         assert peak < 4 * hidden * batch * 8
 
+    @needs_pool
+    def test_a_pooled_call_of_odd_rows_peaks_below_one_whole_batch_gate_block(
+            self, peak_traced_bytes):
+        # the odd rows' 519-row block runs after the pooled ones, so no more
+        # than two blocks of at most 384 rows are ever in flight; which blocks
+        # overlap depends on timing, so the peak is taken over five calls
+        batch, hidden = 4103, 32
+        feats = np.random.default_rng(0).standard_normal((batch, 16))
+        lh = LhClassifierNet(ParameterSet(), 16, hidden, 2, np.random.default_rng(0))
+
+        def five_calls():
+            for _ in range(5):
+                lh.predict_bits(feats)
+
+        _, peak = peak_traced_bytes(five_calls)
+        assert peak < 4 * hidden * batch * 8
+
     @pytest.mark.parametrize("length", [1, 4, 8])
     @pytest.mark.parametrize("case", list(BLOCK_CASES))
     def test_predict_bits_in_blocks_equals_one_whole_forward(self, monkeypatch, length, case):
@@ -264,7 +288,10 @@ class TestLhClassifier:
         assert [p.shape[0] for _, _, p in blocks] == POOLED_BLOCKS[rows]
         assert np.vstack([p.data for _, _, p in blocks]).tobytes() == reference.tobytes()
         assert bits.dtype == np.int64 and bits.tobytes() == hard_bits(reference).tobytes()
-        assert threading.get_ident() not in {thread for _, thread, _ in blocks}
+        odd = rows % 8 != 0  # the last block, with the odd rows, runs on the calling thread
+        threads = [thread for _, thread, _ in blocks]
+        assert threading.get_ident() not in threads[:len(threads) - odd]
+        assert (threads[-1] == threading.get_ident()) == odd
 
         # the serial blocks, as a call below the threshold runs them, give the same rows
         monkeypatch.setattr(networks, "POOL_MIN_ROWS", rows + 1)
@@ -272,12 +299,24 @@ class TestLhClassifier:
         assert lh.predict_bits(feats).tobytes() == bits.tobytes()
         assert np.vstack([p.data for _, _, p in serial]).tobytes() == reference.tobytes()
 
+    @needs_pool
     def test_a_call_below_the_pool_threshold_runs_on_the_calling_thread(self, monkeypatch):
         lh = LhClassifierNet(ParameterSet(), 6, 32, 4, np.random.default_rng(0))
         feats = np.random.default_rng(1).standard_normal((networks.POOL_MIN_ROWS - 1, 6))
         blocks = record_blocks(monkeypatch, feats)
         lh.predict_bits(feats)
         assert len(blocks) > 1
+        assert {thread for _, thread, _ in blocks} == {threading.get_ident()}
+
+    @pytest.mark.parametrize("blas_threads", [2, None])
+    def test_a_pooled_size_call_over_a_threaded_or_unknown_blas_runs_on_the_calling_thread(
+            self, monkeypatch, blas_threads):
+        monkeypatch.setattr(networks, "_blas_threads", lambda: blas_threads)
+        lh = LhClassifierNet(ParameterSet(), 6, 32, 4, np.random.default_rng(0))
+        feats = np.random.default_rng(1).standard_normal((networks.POOL_MIN_ROWS, 6))
+        blocks = record_blocks(monkeypatch, feats)
+        lh.predict_bits(feats)
+        assert [p.shape[0] for _, _, p in blocks] == [512] * 8
         assert {thread for _, thread, _ in blocks} == {threading.get_ident()}
 
     @needs_pool

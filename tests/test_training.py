@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import threading
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLook
 from lhc.nn import (Adam, CheckpointError, ParameterSet, load_checkpoint, save_checkpoint,
                     xavier_uniform)
 from lhc.tree import export_tree, tree_obj
-from test_networks import BLOCK_CASES
+from test_networks import BLOCK_CASES, needs_pool
 
 STRINGS = ["011", "100", "110", "001"]
 
@@ -716,6 +717,43 @@ def test_feature_matrix_and_predict_classes_in_blocks_equal_one_whole_forward(mo
         assert out.dtype == whole.dtype and out.tobytes() == whole.tobytes()
 
 
+# the rows of each block of a pooled feature_matrix or predict_classes call at a
+# widest width of 64: at most 3/4 of the serial 1024, with the serial path's
+# last block kept, and run last on the calling thread, when it holds odd rows
+POOLED_MLP_BLOCKS = {4096: [768] * 4 + [512, 512], 4103: [768] * 4 + [1031],
+                     10_000: [768] * 12 + [392, 392]}
+
+
+@needs_pool
+@pytest.mark.parametrize("rows", list(POOLED_MLP_BLOCKS))
+def test_pooled_feature_matrix_and_predict_classes_equal_their_serial_blocks(monkeypatch, rows):
+    model = training.BaseModel(ParameterSet(), [6, 64, 4], 8, np.random.default_rng(0),
+                               fc_dims=[4, 32, 8])
+    x = np.random.default_rng(1).standard_normal((rows, 6)) * 3.0
+    for cls, run in ((training.MlpExtractor, model.extractor.feature_matrix),
+                     (training.BaseModel, model.predict_classes)):
+        blocks = []
+        forward = cls.forward
+
+        def recorded(net, t, f=forward):
+            blocks.append(((t.data.ctypes.data - x.ctypes.data) // x.strides[0],
+                           t.shape[0], threading.get_ident()))
+            return f(net, t)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(cls, "forward", recorded)
+            pooled = run(x)
+            patch.setattr(networks, "POOL_MIN_ROWS", rows + 1)
+            serial = run(x)
+        pooled_blocks = sorted(blocks[:len(POOLED_MLP_BLOCKS[rows])])
+        assert [size for _, size, _ in pooled_blocks] == POOLED_MLP_BLOCKS[rows]
+        odd = rows % 8 != 0
+        threads = [thread for _, _, thread in pooled_blocks]
+        assert threading.get_ident() not in threads[:len(threads) - odd]
+        assert (threads[-1] == threading.get_ident()) == odd
+        assert pooled.dtype == serial.dtype and pooled.tobytes() == serial.tobytes()
+
+
 def test_feature_matrix_of_no_rows_is_an_empty_feature_matrix():
     extractor = training.MlpExtractor(ParameterSet(), [6, 5, 4], np.random.default_rng(0))
     feats = extractor.feature_matrix(np.empty((0, 6)))
@@ -735,7 +773,7 @@ def test_predict_classes_of_no_rows_is_an_empty_class_vector():
 TRAIN_D3_RUN = """
 import threading
 import numpy as np
-from lhc import data, training
+from lhc import data, networks, training
 spec = data.PlantedHierarchySpec(depth=3, feature_dim=32, samples_per_class=500, seed=1)
 train, test = data.train_test_split(data.generate_planted(spec)[0], 0.2, 1)
 config = training.RunConfig(seed=1, extractor_dims=[32, 64, 16], L=4, batch_size=64, epochs=1,
@@ -746,17 +784,21 @@ table = training.random_lookup_table(train.num_classes, config.L, 1)
 training.evaluate(table, result.lh, result.extractor, test)
 print(threading.active_count())
 result.lh.predict_bits(np.zeros((4096, 16)))
-print(threading.active_count())
+print(threading.active_count(), networks._row_block_pool() is not None)
 """
 
 
 def test_a_train_d3_sized_run_starts_no_thread():
     # its calls stay under 4096 rows, so the row-block pool is never made; the
-    # 4096-row call after the count shows that the count would see the pool
+    # 4096-row call after the count shows that the count would see the pool.
+    # One BLAS thread, as the bench runs it, lets the pool be made.
     src = str(Path(training.__file__).resolve().parents[1])
     run = subprocess.run([sys.executable, "-c", TRAIN_D3_RUN], capture_output=True, text=True,
-                         timeout=300, env={**os.environ, "PYTHONPATH": src})
+                         timeout=300,
+                         env={**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"})
     assert run.returncode == 0, run.stderr
-    before, after = map(int, run.stdout.split())
-    assert before == 1
-    assert (after > 1) == (networks._row_block_pool() is not None)
+    before, after, pooled = run.stdout.split()
+    assert int(before) == 1
+    assert (int(after) > 1) == (pooled == "True")
+    makes_pool = networks._usable_cpus() > 1 and networks._blas_thread_getter() is not None
+    assert pooled == str(makes_pool)

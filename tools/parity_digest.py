@@ -11,9 +11,9 @@ process, and compare:
 
 It covers the rows, parameters and strings of train_base, train_lh and
 train_fixed_embedding at the bench's train-d3 and train-d5-L8 shapes (fewer
-rows and epochs), seeds 1-2; predict_bits; evaluate; predict_bits and
-evaluate over 8800 held-out rows, calls that run on predict_bits' row-block
-threads where the tree has them; gradcheck_report at
+rows and epochs), seeds 1-2; predict_bits; evaluate; feature_matrix,
+predict_classes, predict_bits and evaluate over 8800 held-out rows, calls
+that run on the row-block threads where the tree has them; gradcheck_report at
 seeds 0-2; load_mnist of a synthetic IDX pair, plain and gzipped; and the
 stdout, stderr and written files of the lhc commands synth-gen, train-base,
 train-lh, eval, export-tree, gradcheck, sweep-l and ablate (report.json
@@ -90,7 +90,7 @@ def extractor_bytes(extractor) -> bytes:
 
 
 def trainers():
-    """Digest each shape's and seed's runs; return the first run's (result, table)."""
+    """Digest each shape's and seed's runs; return the first run's (base, result, table)."""
     first = None
     for name, depth, dim, per_class, dims, length, batch in SHAPES:
         for seed in SEEDS:
@@ -111,15 +111,18 @@ def trainers():
             table = (result.table if result.table is not None
                      else training.random_lookup_table(train.num_classes, length, seed))
             emit(f"{tag} evaluate", training.evaluate(table, result.lh, result.extractor, test))
-            first = first or (result, table)
+            first = first or (base, result, table)
             lh, fixed = training.train_fixed_embedding(base, train, table, config, test_ds=test)
             emit(f"{tag} train_fixed_embedding", *report_parts(fixed), lh_bytes(lh),
                  lh.predict_bits(feats).tobytes())
     return first
 
 
-def pooled_inference(result, table) -> None:
-    """predict_bits over 8800 and 8795 rows, and evaluate over the 8800, of a train-d3 run."""
+def pooled_inference(base, result, table) -> None:
+    """A train-d3 run's inference over 8800 and 8795 rows, and evaluate over the 8800.
+
+    feature_matrix, predict_classes and predict_bits run on both row counts.
+    """
     name, depth, dim, *_ = SHAPES[0]
     spec = data.PlantedHierarchySpec(depth=depth, feature_dim=dim,
                                      samples_per_class=BULK_PER_CLASS, seed=3)
@@ -128,6 +131,10 @@ def pooled_inference(result, table) -> None:
     emit(f"{name} seed {SEEDS[0]} predict_bits and evaluate over {len(bulk)} rows",
          result.lh.predict_bits(feats).tobytes(), result.lh.predict_bits(feats[:-5]).tobytes(),
          training.evaluate(table, result.lh, result.extractor, bulk))
+    emit(f"{name} seed {SEEDS[0]} feature_matrix and predict_classes over {len(bulk)} rows",
+         feats.tobytes(), result.extractor.feature_matrix(bulk.features[:-5]).tobytes(),
+         base.predict_classes(bulk.features).tobytes(),
+         base.predict_classes(bulk.features[:-5]).tobytes())
 
 
 def lh_round_trip(root: Path) -> None:
