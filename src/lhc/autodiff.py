@@ -33,6 +33,7 @@ takes one exp where `sigmoid`'s takes two.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import threading
 from typing import Callable, Sequence
@@ -51,6 +52,21 @@ class ShapeError(ValueError):
 
 def _active_tape():
     return getattr(_state, "tape", None)
+
+
+@contextlib.contextmanager
+def tape_suspended():
+    """Record nothing on this thread for the span, then make its active tape, if any, active again.
+
+    The tape is neither entered nor left, so no Tape.__enter__ or __exit__
+    runs: inference inside a training step adds nothing to the step's tape.
+    """
+    tape = _active_tape()
+    _state.tape = None
+    try:
+        yield
+    finally:
+        _state.tape = tape
 
 
 class Tensor:
@@ -354,8 +370,11 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int) -> Tensor:
     and its logistic is exp, +1 and reciprocal. The cell before step 0 is
     zero, so step 0 skips f's logistic, never reads its raw value, and
     gives it a 0 gradient. With no tape recording, one step of gate and
-    cell buffers is kept, not `steps`. The backward is hand-written BPTT,
-    and with steps = 1 W_h still receives a (zero) gradient.
+    cell buffers is kept, not `steps`, and a step writes i*g, tanh(c) and h
+    into its spent i, f and o rows, not into buffers of their own: the same
+    ufuncs in the same order, so the output is bitwise the taped one. The
+    backward is hand-written BPTT, and with steps = 1 W_h still receives a
+    (zero) gradient.
     """
     n = w_h.shape[1] if w_h.data.ndim == 2 else 0
     batch = xw.shape[0] if xw.data.ndim == 2 else 0
@@ -365,18 +384,21 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int) -> Tensor:
     xs = _ifo_negated(xw.data.T)  # (4n, B)
     wn = _ifo_negated(w_h.data)
     needs_grad = xw.requires_grad or w_h.requires_grad
-    kept = steps if needs_grad and _active_tape() is not None else 1
+    taped = needs_grad and _active_tape() is not None
+    kept = steps if taped else 1
     gates = np.empty((kept, 4 * n, batch))
     cells = np.empty((kept, n, batch))
-    tanh_c = np.empty((kept, n, batch))
     hs = np.empty((batch, steps, n))  # hs[b, t] = h_t of sample b: the output, row b*steps + t
-    h = np.empty((n, batch))
-    ig = np.empty((n, batch))
+    if taped:  # the backward reads every step's gates and tanh(c)
+        tanh_c = np.empty((steps, n, batch))
+        h_buf = np.empty((n, batch))
+        ig_buf = np.empty((n, batch))
     with np.errstate(over="ignore"):
         for t in range(steps):
-            k = t if kept > 1 else 0
+            k = t if taped else 0
             gt = gates[k]
             i, f, o, g = gt[:n], gt[n:2 * n], gt[2 * n:3 * n], gt[3 * n:]
+            ig, tc, h = (ig_buf, tanh_c[t], h_buf) if taped else (i, f, o)
             c = cells[k]
             if t == 0:  # f is left unset
                 _logistic_of_negated(_i_and_o(xs[:3 * n]), _i_and_o(gt[:3 * n]))
@@ -388,10 +410,10 @@ def lstm_sequence(xw: Tensor, w_h: Tensor, steps: int) -> Tensor:
                 _logistic_of_negated(gt[:3 * n], gt[:3 * n])
                 np.tanh(g, out=g)
                 np.multiply(i, g, out=ig)
-                np.multiply(f, cells[k - 1 if kept > 1 else 0], out=c)
+                np.multiply(f, cells[k - 1 if taped else 0], out=c)
                 c += ig
-            np.tanh(c, out=tanh_c[k])
-            np.multiply(o, tanh_c[k], out=h)
+            np.tanh(c, out=tc)
+            np.multiply(o, tc, out=h)
             hs[:, t] = h.T
     out = Tensor(hs.reshape(batch * steps, n), needs_grad)
 

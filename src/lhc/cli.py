@@ -37,6 +37,17 @@ def _load_split_datasets(config: training.RunConfig, data_dir: str):
             dataio.load_split(config.dataset, data_dir, "test"))
 
 
+def _load_base_for(path, train: dataio.LabeledDataset) -> training.BaseModel:
+    """The base checkpoint's model; ValueError unless it was trained on train's classes."""
+    base, meta = training.load_base_model(path)
+    trained = (meta["num_classes"], meta.get("class_names"))
+    split = (train.num_classes, train.class_names)
+    if trained != split:
+        raise ValueError(f"{path} was trained on {trained[0]} classes (names {trained[1]}), "
+                         f"but the training split has {split[0]} (names {split[1]})")
+    return base
+
+
 def _prepare_out(args, config: training.RunConfig) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -62,7 +73,7 @@ def cmd_train_base(args) -> int:
 def cmd_train_lh(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
-    base, _ = training.load_base_model(args.checkpoint)
+    base = _load_base_for(args.checkpoint, train)
     result = training.train_lh(base, train, config, test_ds=test)
     out = _prepare_out(args, config)
     result.report.write_csv(out / "metrics.csv")
@@ -100,7 +111,7 @@ def cmd_export_tree(args) -> int:
 def cmd_ablate(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
-    base, _ = training.load_base_model(args.checkpoint)
+    base = _load_base_for(args.checkpoint, train)
     result = training.train_lh(base, train, config, test_ds=test)
     learned, collision = result.report.final_test_accuracy, result.table is None
     table = training.random_lookup_table(train.num_classes, config.L, config.seed,
@@ -122,7 +133,7 @@ def cmd_ablate(args) -> int:
 def cmd_sweep_l(args) -> int:
     config = _load_config(args)
     train, test = _load_split_datasets(config, args.data_dir)
-    base, _ = training.load_base_model(args.checkpoint)
+    base = _load_base_for(args.checkpoint, train)
     l_values = [int(v) for v in args.l_values.split(",")]
     for length in l_values:  # every length is checked before the first run
         training.check_string_length(train.num_classes, length)

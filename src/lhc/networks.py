@@ -24,20 +24,22 @@ rows beyond, since OpenBLAS also changes kernel for the head's (rows*L, n)
 product from 16384 rows on.
 
 While numpy's BLAS is OpenBLAS running one thread per product (say, with
-OPENBLAS_NUM_THREADS=1), a call of at least POOL_MIN_ROWS rows hands its
-blocks to a process-wide pool of up to POOL_WORKERS threads, made on first
-use; numpy releases the interpreter lock inside the products and ufuncs,
-so two blocks run at once. Over a threaded BLAS, pooled blocks ran slower
-than serial ones, so then, as for every smaller call, the blocks run in
-order on the calling thread. Each pooled block gets at most 3/4 of the
-budget, which keeps two blocks in flight under the gate slab of one whole
-4096-row batch. Each block writes only its own rows, so the output does
-not depend on which thread ran which block, and it is bitwise the serial
-blocks' output.
+OPENBLAS_NUM_THREADS=1), the calling thread and the one worker of a
+process-wide pool, made on first use, share the blocks of a call of at
+least POOL_MIN_ROWS rows; numpy releases the interpreter lock inside the
+products and ufuncs, so two blocks run at once. Over a threaded BLAS,
+pooled blocks ran slower than serial ones, so then, as for every smaller
+call, the blocks run in order on the calling thread. Either way the blocks
+are the same and each writes only its own rows, so the output is bitwise
+the serial one. An untaped lstm_sequence writes i*g, tanh(c) and h into
+its step's spent gate rows, so two predict_bits blocks in flight stay under
+the gate slab of one whole batch of 4103 rows. Inference records nothing on
+a tape (autodiff.tape_suspended).
 """
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import itertools
@@ -47,7 +49,8 @@ from concurrent.futures import ThreadPoolExecutor, wait
 
 import numpy as np
 
-from .autodiff import ShapeError, Tensor, lstm_sequence, pair_softmax, reshape, softmax, tanh
+from .autodiff import (ShapeError, Tensor, lstm_sequence, pair_softmax, reshape, softmax,
+                       tanh, tape_suspended)
 from .nn import Linear, LstmCell, ParameterSet
 
 # Measured for predict_bits over 200k rows at n = 32, L = 4 and 8, on a
@@ -55,17 +58,17 @@ from .nn import Linear, LstmCell, ParameterSet
 # 128-1024 rows ran 1.5-1.9x faster than one forward per evaluate chunk,
 # and 512 rows, a 512 KiB gate slab, was at or near the fastest in each case.
 INFERENCE_BLOCK_BYTES = 512 * 1024
-# Threads of the row-block pool, and the least rows of a call that uses it:
-# evaluate's PREDICT_CHUNK. On the same host with one BLAS thread, two threads
-# over a 4096-row predict_bits call's 128-, 256-, 384- and 512-row blocks ran
-# at 0.98x, 1.17x, 1.43x and 1.64x one (L = 4, medians of 8 alternations);
+# The least rows of a call that uses the row-block pool: evaluate's
+# PREDICT_CHUNK. On the same host with one BLAS thread, two threads over a
+# 4096-row predict_bits call's 128-, 256-, 384- and 512-row blocks ran at
+# 0.98x, 1.17x, 1.43x and 1.64x one (L = 4, medians of 8 alternations);
 # pooled feature_matrix and predict_classes calls of 6144-200k rows ran at
-# 1.3-1.5x their serial blocks. Pooling the 1920-row predict_bits calls of a
-# 32-class run gained nothing, so smaller calls stay on the calling thread.
-# Under OpenBLAS's default of one thread per CPU, an evaluate of 200k rows
-# ran at 0.64x its serial blocks (medians of 10 alternations), so the pool
-# runs only while the BLAS runs one thread per product.
-POOL_WORKERS = 2
+# 1.3-1.5x their serial blocks. Smaller calls stay on the calling thread, so
+# a run of train-d3's size starts no thread (ROADMAP weighs a lower
+# threshold). Under OpenBLAS's default of one thread per CPU, an evaluate of
+# 200k rows ran at 0.64x its serial blocks (medians of 10 alternations), so
+# the pool runs only while the BLAS runs one thread per product. The pool
+# has one worker: the calling thread runs blocks too.
 POOL_MIN_ROWS = 4096
 
 _pool: ThreadPoolExecutor | None = None
@@ -132,8 +135,7 @@ def _row_block_pool() -> ThreadPoolExecutor | None:
         return None
     with _pool_lock:
         if _pool is None and _usable_cpus() > 1:
-            _pool = ThreadPoolExecutor(min(POOL_WORKERS, _usable_cpus()),
-                                       thread_name_prefix="lhc-row-block")
+            _pool = ThreadPoolExecutor(1, thread_name_prefix="lhc-row-block")
         return _pool
 
 
@@ -145,18 +147,6 @@ def _block_starts(n: int, rows: int) -> list[int]:
     return starts
 
 
-def _pooled_block_starts(n: int, rows: int) -> list[int]:
-    """First rows of blocks of at most rows rows over n, a multiple of 8.
-
-    A tail under rows // 2 and the block before it split into two blocks of
-    multiples of 8, so no block is larger than rows.
-    """
-    starts = list(range(0, n, rows))
-    if len(starts) > 1 and n - starts[-1] < rows // 2:
-        starts[-1] = starts[-2] + (n - starts[-2]) // 16 * 8
-    return starts
-
-
 def run_in_row_blocks(fn, x: np.ndarray, in_dim: int, width: int,
                       out: np.ndarray) -> np.ndarray:
     """Fill out[lo:hi] with fn(x[lo:hi]) over the row blocks of an (N, in_dim) x.
@@ -164,39 +154,48 @@ def run_in_row_blocks(fn, x: np.ndarray, in_dim: int, width: int,
     A block has INFERENCE_BLOCK_BYTES // (8 * width) rows, rounded down to a
     multiple of 8, so a (width, rows) float64 slab fits the budget; width is
     the widest per-row slab fn builds. A tail shorter than half a block
-    joins the block before it. From N = POOL_MIN_ROWS on, the blocks run on
-    the row-block pool, if there is one, with at most 3/4 of the budget
-    each (_pooled_block_starts). If N is not a multiple of 8, the serial
-    path's last block, which holds N's odd rows, keeps its rows and runs on
-    the calling thread once the pooled blocks are done. An exception a
-    pooled block raises is raised here once every pooled block has
-    finished. With N = 0 fn is never called and out, of length 0, is
-    returned as it is.
+    joins the block before it. From N = POOL_MIN_ROWS on, if there is a
+    row-block pool, the calling thread and its one worker each take the
+    next of these blocks from one queue; the worker's task is cancelled if
+    it has not started by the time the calling thread runs out of blocks. A
+    block that raises stops both threads taking more, and its exception is
+    raised here once the worker's block in flight, if any, is done; if both
+    threads raise, the calling thread's exception is the one raised. No
+    tape records while fn runs (autodiff.tape_suspended). With N = 0 fn is
+    never called and out, of length 0, is returned as it is.
     """
     if x.ndim != 2 or x.shape[1] != in_dim:
         raise ShapeError(f"expected (N, {in_dim}) rows, got {x.shape}")
     n = x.shape[0]
     rows = max(8, INFERENCE_BLOCK_BYTES // (8 * width) // 8 * 8)
     starts = _block_starts(n, rows)
+    todo = collections.deque(zip(starts, starts[1:] + [n]))
 
-    def fill(lo: int, hi: int) -> None:
-        out[lo:hi] = fn(x[lo:hi])
+    def drain() -> None:
+        with tape_suspended():
+            try:
+                while True:
+                    try:
+                        lo, hi = todo.popleft()  # atomic, so no block runs twice
+                    except IndexError:
+                        return
+                    out[lo:hi] = fn(x[lo:hi])
+            except BaseException:
+                todo.clear()  # neither thread takes another block
+                raise
 
     pool = _row_block_pool() if n >= POOL_MIN_ROWS else None
     if pool is None:
-        for lo, hi in zip(starts, starts[1:] + [n]):
-            fill(lo, hi)
+        drain()
         return out
-    # A threaded BLAS rounds a block whose row count is not a multiple of 8
-    # by that count, so a last block that holds N's odd rows keeps its rows.
-    end = starts[-1] if n % 8 else n
-    pooled = _pooled_block_starts(end, max(8, rows * 3 // 4 // 8 * 8))
-    futures = [pool.submit(fill, lo, hi) for lo, hi in zip(pooled, pooled[1:] + [end])]
-    wait(futures)
-    for future in futures:
-        future.result()
-    if end < n:
-        fill(end, n)
+    worker = pool.submit(drain)
+    try:
+        drain()
+    finally:
+        if not worker.cancel():
+            wait((worker,))  # its block in flight ends before anything is raised
+    if not worker.cancelled():
+        worker.result()  # the worker's exception, if its block raised one
     return out
 
 

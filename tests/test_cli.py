@@ -273,6 +273,37 @@ def test_a_rejected_run_leaves_no_output_directory(run, tmp_path, capsys, comman
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flags", [("train-lh", []), ("ablate", []),
+                                            ("sweep-l", ["--l-values", "3,4"])])
+@pytest.mark.parametrize("mismatch", ["8 classes", "class names"])
+def test_a_base_checkpoint_of_other_classes_exits_1_before_any_training(
+        run, tmp_path, capsys, monkeypatch, command, flags, mismatch):
+    root, _ = run
+    checkpoint, data_dir = root / "base" / "model.lhc1", root / "data"
+    if mismatch == "8 classes":  # the same feature width, so the base model would run on it
+        data_dir = tmp_path / "data8"
+        assert main(["synth-gen", "--depth", "3", "--feature-dim", "6", "--samples-per-class",
+                     "10", "--seed", "0", "--out", str(data_dir)]) == 0
+    else:  # the data's classes are unnamed
+        base, _ = training.load_base_model(checkpoint)
+        checkpoint = tmp_path / "named.lhc1"
+        training.save_base_model(checkpoint, base, training.RunConfig.from_dict(CONFIG),
+                                 ["w", "x", "y", "z"])
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("training ran on a base model of other classes")
+
+    monkeypatch.setattr(training, "train_lh", no_work)
+    monkeypatch.setattr(training, "train_fixed_embedding", no_work)
+    capsys.readouterr()
+    code = main([command, "--config", str(root / "config.json"), "--data-dir", str(data_dir),
+                 "--checkpoint", str(checkpoint), "--out", str(tmp_path / "out"), *flags])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "trained on 4 classes" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_synth_gen_rejects_more_classes_than_lhf1_holds_before_generating(tmp_path, capsys,
                                                                           monkeypatch):
     def no_work(spec):

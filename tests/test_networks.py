@@ -1,5 +1,6 @@
 import sys
 import threading
+import time
 
 import numpy as np
 import pytest
@@ -22,12 +23,9 @@ BLOCK_CASES = {"1": lambda b: [1], "B-1": lambda b: [b - 1], "B": lambda b: [b],
                "B+1": lambda b: [b + 1], "2B+B/2": lambda b: [b, b, b // 2],
                "3B+7": lambda b: [b, b, b + 7]}
 
-# the rows of each block of a pooled predict_bits call at 32 hidden units: at
-# most 3/4 of the serial 512, a short tail and the block before it halved, and
-# the serial path's last block kept when it holds odd rows, run last on the
-# calling thread
-POOLED_BLOCKS = {4096: [384] * 10 + [256], 4103: [384] * 8 + [256, 256, 519],
-                 10_000: [384] * 25 + [200, 200]}
+# rows of the pooled-path calls: whole blocks, odd rows in the last block, and
+# a tail that keeps its own block; a pooled call runs the serial blocks
+POOLED_ROWS = [4096, 4103, 10_000]
 
 
 def needs_pool(test):
@@ -234,9 +232,9 @@ class TestLhClassifier:
     @needs_pool
     def test_a_pooled_call_of_odd_rows_peaks_below_one_whole_batch_gate_block(
             self, peak_traced_bytes):
-        # the odd rows' 519-row block runs after the pooled ones, so no more
-        # than two blocks of at most 384 rows are ever in flight; which blocks
-        # overlap depends on timing, so the peak is taken over five calls
+        # the calling thread and one worker run the serial 512- and 519-row
+        # blocks, so no more than two are ever in flight; which blocks overlap
+        # depends on timing, so the peak is taken over five calls
         batch, hidden = 4103, 32
         feats = np.random.default_rng(0).standard_normal((batch, 16))
         lh = LhClassifierNet(ParameterSet(), 16, hidden, 2, np.random.default_rng(0))
@@ -269,7 +267,7 @@ class TestLhClassifier:
 
     @needs_pool
     @pytest.mark.parametrize("length", [1, 4, 8])
-    @pytest.mark.parametrize("rows", list(POOLED_BLOCKS))
+    @pytest.mark.parametrize("rows", POOLED_ROWS)
     def test_pooled_predict_bits_equals_one_forward_per_1024_rows(self, monkeypatch, length,
                                                                   rows):
         # the reference is not one whole forward: from 16384 rows, as the head's
@@ -284,20 +282,19 @@ class TestLhClassifier:
 
         blocks = record_blocks(monkeypatch, feats)
         bits = lh.predict_bits(feats)
-        blocks.sort(key=lambda b: b[0])
-        assert [p.shape[0] for _, _, p in blocks] == POOLED_BLOCKS[rows]
-        assert np.vstack([p.data for _, _, p in blocks]).tobytes() == reference.tobytes()
+        pooled = sorted(blocks, key=lambda b: b[0])
+        assert np.vstack([p.data for _, _, p in pooled]).tobytes() == reference.tobytes()
         assert bits.dtype == np.int64 and bits.tobytes() == hard_bits(reference).tobytes()
-        odd = rows % 8 != 0  # the last block, with the odd rows, runs on the calling thread
-        threads = [thread for _, thread, _ in blocks]
-        assert threading.get_ident() not in threads[:len(threads) - odd]
-        assert (threads[-1] == threading.get_ident()) == odd
+        assert_caller_and_at_most_one_worker({thread for _, thread, _ in pooled})
 
-        # the serial blocks, as a call below the threshold runs them, give the same rows
+        # the serial blocks, as a call below the threshold runs them, are the
+        # pooled ones and give the same rows
+        blocks.clear()
         monkeypatch.setattr(networks, "POOL_MIN_ROWS", rows + 1)
-        serial = record_blocks(monkeypatch, feats)
         assert lh.predict_bits(feats).tobytes() == bits.tobytes()
-        assert np.vstack([p.data for _, _, p in serial]).tobytes() == reference.tobytes()
+        assert [(lo, p.shape[0]) for lo, _, p in blocks] == [(lo, p.shape[0])
+                                                              for lo, _, p in pooled]
+        assert np.vstack([p.data for _, _, p in blocks]).tobytes() == reference.tobytes()
 
     @needs_pool
     def test_a_call_below_the_pool_threshold_runs_on_the_calling_thread(self, monkeypatch):
@@ -306,7 +303,7 @@ class TestLhClassifier:
         blocks = record_blocks(monkeypatch, feats)
         lh.predict_bits(feats)
         assert len(blocks) > 1
-        assert {thread for _, thread, _ in blocks} == {threading.get_ident()}
+        assert {thread for _, thread, _ in blocks} == {threading.current_thread()}
 
     @pytest.mark.parametrize("blas_threads", [2, None])
     def test_a_pooled_size_call_over_a_threaded_or_unknown_blas_runs_on_the_calling_thread(
@@ -317,18 +314,18 @@ class TestLhClassifier:
         blocks = record_blocks(monkeypatch, feats)
         lh.predict_bits(feats)
         assert [p.shape[0] for _, _, p in blocks] == [512] * 8
-        assert {thread for _, thread, _ in blocks} == {threading.get_ident()}
+        assert {thread for _, thread, _ in blocks} == {threading.current_thread()}
 
     @needs_pool
     def test_an_exception_in_a_pooled_block_propagates_and_the_next_call_succeeds(
             self, monkeypatch):
         lh = LhClassifierNet(ParameterSet(), 6, 32, 4, np.random.default_rng(0))
-        feats = np.random.default_rng(1).standard_normal((networks.POOL_MIN_ROWS, 6))
+        feats = np.random.default_rng(1).standard_normal((4103, 6))
         expected = lh.predict_bits(feats)
         forward = LhClassifierNet._forward
 
         def failing(net, x):
-            if x.shape[0] == POOLED_BLOCKS[networks.POOL_MIN_ROWS][-1]:
+            if x.shape[0] == 519:  # the serial path's last block, which holds the odd rows
                 raise RuntimeError("the last block failed")
             return forward(net, x)
 
@@ -337,6 +334,31 @@ class TestLhClassifier:
             lh.predict_bits(feats)
         monkeypatch.undo()
         assert lh.predict_bits(feats).tobytes() == expected.tobytes()
+
+    @needs_pool
+    def test_the_callers_exception_waits_for_the_workers_block_in_flight(self, monkeypatch):
+        lh = LhClassifierNet(ParameterSet(), 6, 32, 4, np.random.default_rng(0))
+        feats = np.random.default_rng(1).standard_normal((networks.POOL_MIN_ROWS, 6))
+        forward = LhClassifierNet._forward
+        caller = threading.current_thread()
+        worker_started = threading.Event()
+        worker_done = []
+
+        def failing(net, x):
+            if threading.current_thread() is caller:
+                worker_started.wait(timeout=30)
+                raise RuntimeError("the caller's block failed")
+            worker_started.set()
+            time.sleep(0.2)
+            p = forward(net, x)
+            worker_done.append(x.shape[0])
+            return p
+
+        monkeypatch.setattr(LhClassifierNet, "_forward", failing)
+        with pytest.raises(RuntimeError, match="the caller's block failed"):
+            lh.predict_bits(feats)
+        # done before the raise, and the worker took no block after the failure
+        assert worker_done == [512]
 
     @needs_pool
     def test_concurrent_pooled_calls_share_one_pool_and_keep_their_rows(self):
@@ -363,14 +385,16 @@ class TestLhClassifier:
         assert not any(t.is_alive() for t in callers)
         assert [r.tobytes() for r in results] == [e.tobytes() for e in expected]
         workers = [t for t in threading.enumerate() if t.name.startswith("lhc-row-block")]
-        assert 0 < len(workers) <= networks.POOL_WORKERS
+        assert len(workers) == 1
 
-    @pytest.mark.parametrize("length", [4, 8])
+    @pytest.mark.parametrize("length", [1, 2, 4, 8])
     @pytest.mark.parametrize("rows", [*range(1, 18), 129, 257, 513])
     def test_inference_equals_the_training_forward_at_every_row_count(self, length, rows):
         # OpenBLAS rounds a product differently by its row count and operand
         # order, so an inference-only path must run the products training
-        # runs; the sizes are the bench's, 16 features and 32 hidden units
+        # runs; the sizes are the bench's, 16 features and 32 hidden units.
+        # Lengths 1 and 2 cover the untaped step 0, which writes tanh(c) into
+        # f's unset rows
         rng = np.random.default_rng(rows)
         lh = LhClassifierNet(ParameterSet(), 16, 32, length, rng)
         feats = rng.standard_normal((rows, 16)) * 3.0
@@ -389,18 +413,25 @@ class TestLhClassifier:
 
 
 def record_blocks(monkeypatch, feats: np.ndarray) -> list:
-    """Hook LhClassifierNet._forward to record (first row, thread id, output) per block of feats."""
+    """Hook LhClassifierNet._forward to record (first row, thread, output) per block of feats."""
     blocks = []
     forward = LhClassifierNet._forward
 
     def recorded(net, x):
         p = forward(net, x)
         blocks.append(((x.data.ctypes.data - feats.ctypes.data) // feats.strides[0],
-                       threading.get_ident(), p))
+                       threading.current_thread(), p))
         return p
 
     monkeypatch.setattr(LhClassifierNet, "_forward", recorded)
     return blocks
+
+
+def assert_caller_and_at_most_one_worker(threads: set) -> None:
+    """threads, those a pooled call ran its blocks on, are the caller and at most one worker."""
+    workers = threads - {threading.current_thread()}
+    assert len(workers) <= 1
+    assert all(t.name.startswith("lhc-row-block") for t in workers)
 
 
 def step_forward(lh: LhClassifierNet, features: Tensor) -> Tensor:

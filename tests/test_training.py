@@ -20,7 +20,7 @@ from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLook
 from lhc.nn import (Adam, CheckpointError, ParameterSet, load_checkpoint, save_checkpoint,
                     xavier_uniform)
 from lhc.tree import export_tree, tree_obj
-from test_networks import BLOCK_CASES, needs_pool
+from test_networks import BLOCK_CASES, assert_caller_and_at_most_one_worker, needs_pool
 
 STRINGS = ["011", "100", "110", "001"]
 
@@ -717,15 +717,8 @@ def test_feature_matrix_and_predict_classes_in_blocks_equal_one_whole_forward(mo
         assert out.dtype == whole.dtype and out.tobytes() == whole.tobytes()
 
 
-# the rows of each block of a pooled feature_matrix or predict_classes call at a
-# widest width of 64: at most 3/4 of the serial 1024, with the serial path's
-# last block kept, and run last on the calling thread, when it holds odd rows
-POOLED_MLP_BLOCKS = {4096: [768] * 4 + [512, 512], 4103: [768] * 4 + [1031],
-                     10_000: [768] * 12 + [392, 392]}
-
-
 @needs_pool
-@pytest.mark.parametrize("rows", list(POOLED_MLP_BLOCKS))
+@pytest.mark.parametrize("rows", [4096, 4103, 10_000])
 def test_pooled_feature_matrix_and_predict_classes_equal_their_serial_blocks(monkeypatch, rows):
     model = training.BaseModel(ParameterSet(), [6, 64, 4], 8, np.random.default_rng(0),
                                fc_dims=[4, 32, 8])
@@ -737,21 +730,36 @@ def test_pooled_feature_matrix_and_predict_classes_equal_their_serial_blocks(mon
 
         def recorded(net, t, f=forward):
             blocks.append(((t.data.ctypes.data - x.ctypes.data) // x.strides[0],
-                           t.shape[0], threading.get_ident()))
+                           t.shape[0], threading.current_thread()))
             return f(net, t)
 
         with monkeypatch.context() as patch:
             patch.setattr(cls, "forward", recorded)
             pooled = run(x)
+            pooled_blocks, blocks[:] = sorted(blocks, key=lambda b: b[0]), []
             patch.setattr(networks, "POOL_MIN_ROWS", rows + 1)
             serial = run(x)
-        pooled_blocks = sorted(blocks[:len(POOLED_MLP_BLOCKS[rows])])
-        assert [size for _, size, _ in pooled_blocks] == POOLED_MLP_BLOCKS[rows]
-        odd = rows % 8 != 0
-        threads = [thread for _, _, thread in pooled_blocks]
-        assert threading.get_ident() not in threads[:len(threads) - odd]
-        assert (threads[-1] == threading.get_ident()) == odd
+        # the pooled blocks are the serial ones
+        assert [b[:2] for b in pooled_blocks] == [b[:2] for b in blocks]
+        assert_caller_and_at_most_one_worker({thread for _, _, thread in pooled_blocks})
         assert pooled.dtype == serial.dtype and pooled.tobytes() == serial.tobytes()
+
+
+@pytest.mark.usefixtures("one_blas_thread")
+@pytest.mark.parametrize("rows", [1000, 4103])
+def test_inference_records_nothing_on_an_active_tape(rows):
+    model = training.BaseModel(ParameterSet(), [6, 64, 4], 8, np.random.default_rng(0),
+                               fc_dims=[4, 32, 8])
+    lh = LhClassifierNet(model.params, 4, 32, 4, np.random.default_rng(1))
+    x = np.random.default_rng(2).standard_normal((rows, 6)) * 3.0
+    feats = model.extractor.feature_matrix(x)
+    calls = [(model.extractor.feature_matrix, x), (model.predict_classes, x),
+             (lh.predict_bits, feats)]
+    untaped = [run(arg) for run, arg in calls]
+    with Tape() as tape:
+        taped = [run(arg) for run, arg in calls]
+        assert len(tape) == 0
+    assert [t.tobytes() for t in taped] == [u.tobytes() for u in untaped]
 
 
 def test_feature_matrix_of_no_rows_is_an_empty_feature_matrix():

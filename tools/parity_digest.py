@@ -13,19 +13,29 @@ It covers the rows, parameters and strings of train_base, train_lh and
 train_fixed_embedding at the bench's train-d3 and train-d5-L8 shapes (fewer
 rows and epochs), seeds 1-2; predict_bits; evaluate; feature_matrix,
 predict_classes, predict_bits and evaluate over 8800 held-out rows, calls
-that run on the row-block threads where the tree has them; gradcheck_report at
-seeds 0-2; load_mnist of a synthetic IDX pair, plain and gzipped; and the
-stdout, stderr and written files of the lhc commands synth-gen, train-base,
-train-lh, eval, export-tree, gradcheck, sweep-l and ablate (report.json
-without its wall-clock field). gamma decays every 2 phase-2 epochs of 4, so
-the schedule is covered too. Only APIs that have not changed in a long while
-are called, so that a parent tree runs it as well.
+that run on the row-block threads where the tree has them (see below);
+gradcheck_report at seeds 0-2; load_mnist of a synthetic IDX pair, plain
+and gzipped; and the stdout, stderr and written files of the lhc commands
+synth-gen, train-base, train-lh, eval, export-tree, gradcheck, sweep-l and
+ablate (report.json without its wall-clock field). gamma decays every 2
+phase-2 epochs of 4, so the schedule is covered too. Only APIs that have
+not changed in a long while are called, so that a parent tree runs it as
+well.
 
 An LH checkpoint round trip (save_lh_result, then load_lh_result) of a
 train_lh run with one string per class digests what eval and export-tree
 read back: the table's strings and class names, the loaded extractor's and
 LH classifier's bytes, and evaluate on the loaded model. It stays equal
 where a change alters the file's bytes but not what is read from them.
+
+The row-block pool runs only while numpy's OpenBLAS runs one thread per
+product, and OpenBLAS otherwise starts one thread per CPU. So, as
+bench/run.py does, the script sets OPENBLAS_NUM_THREADS=1 before numpy
+loads, unless the environment already sets it; without that the pooled
+calls above would run on the calling thread alone on any machine of two or
+more CPUs. Run it once more with OPENBLAS_NUM_THREADS set to the CPU count
+to digest the serial path under a threaded BLAS; both runs print the same
+combined digest.
 """
 
 from __future__ import annotations
@@ -40,6 +50,8 @@ import struct
 import sys
 import tempfile
 from pathlib import Path
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")  # before numpy loads: see the docstring
 
 import numpy as np
 
