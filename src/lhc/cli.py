@@ -19,9 +19,10 @@ from .tree import export_tree
 GRADCHECK_TOL = 1e-5
 
 
-def _load_config(args) -> training.RunConfig:
+def _load_inputs(args):
+    """--config's RunConfig with the --seed, --L and --mu overrides, and its two splits."""
     obj = {}
-    if getattr(args, "config", None):
+    if args.config:
         with open(args.config) as fh:
             obj = json.load(fh)
     config = training.RunConfig.from_dict(obj)
@@ -29,12 +30,8 @@ def _load_config(args) -> training.RunConfig:
         value = getattr(args, flag, None)
         if value is not None:
             config = replace(config, **{flag: value})
-    return config
-
-
-def _load_split_datasets(config: training.RunConfig, data_dir: str):
-    return (dataio.load_split(config.dataset, data_dir, "train"),
-            dataio.load_split(config.dataset, data_dir, "test"))
+    return (config, dataio.load_split(config.dataset, args.data_dir, "train"),
+            dataio.load_split(config.dataset, args.data_dir, "test"))
 
 
 def _load_base_for(path, train: dataio.LabeledDataset) -> training.BaseModel:
@@ -48,36 +45,40 @@ def _load_base_for(path, train: dataio.LabeledDataset) -> training.BaseModel:
     return base
 
 
-def _prepare_out(args, config: training.RunConfig) -> Path:
+def _phase2_inputs(args):
+    """A phase-2 command's _load_inputs, and its base model (_load_base_for)."""
+    config, train, test = _load_inputs(args)
+    return config, train, test, _load_base_for(args.checkpoint, train)
+
+
+def _prepare_out(args, config: training.RunConfig,
+                 report: training.TrainReport | None = None) -> Path:
+    """The output directory with config.json, and a run's metrics.csv and report.json."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     with open(out / "config.json", "w") as fh:
         json.dump(config.to_dict(), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    if report is not None:
+        report.write_csv(out / "metrics.csv")
+        (out / "report.json").write_text(report.to_json() + "\n")
     return out
 
 
 def cmd_train_base(args) -> int:
-    config = _load_config(args)
-    train, test = _load_split_datasets(config, args.data_dir)
+    config, train, test = _load_inputs(args)
     model, report = training.train_base(train, config, test_ds=test)
-    out = _prepare_out(args, config)
+    out = _prepare_out(args, config, report)
     training.save_base_model(out / "model.lhc1", model, config, train.class_names)
-    report.write_csv(out / "metrics.csv")
-    (out / "report.json").write_text(report.to_json() + "\n")
     print(f"train accuracy {report.final_train_accuracy:.4f}, "
           f"test accuracy {report.final_test_accuracy:.4f}")
     return 0
 
 
 def cmd_train_lh(args) -> int:
-    config = _load_config(args)
-    train, test = _load_split_datasets(config, args.data_dir)
-    base = _load_base_for(args.checkpoint, train)
+    config, train, test, base = _phase2_inputs(args)
     result = training.train_lh(base, train, config, test_ds=test)
-    out = _prepare_out(args, config)
-    result.report.write_csv(out / "metrics.csv")
-    (out / "report.json").write_text(result.report.to_json() + "\n")
+    out = _prepare_out(args, config, result.report)
     extras = result.report.extras
     print(f"string-match test accuracy {result.report.final_test_accuracy:.4f}, "
           f"mean bit bias {extras['mean_bit_bias']:.4f}, restored epoch {extras['best_epoch']}, "
@@ -109,9 +110,7 @@ def cmd_export_tree(args) -> int:
 
 
 def cmd_ablate(args) -> int:
-    config = _load_config(args)
-    train, test = _load_split_datasets(config, args.data_dir)
-    base = _load_base_for(args.checkpoint, train)
+    config, train, test, base = _phase2_inputs(args)
     result = training.train_lh(base, train, config, test_ds=test)
     learned, collision = result.report.final_test_accuracy, result.table is None
     table = training.random_lookup_table(train.num_classes, config.L, config.seed,
@@ -131,9 +130,7 @@ def cmd_ablate(args) -> int:
 
 
 def cmd_sweep_l(args) -> int:
-    config = _load_config(args)
-    train, test = _load_split_datasets(config, args.data_dir)
-    base = _load_base_for(args.checkpoint, train)
+    config, train, test, base = _phase2_inputs(args)
     l_values = [int(v) for v in args.l_values.split(",")]
     for length in l_values:  # every length is checked before the first run
         training.check_string_length(train.num_classes, length)
@@ -169,8 +166,7 @@ def cmd_synth_gen(args) -> int:
     if spec.num_classes > dataio.LHF1_MAX_CLASSES:
         raise ValueError(f"depth {spec.depth} gives {spec.num_classes} classes, but LHF1 "
                          f"holds at most {dataio.LHF1_MAX_CLASSES}")
-    if not 0 < args.test_fraction < 1:  # False for NaN too
-        raise ValueError(f"test_fraction must lie in (0, 1), got {args.test_fraction}")
+    dataio.check_test_fraction(args.test_fraction)
     dataset, truth = dataio.generate_planted(spec)
     train, test = dataio.train_test_split(dataset, args.test_fraction, spec.seed)
     out = Path(args.out)

@@ -220,11 +220,16 @@ def generate_planted(spec: PlantedHierarchySpec) -> tuple[LabeledDataset, String
     return dataset, truth
 
 
+def check_test_fraction(test_fraction: float) -> None:
+    """Raise ValueError unless 0 < test_fraction < 1, which NaN is not."""
+    if not (0.0 < test_fraction < 1.0):
+        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+
+
 def train_test_split(ds: LabeledDataset, test_fraction: float,
                      seed: int) -> tuple[LabeledDataset, LabeledDataset]:
     """Deterministic stratified split; test gets ceil(frac * n_c) per class."""
-    if not (0.0 < test_fraction < 1.0):
-        raise ValueError(f"test_fraction must lie in (0, 1), got {test_fraction}")
+    check_test_fraction(test_fraction)
     rng = np.random.default_rng(seed)
     test_idx = []
     train_idx = []

@@ -58,17 +58,19 @@ from .nn import Linear, LstmCell, ParameterSet
 # 128-1024 rows ran 1.5-1.9x faster than one forward per evaluate chunk,
 # and 512 rows, a 512 KiB gate slab, was at or near the fastest in each case.
 INFERENCE_BLOCK_BYTES = 512 * 1024
-# The least rows of a call that uses the row-block pool: evaluate's
-# PREDICT_CHUNK. On the same host with one BLAS thread, two threads over a
-# 4096-row predict_bits call's 128-, 256-, 384- and 512-row blocks ran at
-# 0.98x, 1.17x, 1.43x and 1.64x one (L = 4, medians of 8 alternations);
-# pooled feature_matrix and predict_classes calls of 6144-200k rows ran at
-# 1.3-1.5x their serial blocks. Smaller calls stay on the calling thread, so
-# a run of train-d3's size starts no thread (ROADMAP weighs a lower
-# threshold). Under OpenBLAS's default of one thread per CPU, an evaluate of
-# 200k rows ran at 0.64x its serial blocks (medians of 10 alternations), so
-# the pool runs only while the BLAS runs one thread per product. The pool
-# has one worker: the calling thread runs blocks too.
+# The least rows of a call that uses the row-block pool, and the rows per
+# predict_bits call of training.evaluate and its validation, so each full
+# chunk runs pooled; bench/test_bench.py pins evaluate at two calls per
+# chunk. On the same host with one BLAS thread, two threads over a 4096-row
+# predict_bits call's 128-, 256-, 384- and 512-row blocks ran at 0.98x,
+# 1.17x, 1.43x and 1.64x one (L = 4, medians of 8 alternations); pooled
+# feature_matrix and predict_classes calls of 6144-200k rows ran at 1.3-1.5x
+# their serial blocks. Pooling every call of two or more blocks read lower
+# train-d3 and train-d5-L8 eval rates and a higher train-d3 peak RSS, so
+# smaller calls run on the calling thread. Under OpenBLAS's default of one
+# thread per CPU, an evaluate of 200k rows ran at 0.64x its serial blocks,
+# so the pool runs only while the BLAS runs one thread per product. The
+# pool has one worker: the calling thread runs blocks too.
 POOL_MIN_ROWS = 4096
 
 _pool: ThreadPoolExecutor | None = None
@@ -280,7 +282,8 @@ class Class2StrNet:
 
     def table(self) -> np.ndarray:
         """Soft (C, 2L) bit distributions, row c for class c, no grad recording."""
-        return self.forward(Tensor(np.eye(self.num_classes))).data
+        with tape_suspended():
+            return self.forward(Tensor(np.eye(self.num_classes))).data
 
     def encode(self, class_id: int) -> np.ndarray:
         """Soft (2L,) bit distributions of one class: row class_id of table()."""

@@ -36,22 +36,12 @@ import numpy as np
 from .autodiff import Tape, Tensor, check_param_gradients, matmul, softmax, tanh
 from .data import DATASETS, BatchIterator, LabeledDataset, is_count, is_finite_real, one_hot
 from .losses import TERMS, base_loss, fixed_table_loss, joint_terms, total_loss, weigh
-from .networks import (Class2StrNet, CollisionError, LhClassifierNet, Str2ClassNet,
-                       StringLookupTable, check_class_names, hard_bits, run_in_row_blocks,
-                       strings_of)
+from .networks import (POOL_MIN_ROWS, Class2StrNet, CollisionError, LhClassifierNet,
+                       Str2ClassNet, StringLookupTable, check_class_names, hard_bits,
+                       run_in_row_blocks, strings_of)
 from .nn import (Adam, CheckpointError, Linear, ParameterSet, load_checkpoint,
                  save_checkpoint)
 from .tree import tree_from_obj, tree_obj
-
-# Rows per predict_bits call in evaluate and _string_match. predict_bits
-# blocks its own work and, over a one-thread BLAS, shares the blocks of a
-# call of networks.POOL_MIN_ROWS (this many) rows or more between the
-# calling thread and one pool worker, so every full chunk runs on two
-# threads and only the last, shorter one on the calling thread alone. The
-# chunk also fixes the call count, which
-# bench/test_bench.py::test_tiny_run_emits_every_metric pins at two calls
-# per chunk of evaluate.
-PREDICT_CHUNK = 4096
 
 CSV_COLUMNS = ["epoch", *TERMS, "train_acc", "val_acc"]
 
@@ -446,13 +436,18 @@ def _feature_split(extractor: MlpExtractor, train_ds: LabeledDataset, config: Ru
     return features(fit_ds), None if val_ds is None else features(val_ds)
 
 
+def _lh_net(params: ParameterSet, feature_dim: int, config: RunConfig,
+            rng: np.random.Generator) -> LhClassifierNet:
+    """The LH classifier at config's sizes over feature_dim-wide features."""
+    return LhClassifierNet(params, feature_dim, config.lstm_hidden, config.L, rng)
+
+
 def _phase2_nets(params: ParameterSet, num_classes: int, feature_dim: int, config: RunConfig,
                  rng: np.random.Generator) -> tuple[Class2StrNet, Str2ClassNet, LhClassifierNet]:
     """Class2Str, Str2Class and the LH classifier at config's sizes, drawn from rng in turn."""
     class2str = Class2StrNet(params, num_classes, config.L, rng, hidden_dim=config.c2s_hidden)
     str2class = Str2ClassNet(params, num_classes, config.L, rng, hidden_dim=config.s2c_hidden)
-    lh = LhClassifierNet(params, feature_dim, config.lstm_hidden, config.L, rng)
-    return class2str, str2class, lh
+    return class2str, str2class, _lh_net(params, feature_dim, config, rng)
 
 
 def _encoding_bits(class2str: Class2StrNet) -> np.ndarray:
@@ -492,10 +487,10 @@ def phase2_forward(class2str: Class2StrNet, str2class: Str2ClassNet, lh: LhClass
 
 
 def _predict_chunks(lh: LhClassifierNet, feats: np.ndarray) -> np.ndarray:
-    """lh.predict_bits over the whole of feats, one call per PREDICT_CHUNK rows."""
+    """lh.predict_bits over the whole of feats, one call per POOL_MIN_ROWS rows."""
     bits = np.empty((feats.shape[0], lh.string_length), np.int64)
-    for lo in range(0, feats.shape[0], PREDICT_CHUNK):
-        bits[lo:lo + PREDICT_CHUNK] = lh.predict_bits(feats[lo:lo + PREDICT_CHUNK])
+    for lo in range(0, feats.shape[0], POOL_MIN_ROWS):
+        bits[lo:lo + POOL_MIN_ROWS] = lh.predict_bits(feats[lo:lo + POOL_MIN_ROWS])
     return bits
 
 
@@ -656,7 +651,7 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     rng = np.random.default_rng(config.seed)
     params = ParameterSet()
     extractor = _clone_extractor(base, config, params, rng)
-    lh = LhClassifierNet(params, extractor.feature_dim, config.lstm_hidden, config.L, rng)
+    lh = _lh_net(params, extractor.feature_dim, config, rng)
     bits_by_class = table.bits
 
     def step(f_np, y_np, epoch):
@@ -766,7 +761,7 @@ def load_lh_result(path) -> LhArtifacts:
     rng = np.random.default_rng(0)
     fresh = ParameterSet()
     extractor = MlpExtractor(fresh, config.extractor_dims, rng)
-    lh = LhClassifierNet(fresh, extractor.feature_dim, config.lstm_hidden, config.L, rng)
+    lh = _lh_net(fresh, extractor.feature_dim, config, rng)
     _adopt(fresh, params, path)
     try:
         table = tree_from_obj(meta.get("tree"))

@@ -1,6 +1,7 @@
 import csv
 import gzip
 import json
+import math
 import re
 import shutil
 import struct
@@ -52,6 +53,34 @@ def test_synth_gen_and_train_base_succeed(run):
     for name in ("model.lhc1", "report.json", "metrics.csv", "config.json"):
         assert (root / "base" / name).is_file()
     assert set(json.loads((root / "base" / "report.json").read_text())) == REPORT_KEYS
+
+
+@pytest.mark.parametrize("val_size", [0, 20])
+def test_metrics_csv_holds_report_json_s_rows(run, tmp_path, val_size):
+    # without validation every val_acc is NaN in the CSV and null in the strict JSON
+    root, _ = run
+    outs = [root / "base", root / "lh8"]
+    if val_size == 0:
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({**CONFIG, "val_size": 0}))
+        common = ["--config", str(config), "--data-dir", str(root / "data")]
+        outs = [tmp_path / "base", tmp_path / "lh"]
+        main(["train-base", *common, "--out", str(outs[0])])
+        main(["train-lh", *common, "--checkpoint", str(outs[0] / "model.lhc1"),
+              "--out", str(outs[1]), "--L", "8"])
+    for out in outs:
+        with open(out / "metrics.csv", newline="") as fh:
+            csv_rows = list(csv.DictReader(fh))
+        json_rows = json.loads((out / "report.json").read_text())["rows"]
+        assert len(csv_rows) == len(json_rows) > 0
+        for csv_row, json_row in zip(csv_rows, json_rows):
+            assert list(csv_row) == training.CSV_COLUMNS and set(json_row) == set(csv_row)
+            assert (json_row["val_acc"] is None) == (val_size == 0)
+            for column, text in csv_row.items():
+                if json_row[column] is None:
+                    assert column == "val_acc" and math.isnan(float(text))
+                else:
+                    assert float(text) == json_row[column]
 
 
 @pytest.mark.parametrize("length, collides", [(2, True), (8, False)])

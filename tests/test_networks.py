@@ -100,6 +100,14 @@ class TestClass2Str:
                 net.encode(bad)
         np.testing.assert_array_equal(net.encode(3), net.table()[3])
 
+    def test_table_and_encode_record_nothing_on_an_active_tape(self):
+        net = Class2StrNet(ParameterSet(), 8, 4, np.random.default_rng(0), hidden_dim=8)
+        untaped = (net.table(), net.encode(0))
+        with Tape() as tape:
+            taped = (net.table(), net.encode(0))
+            assert len(tape) == 0
+        assert [t.tobytes() for t in taped] == [u.tobytes() for u in untaped]
+
     def test_default_trunk_width(self):
         # one default serves both phase-2 nets
         for net in (Class2StrNet, Str2ClassNet):

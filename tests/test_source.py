@@ -1,4 +1,5 @@
 import ast
+import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "lhc"
@@ -65,6 +66,25 @@ def test_every_run_config_field_is_read_outside_run_config():
             for node in ast.walk(top)
             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
     assert sorted(fields - read) == []
+
+
+def test_every_module_constant_is_read_in_the_package():
+    # a module-level UPPER_CASE constant that only the tests read is a setting
+    # without a setter; its own assignment is not a read, and reads match by name
+    trees = [ast.parse(path.read_text(), str(path)) for path in sorted(SRC.glob("*.py"))]
+    constants = {target.id: top for tree in trees for top in tree.body
+                 if isinstance(top, (ast.Assign, ast.AnnAssign))
+                 for target in getattr(top, "targets", [getattr(top, "target", None)])
+                 if isinstance(target, ast.Name) and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)}
+    assert constants, f"no module-level constants under {SRC}"
+    read = set()
+    for top in (node for tree in trees for node in tree.body):
+        for node in ast.walk(top):
+            name = (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                    else node.attr if isinstance(node, ast.Attribute) else None)
+            if name in constants and constants[name] is not top:
+                read.add(name)
+    assert sorted(set(constants) - read) == []
 
 
 def _is_out_grad(node: ast.AST) -> bool:

@@ -15,9 +15,11 @@ rows and epochs), seeds 1-2; predict_bits; evaluate; feature_matrix,
 predict_classes, predict_bits and evaluate over 8800 held-out rows, calls
 that run on the row-block threads where the tree has them (see below);
 gradcheck_report at seeds 0-2; load_mnist of a synthetic IDX pair, plain
-and gzipped; and the stdout, stderr and written files of the lhc commands
+and gzipped; the stdout, stderr and written files of the lhc commands
 synth-gen, train-base, train-lh, eval, export-tree, gradcheck, sweep-l and
-ablate (report.json without its wall-clock field). gamma decays every 2
+ablate (report.json without its wall-clock field); and the exit code and
+stderr of two synth-gen runs it rejects, one with a test fraction of 1.5
+and one of depth 16, past LHF1's class limit. gamma decays every 2
 phase-2 epochs of 4, so the schedule is covered too. Only APIs that have
 not changed in a long while are called, so that a parent tree runs it as
 well.
@@ -222,6 +224,10 @@ def commands(root: Path) -> None:
     run_cli(root, "sweep-l", "sweep-l", *common, *base, "--l-values", "2,3",
             "--out", str(root / "sweep"))
     run_cli(root, "ablate", "ablate", *common, *base, "--out", str(root / "ablate"))
+    for tag, flags in (("test fraction 1.5", ("--depth", "2", "--test-fraction", "1.5")),
+                       ("depth 16", ("--depth", "16"))):
+        run_cli(root, f"synth-gen rejects {tag}", "synth-gen", *flags, "--feature-dim", "6",
+                "--out", str(root / "rejected"))
     for sub in ("synth", "base", "lh", "sweep", "ablate"):
         for path in sorted((root / sub).iterdir()):
             body = path.read_bytes()
