@@ -249,6 +249,7 @@ def train_test_split(ds: LabeledDataset, test_fraction: float,
 # features (row-major) | N u16le labels. The file size is exactly
 # 16 + 8*N*D + 2*N bytes; a reader checks it against the header before it
 # allocates, so a damaged header can claim any N and D without a MemoryError.
+# C is at most LHF1_MAX_CLASSES, as the u16 labels allow, on write and on read.
 
 def save_features(path, ds: LabeledDataset) -> None:
     """Write ds as LHF1, straight from its C-contiguous float64 buffer."""
@@ -273,6 +274,9 @@ def load_features(path) -> LabeledDataset:
         if len(header) < 16:
             raise DataFormatError(f"{path}: truncated header")
         n, d, c = struct.unpack("<III", header[4:16])
+        if c > LHF1_MAX_CLASSES:
+            raise DataFormatError(f"{path}: C={c} classes, but LHF1 holds at most "
+                                  f"{LHF1_MAX_CLASSES}")
         expected = 16 + n * d * 8 + n * 2
         size = os.fstat(fh.fileno()).st_size
         if size != expected:

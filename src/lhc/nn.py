@@ -290,7 +290,7 @@ def load_checkpoint(path) -> tuple[ParameterSet, dict]:
         raise CheckpointError(f"{path}: truncated manifest")
     try:
         manifest = json.loads(raw[8:manifest_end].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError, RecursionError) as exc:
         raise CheckpointError(f"{path}: unreadable manifest: {exc}") from exc
     if not isinstance(manifest, dict):
         raise CheckpointError(f"{path}: manifest is not a JSON object")

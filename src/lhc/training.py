@@ -408,32 +408,37 @@ class LhTrainResult:
     report: TrainReport
 
 
-def _clone_extractor(base: BaseModel, config: RunConfig, params: ParameterSet,
-                     rng: np.random.Generator) -> MlpExtractor:
-    """Copy the trained extractor into a new set, name by name, and freeze it there.
+def _phase2_start(base: BaseModel, train_ds: LabeledDataset,
+                  test_ds: LabeledDataset | None, config: RunConfig):
+    """(params, rng, extractor, fit, val, test): what both phase-2 trainers start from.
 
-    config.extractor_dims, the one record of its sizes that a checkpoint
-    keeps, must equal its dims, or ValueError is raised.
+    The trained extractor is copied into a new set, name by name, and frozen
+    there; its layers are drawn from rng = default_rng(config.seed), which
+    the caller's nets draw from next. config.extractor_dims, the one record
+    of its sizes that a checkpoint keeps, must equal its dims, or ValueError
+    is raised before any features are computed. train_ds and test_ds each go
+    through the extractor once: fit and val are _split_validation's rows of
+    train_ds's features (val None without held-out rows), test is None
+    without test_ds.
     """
     if list(config.extractor_dims) != base.extractor.dims:
         raise ValueError(f"config extractor_dims {config.extractor_dims} do not match the "
                          f"base model's extractor dims {base.extractor.dims}")
+    rng = np.random.default_rng(config.seed)
+    params = ParameterSet()
     extractor = MlpExtractor(params, base.extractor.dims, rng)
     names = params.names_with_prefix("extractor.")
     for name in names:
         params[name].data[...] = base.params[name].data
     params.freeze(names)
-    return extractor
 
-
-def _feature_split(extractor: MlpExtractor, train_ds: LabeledDataset, config: RunConfig):
-    """The (fit, val) split of train_ds, each half as frozen-extractor features."""
     def features(ds):
-        return LabeledDataset(extractor.feature_matrix(ds.features), ds.labels,
-                              ds.num_classes)
+        return None if ds is None else LabeledDataset(extractor.feature_matrix(ds.features),
+                                                      ds.labels, ds.num_classes)
 
-    fit_ds, val_ds = _split_validation(train_ds, config.val_size, config.seed)
-    return features(fit_ds), None if val_ds is None else features(val_ds)
+    return (params, rng, extractor,
+            *_split_validation(features(train_ds), config.val_size, config.seed),
+            features(test_ds))
 
 
 def _lh_net(params: ParameterSet, feature_dim: int, config: RunConfig,
@@ -512,21 +517,12 @@ def _string_match(lh: LhClassifierNet, feats: np.ndarray, labels: np.ndarray,
     return float(matched.mean()), bit_hits.mean(axis=0)
 
 
-def _test_string_match(lh: LhClassifierNet, extractor: MlpExtractor,
-                       test_ds: LabeledDataset | None, bits_by_class: np.ndarray):
-    """_string_match accuracy on the test split, or None without one."""
-    if test_ds is None:
-        return None
-    return _string_match(lh, extractor.feature_matrix(test_ds.features), test_ds.labels,
-                         bits_by_class)[0]
-
-
 def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
              test_ds: LabeledDataset | None = None) -> LhTrainResult:
     """Joint phase-2 training of Class2Str, Str2Class, and the LH classifier.
 
-    The extractor is copied in frozen, and fit checks that its bytes do not
-    change; its features are precomputed once per dataset. Each step runs
+    _phase2_start copies the extractor in frozen and runs each split through
+    it once, and fit checks that its bytes do not change. Each step runs
     Class2Str and Str2Class once per distinct class in the batch
     (phase2_forward), and each read of the encoding is one
     Class2StrNet.table() forward. The bias term's weight follows
@@ -541,10 +537,7 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     num_classes = train_ds.num_classes
     check_string_length(num_classes, config.L)
     start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-
-    params = ParameterSet()
-    extractor = _clone_extractor(base, config, params, rng)
+    params, rng, extractor, fit_ds, val_ds, test = _phase2_start(base, train_ds, test_ds, config)
     class2str, str2class, lh = _phase2_nets(params, num_classes, extractor.feature_dim,
                                             config, rng)
 
@@ -557,8 +550,8 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
     def validate(ds):
         return _string_match(lh, ds.features, ds.labels, _encoding_bits(class2str))[0]
 
-    rows, best_epoch, stop_reason = fit(params, *_feature_split(extractor, train_ds, config),
-                                        config, config.lh_epochs, step, validate)
+    rows, best_epoch, stop_reason = fit(params, fit_ds, val_ds, config, config.lh_epochs,
+                                        step, validate)
 
     soft = class2str.table()  # the one read of the final encoding
     strings = strings_of(soft)
@@ -570,7 +563,8 @@ def train_lh(base: BaseModel, train_ds: LabeledDataset, config: RunConfig,
         collision = str(exc)
 
     mean_bit_bias = float(np.maximum(soft[:, 0::2], soft[:, 1::2]).mean())
-    final_test = _test_string_match(lh, extractor, test_ds, hard_bits(soft))
+    final_test = None if test is None else _string_match(lh, test.features, test.labels,
+                                                         hard_bits(soft))[0]
 
     # the inference-time classifiers: the base FC head against projection,
     # LSTM and bit head; Class2Str and Str2Class only train
@@ -648,9 +642,7 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     _check_test_split(train_ds, test_ds)
     _check_table_fits(table, train_ds.num_classes, config.L)
     start = time.perf_counter()
-    rng = np.random.default_rng(config.seed)
-    params = ParameterSet()
-    extractor = _clone_extractor(base, config, params, rng)
+    params, rng, extractor, fit_ds, val_ds, test = _phase2_start(base, train_ds, test_ds, config)
     lh = _lh_net(params, extractor.feature_dim, config, rng)
     bits_by_class = table.bits
 
@@ -663,9 +655,9 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     def validate(ds):
         return _string_match(lh, ds.features, ds.labels, bits_by_class)[0]
 
-    rows, best_epoch, stop_reason = fit(params, *_feature_split(extractor, train_ds, config),
-                                        config, config.lh_epochs, step, validate)
-    final_test = _test_string_match(lh, extractor, test_ds, bits_by_class)
+    rows, best_epoch, stop_reason = fit(params, fit_ds, val_ds, config, config.lh_epochs,
+                                        step, validate)
+    final_test = None if test is None else validate(test)
     return lh, _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start,
                        best_epoch=best_epoch, stop_reason=stop_reason)
 
@@ -716,14 +708,17 @@ def load_base_model(path) -> tuple[BaseModel, dict]:
     """An LHC1 base checkpoint's model and metadata; bad metadata raises CheckpointError."""
     params, meta, config = _load_run_checkpoint(path, "base")
     num_classes, names = meta.get("num_classes"), meta.get("class_names")
+    # a missing or null record is no head at all, not BaseModel's default one
+    fc_dims = meta.get("fc_dims") or []
+    _check_sizes(path, params, {**_weight_shapes("extractor", config.extractor_dims),
+                                **_weight_shapes("fc", fc_dims)})
     fresh = ParameterSet()
     try:
         if not is_count(num_classes, 1):
             raise ValueError("num_classes is not an int >= 1")
         check_class_names(names, num_classes)
-        # a missing or null record is no head at all, not BaseModel's default one
         model = BaseModel(fresh, config.extractor_dims, num_classes,
-                          np.random.default_rng(0), fc_dims=meta.get("fc_dims") or [])
+                          np.random.default_rng(0), fc_dims=fc_dims)
     except ValueError as exc:
         raise CheckpointError(f"{path}: bad checkpoint metadata: {exc}") from exc
     _adopt(fresh, params, path)
@@ -758,6 +753,9 @@ def load_lh_result(path) -> LhArtifacts:
     holds class2str.* (and before that str2class.*) tensors.
     """
     params, meta, config = _load_run_checkpoint(path, "lh")
+    width, n = config.extractor_dims[-1], config.lstm_hidden
+    _check_sizes(path, params, {**_weight_shapes("extractor", config.extractor_dims),
+                                "lh.projection.weight": (n, width), "lh.lstm0.w_h": (4 * n, n)})
     rng = np.random.default_rng(0)
     fresh = ParameterSet()
     extractor = MlpExtractor(fresh, config.extractor_dims, rng)
@@ -771,15 +769,33 @@ def load_lh_result(path) -> LhArtifacts:
     return LhArtifacts(extractor=extractor, lh=lh, table=table, config=config)
 
 
+def _weight_shapes(prefix: str, dims) -> dict[str, tuple[int, int]]:
+    """Each (out, in) weight shape of an MlpExtractor of dims; none for dims it would reject."""
+    return ({f"{prefix}.{i}.weight": (dims[i + 1], dims[i]) for i in range(len(dims) - 1)}
+            if _dims_ok(dims) else {})
+
+
+def _check_sizes(path, params: ParameterSet, shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise CheckpointError unless params, read from path, hold each named tensor at its shape.
+
+    Loaders run it on the weights their metadata sizes before they build a
+    model of those sizes, so no recorded size allocates more than the file's
+    own tensors hold; _adopt runs it on every tensor of the model built.
+    """
+    for name, shape in shapes.items():
+        got = params[name].data.shape if name in params else "no such tensor"
+        if got != shape:
+            raise CheckpointError(f"{path}: bad checkpoint metadata: its sizes give {name} "
+                                  f"the shape {shape}, but the file holds {got}")
+
+
 def _adopt(dst: ParameterSet, src: ParameterSet, path) -> None:
     """Copy values and frozen flags between identically named sets; src was read from path."""
     if set(dst.names()) != set(src.names()):
         missing = sorted(set(dst.names()) ^ set(src.names()))
         raise CheckpointError(f"{path}: parameter name mismatch: {missing}")
+    _check_sizes(path, src, {name: t.data.shape for name, t in dst.items()})
     for name, t in src.items():
-        if dst[name].data.shape != t.data.shape:
-            raise CheckpointError(f"{path}: shape mismatch for {name}: "
-                                  f"{dst[name].data.shape} vs {t.data.shape}")
         dst[name].data[...] = t.data
     dst.freeze(src.frozen_names())
 

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from lhc.data import (BatchIterator, DataFormatError, LabeledDataset,
+from lhc.data import (LHF1_MAX_CLASSES, BatchIterator, DataFormatError, LabeledDataset,
                       PlantedHierarchySpec, generate_planted, load_features,
                       load_mnist, one_hot, save_features, train_test_split)
 
@@ -303,6 +303,21 @@ class TestFeatureFiles:
 
         _, peak = peak_traced_bytes(load)
         assert peak < 1 << 20
+
+    def test_a_class_count_past_the_u16_labels_is_rejected_on_read(self, tmp_path):
+        # save_features refuses such a count; read, C = 2^32 - 1 would size a train_base
+        # FC head of 64 GiB
+        path = tmp_path / "feats.lhf1"
+        payload = np.arange(2.0).astype("<f8").tobytes() + np.array([0, 1], "<u2").tobytes()
+
+        def write(num_classes):
+            path.write_bytes(b"LHF1" + struct.pack("<III", 2, 1, num_classes) + payload)
+
+        write(LHF1_MAX_CLASSES)
+        assert load_features(path).num_classes == LHF1_MAX_CLASSES
+        write(LHF1_MAX_CLASSES + 1)
+        with pytest.raises(DataFormatError, match=r"C=65536 classes.* at most 65535"):
+            load_features(path)
 
     def test_nan_payload_reports_row(self, tmp_path):
         path = tmp_path / "feats.lhf1"

@@ -407,3 +407,12 @@ def test_malformed_manifest_raises_checkpoint_error(tmp_path, mutate):
     path.write_bytes(b"LHC1" + struct.pack("<I", len(body)) + body + payload)
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_a_manifest_nested_past_the_recursion_limit_raises_checkpoint_error(tmp_path):
+    # json.loads raises RecursionError, not JSONDecodeError, on nesting this deep
+    body = b"[" * 100_000 + b"]" * 100_000
+    path = tmp_path / "deep.lhc1"
+    path.write_bytes(b"LHC1" + struct.pack("<I", len(body)) + body)
+    with pytest.raises(CheckpointError, match="unreadable manifest"):
+        load_checkpoint(path)

@@ -14,7 +14,7 @@ import pytest
 from lhc import networks, training
 from lhc.autodiff import ShapeError, Tape, Tensor, sum_squares
 from lhc.data import (DataFormatError, LabeledDataset, PlantedHierarchySpec, generate_planted,
-                      one_hot)
+                      one_hot, train_test_split)
 from lhc.losses import total_loss
 from lhc.networks import Class2StrNet, LhClassifierNet, Str2ClassNet, StringLookupTable
 from lhc.nn import (Adam, CheckpointError, ParameterSet, load_checkpoint, save_checkpoint,
@@ -294,6 +294,38 @@ def test_a_test_split_that_does_not_match_is_rejected_before_any_work(planted, m
         training.train_lh(base, ds, config, test_ds=test_ds)
 
 
+@pytest.mark.parametrize("trainer", ["train_lh", "train_fixed_embedding"])
+def test_a_phase2_run_puts_each_split_through_the_extractor_once(planted, monkeypatch, trainer):
+    ds, config, base = planted
+    train_ds, test_ds = train_test_split(ds, 0.25, seed=0)
+    table = training.random_lookup_table(ds.num_classes, config.L, seed=0)
+    feature_matrix, fit = training.MlpExtractor.feature_matrix, training.fit
+    rows_in, fitted = [], []
+
+    def counted(self, features):
+        rows_in.append(len(features))
+        return feature_matrix(self, features)
+
+    def recorded(params, fit_ds, val_ds, *args):
+        fitted.append((fit_ds, val_ds))
+        return fit(params, fit_ds, val_ds, *args)
+
+    monkeypatch.setattr(training.MlpExtractor, "feature_matrix", counted)
+    monkeypatch.setattr(training, "fit", recorded)
+    if trainer == "train_lh":
+        training.train_lh(base, train_ds, config, test_ds=test_ds)
+    else:
+        training.train_fixed_embedding(base, train_ds, table, config, test_ds=test_ds)
+    assert rows_in == [len(train_ds), len(test_ds)]
+    [got] = fitted
+    held = training._split_validation(train_ds, config.val_size, config.seed)
+    assert held[1] is not None
+    for features, rows in zip(got, held):
+        assert features.features.tobytes() == feature_matrix(base.extractor,
+                                                             rows.features).tobytes()
+        assert features.labels.tobytes() == rows.labels.tobytes()
+
+
 @pytest.mark.parametrize("names", [[1, 2, 3, None], ["a", "b", "c", b"d"]])
 def test_class_names_that_are_not_strings_are_rejected_before_any_training(planted, monkeypatch,
                                                                            names):
@@ -390,6 +422,29 @@ def test_missing_or_ill_typed_checkpoint_metadata_raises_checkpoint_error(tmp_pa
     match = rf"^{re.escape(str(path))}: bad checkpoint metadata"
     with pytest.raises(CheckpointError, match=match):
         load(path)
+
+
+@pytest.mark.parametrize("kind, layer", [("base", "fc.0"), ("lh", "lh.projection")])
+def test_a_recorded_size_past_the_files_tensors_is_rejected_before_any_layer_is_built(
+        tmp_path, peak_traced_bytes, kind, layer):
+    # a model 10**12 wide needs terabytes, so the sizes must be refused before any layer
+    # is allocated and filled
+    params, meta = checkpoint_parts(kind)
+    if kind == "base":
+        meta["fc_dims"] = [4, 10**12, len(STRINGS)]
+    else:
+        meta["config"]["lstm_hidden"] = 10**12
+    path = tmp_path / "model.lhc1"
+    save_checkpoint(path, params, meta)
+    load = training.load_base_model if kind == "base" else training.load_lh_result
+    match = rf"^{re.escape(str(path))}: bad checkpoint metadata: .*{re.escape(layer)}\.weight"
+
+    def rejected():
+        with pytest.raises(CheckpointError, match=match):
+            load(path)
+
+    _, peak = peak_traced_bytes(rejected)
+    assert peak < 1 << 20
 
 
 def test_a_base_checkpoint_whose_fc_head_does_not_start_at_the_extractor_width_is_rejected(
