@@ -1,7 +1,8 @@
-"""Command-line entry point.
+"""Command-line entry point: synth-gen, train-base, train-lh, eval, export-tree, study, gradcheck.
 
 Exit codes: 0 success, 1 validation or acceptance failure (e.g. a string
-collision, gradcheck above tolerance), 2 usage error.
+collision in train-lh, gradcheck above tolerance, a model too large to
+allocate), 2 usage error. study records a collided run in its rows instead.
 """
 
 from __future__ import annotations
@@ -109,41 +110,17 @@ def cmd_export_tree(args) -> int:
     return 0
 
 
-def cmd_ablate(args) -> int:
+def cmd_study(args) -> int:
     config, train, test, base = _phase2_inputs(args)
-    result = training.train_lh(base, train, config, test_ds=test)
-    learned, collision = result.report.final_test_accuracy, result.table is None
-    table = training.random_lookup_table(train.num_classes, config.L, config.seed,
-                                         class_names=train.class_names)
-    random = training.train_fixed_embedding(base, train, table, config,
-                                            test_ds=test)[1].final_test_accuracy
-    print(f"learned embedding accuracy {learned:.4f}" + (" (collision)" if collision else "")
-          + f", random embedding accuracy {random:.4f}, delta {learned - random:+.4f}")
-    if args.out:
-        out = _prepare_out(args, config)
-        with open(out / "ablation.json", "w") as fh:
-            json.dump({"learned_accuracy": learned, "learned_collision": collision,
-                       "random_accuracy": random, "delta": learned - random},
-                      fh, indent=2, sort_keys=True)
-            fh.write("\n")
-    return 0
-
-
-def cmd_sweep_l(args) -> int:
-    config, train, test, base = _phase2_inputs(args)
-    l_values = [int(v) for v in args.l_values.split(",")]
-    for length in l_values:  # every length is checked before the first run
-        training.check_string_length(train.num_classes, length)
-    points = []  # (L, test accuracy, collision)
-    for length in l_values:
-        result = training.train_lh(base, train, replace(config, L=length), test_ds=test)
-        points.append((length, result.report.final_test_accuracy, result.table is None))
+    lengths = [config.L] if args.l_values is None else [int(v) for v in args.l_values.split(",")]
+    rows = training.study(base, train, test, config, lengths)
     out = _prepare_out(args, config)
-    with open(out / "sweep.csv", "w") as fh:
-        fh.write("L,accuracy,collision\n")
-        for length, accuracy, collision in points:
-            fh.write(f"{length},{accuracy!r},{int(collision)}\n")
-            print(f"L={length}: accuracy {accuracy:.4f}" + (" (collision)" if collision else ""))
+    (out / "study.json").write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    for learned, random in zip(rows[0::2], rows[1::2]):  # study's rows pair up by L
+        acc, chance = learned["test_accuracy"], random["test_accuracy"]
+        print(f"L={learned['L']}: learned accuracy {acc:.4f}"
+              + (" (collision)" if learned["collision"] else "")
+              + f", random accuracy {chance:.4f}, delta {acc - chance:+.4f}")
     return 0
 
 
@@ -214,15 +191,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("dot", "json"), default="dot")
     p.set_defaults(func=cmd_export_tree)
 
-    p = sub.add_parser("ablate", help="learned vs random embedding accuracy")
-    common(p, out=False, checkpoint=True)
-    p.add_argument("--out", help="optional output directory")
-    p.set_defaults(func=cmd_ablate)
-
-    p = sub.add_parser("sweep-l", help="accuracy across string lengths")
+    p = sub.add_parser("study", help="learned vs random table accuracy at each string length")
     common(p, checkpoint=True)
-    p.add_argument("--l-values", required=True, help="comma-separated lengths, e.g. 4,6,8")
-    p.set_defaults(func=cmd_sweep_l)
+    p.add_argument("--l-values", help="comma-separated lengths, e.g. 4,6,8 (default: config L)")
+    p.set_defaults(func=cmd_study)
 
     p = sub.add_parser("gradcheck", help="finite-difference check of every loss term")
     p.add_argument("--seed", type=int)
@@ -247,7 +219,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError, RuntimeError) as exc:
+    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,11 @@
-"""Two-phase training, evaluation, parameter accounting and the random-embedding
-ablation.
+"""Two-phase training, evaluation, parameter accounting and the phase-2 study.
 
 Phase 1 (train_base) trains the extractor with its FC head. Phase 2
 (train_lh) trains the LH classifier jointly with Class2Str and Str2Class
 against the frozen extractor, and the ablation (train_fixed_embedding)
-trains the LH classifier alone against a fixed string table. All three run
-one loop, fit, which owns Adam, the seeded minibatches, the tape, the
+trains the LH classifier alone against a fixed string table; study runs
+the two at each of a list of string lengths. All three trainers run one
+loop, fit, which owns Adam, the seeded minibatches, the tape, the
 non-finite check, backward and the optimizer step, the per-epoch rows and
 early stopping. A trainer supplies only:
 
@@ -29,7 +29,7 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -608,7 +608,7 @@ def evaluate(table: StringLookupTable, lh: LhClassifierNet, base,
                       num_samples=len(data), num_no_match=no_match)
 
 
-# ----------------------------------------------------------------- ablation
+# ------------------------------------------------------- ablation and study
 
 def random_lookup_table(num_classes: int, string_length: int, seed: int,
                         class_names: list[str] | None = None) -> StringLookupTable:
@@ -660,6 +660,33 @@ def train_fixed_embedding(base: BaseModel, train_ds: LabeledDataset,
     final_test = None if test is None else validate(test)
     return lh, _report(rows, rows[best_epoch - 1]["train_acc"], final_test, start,
                        best_epoch=best_epoch, stop_reason=stop_reason)
+
+
+def study(base: BaseModel, train_ds: LabeledDataset, test_ds: LabeledDataset | None,
+          config: RunConfig, lengths: list[int]) -> list[dict]:
+    """The learned table against a random one at each string length: phase 2's experiments.
+
+    Per L, train_lh runs, then train_fixed_embedding on random_lookup_table(C, L, config.seed),
+    each giving a row: L, table ("learned" or "random"), test_accuracy and collision (whether
+    the learned strings collide). Every run is seeded by config.seed alone. A repeated, too
+    short or too long L raises ValueError before the first run.
+    """
+    if len(set(lengths)) != len(lengths):
+        raise ValueError(f"string lengths {lengths} name a length more than once")
+    for length in lengths:
+        check_string_length(train_ds.num_classes, length)
+    rows = []
+    for length in lengths:
+        run = replace(config, L=length)
+        result = train_lh(base, train_ds, run, test_ds=test_ds)
+        table = random_lookup_table(train_ds.num_classes, length, config.seed,
+                                    class_names=train_ds.class_names)
+        random = train_fixed_embedding(base, train_ds, table, run, test_ds=test_ds)[1]
+        rows += [{"L": length, "table": "learned", "collision": result.table is None,
+                  "test_accuracy": result.report.final_test_accuracy},
+                 {"L": length, "table": "random", "collision": False,
+                  "test_accuracy": random.final_test_accuracy}]
+    return rows
 
 
 # ------------------------------------------------------ parameter accounting

@@ -9,7 +9,7 @@ import struct
 import numpy as np
 import pytest
 
-from lhc import data, training
+from lhc import data, nn, training
 from lhc.cli import main
 from lhc.networks import Class2StrNet, Str2ClassNet
 from lhc.nn import load_checkpoint, save_checkpoint
@@ -251,6 +251,7 @@ def test_gradcheck_passes():
     ["synth-gen", "--feature-dim", "4", "--out", "data"],   # no --depth
     ["eval", "--data-dir", "data"],                         # no --checkpoint
     [],                                                     # no subcommand
+    ["study", "--data-dir", "data", "--out", "out"],        # no --checkpoint
 ])
 def test_missing_required_argument_exits_2(argv, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -302,8 +303,8 @@ def test_a_rejected_run_leaves_no_output_directory(run, tmp_path, capsys, comman
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command, flags", [("train-lh", []), ("ablate", []),
-                                            ("sweep-l", ["--l-values", "3,4"])])
+@pytest.mark.parametrize("command, flags", [("train-lh", []), ("study", []),
+                                            ("study", ["--l-values", "3,4"])])
 @pytest.mark.parametrize("mismatch", ["8 classes", "class names"])
 def test_a_base_checkpoint_of_other_classes_exits_1_before_any_training(
         run, tmp_path, capsys, monkeypatch, command, flags, mismatch):
@@ -389,51 +390,80 @@ def test_config_that_is_not_an_object_exits_1(tmp_path, capsys, document):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_l_writes_one_row_per_length(run):
+def study_argv(root, out, *flags, config=None):
+    return ["study", "--config", str(config or root / "config.json"), "--data-dir",
+            str(root / "data"), "--checkpoint", str(root / "base" / "model.lhc1"),
+            "--out", str(out), *flags]
+
+
+def test_study_writes_a_learned_and_a_random_row_per_length(run):
     root, _ = run
-    code = main(["sweep-l", "--config", str(root / "config.json"), "--data-dir",
-                 str(root / "data"), "--checkpoint", str(root / "base" / "model.lhc1"),
-                 "--out", str(root / "sweep"), "--l-values", "2,3"])
-    assert code == 0
-    with open(root / "sweep" / "sweep.csv", newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    assert [row["L"] for row in rows] == ["2", "3"]
-    assert all(0.0 <= float(row["accuracy"]) <= 1.0 and row["collision"] in "01"
-               for row in rows)
+    assert main(study_argv(root, root / "study", "--l-values", "2,3")) == 0
+    rows = json.loads((root / "study" / "study.json").read_text())
+    assert [(row["L"], row["table"]) for row in rows] == [
+        (2, "learned"), (2, "random"), (3, "learned"), (3, "random")]
+    assert all(set(row) == {"L", "table", "test_accuracy", "collision"}
+               and 0.0 <= row["test_accuracy"] <= 1.0 for row in rows)
+    assert not any(row["collision"] for row in rows if row["table"] == "random")
 
 
-def test_sweep_l_rejects_a_too_short_length_before_any_training(run, monkeypatch, capsys):
+@pytest.mark.parametrize("l_values, message", [("1,3", "L=1 cannot embed 4 classes"),
+                                               ("3,3", "more than once")])
+def test_study_rejects_a_bad_length_list_before_any_training(run, tmp_path, monkeypatch, capsys,
+                                                             l_values, message):
     root, _ = run
 
     def no_work(*args, **kwargs):
-        raise AssertionError("train_lh ran before every length was checked")
+        raise AssertionError("training ran before every length was checked")
 
     monkeypatch.setattr(training, "train_lh", no_work)
+    monkeypatch.setattr(training, "train_fixed_embedding", no_work)
     capsys.readouterr()
-    code = main(["sweep-l", "--config", str(root / "config.json"), "--data-dir",
-                 str(root / "data"), "--checkpoint", str(root / "base" / "model.lhc1"),
-                 "--out", str(root / "sweep-short"), "--l-values", "1,3"])
+    code = main(study_argv(root, tmp_path / "out", "--l-values", l_values))
     assert code == 1
-    assert "L=1 cannot embed 4 classes" in capsys.readouterr().err
-    assert not (root / "sweep-short").exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("length, collides", [(2, True), (3, False)])
-def test_ablate_writes_learned_minus_random(run, tmp_path, capsys, length, collides):
+def test_study_prints_learned_minus_random_at_the_config_s_length(run, tmp_path, capsys, length,
+                                                                  collides):
     root, _ = run
     config = tmp_path / "config.json"
     config.write_text(json.dumps({**CONFIG, "L": length}))
     capsys.readouterr()
-    code = main(["ablate", "--config", str(config), "--data-dir", str(root / "data"),
-                 "--checkpoint", str(root / "base" / "model.lhc1"),
-                 "--out", str(tmp_path / "out")])
-    assert code == 0
-    result = json.loads((tmp_path / "out" / "ablation.json").read_text())
-    assert result["delta"] == result["learned_accuracy"] - result["random_accuracy"]
-    # a collided learned encoding is recorded as collided, as sweep-l's collision column does
+    assert main(study_argv(root, tmp_path / "out", config=config)) == 0
+    learned, random = json.loads((tmp_path / "out" / "study.json").read_text())
+    assert (learned["L"], learned["table"], random["L"], random["table"]) == (
+        length, "learned", length, "random")
+    delta = learned["test_accuracy"] - random["test_accuracy"]
+    out = capsys.readouterr().out
+    assert out.startswith(f"L={length}: ") and out.endswith(f", delta {delta:+.4f}\n")
+    # a collided learned encoding is recorded as collided, in the row and the printed line
     run_config = training.RunConfig.from_dict({**CONFIG, "L": length})
     base, _ = training.load_base_model(root / "base" / "model.lhc1")
     train = data.load_split(run_config.dataset, root / "data", "train")
     assert (training.train_lh(base, train, run_config).table is None) is collides
-    assert result["learned_collision"] is collides
-    assert ("(collision)" in capsys.readouterr().out) is collides
+    assert learned["collision"] is collides
+    assert ("(collision)" in out) is collides
+
+
+@pytest.mark.parametrize("command", ["train-base", "train-lh", "study"])
+def test_a_model_too_large_to_allocate_exits_1(run, tmp_path, monkeypatch, capsys, command):
+    # numpy raises MemoryError (_ArrayMemoryError) for an array it cannot allocate; raising it
+    # from the weight fill stands in for one, since a real attempt could exhaust the host
+    root, _ = run
+
+    def out_of_memory(rng, out_dim, in_dim):
+        raise MemoryError(f"Unable to allocate an array of shape ({out_dim}, {in_dim})")
+
+    monkeypatch.setattr(nn, "xavier_uniform", out_of_memory)
+    checkpoint = ([] if command == "train-base"
+                  else ["--checkpoint", str(root / "base" / "model.lhc1")])
+    capsys.readouterr()
+    assert main([command, "--config", str(root / "config.json"), "--data-dir",
+                 str(root / "data"), *checkpoint, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Unable to allocate" in err
+    assert not (tmp_path / "out").exists()

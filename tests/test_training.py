@@ -531,6 +531,25 @@ def test_train_lh_reports_the_classifier_sizes(planted):
     assert extras["parameter_reduction"] == 1.0 - lh / base_fc
 
 
+def test_study_rows_are_those_of_separate_learned_and_random_table_runs(planted):
+    ds, config, base = planted
+    train_ds, test_ds = train_test_split(ds, 0.25, seed=0)
+    lengths = [3, 2]  # the learned strings collide at L=2
+    expected = []
+    for length in lengths:
+        run = replace(config, L=length)
+        result = training.train_lh(base, train_ds, run, test_ds=test_ds)
+        table = training.random_lookup_table(ds.num_classes, length, config.seed)
+        fixed = training.train_fixed_embedding(base, train_ds, table, run, test_ds=test_ds)[1]
+        expected += [(length, "learned", result.table is None,
+                      result.report.final_test_accuracy.hex()),
+                     (length, "random", False, fixed.final_test_accuracy.hex())]
+    rows = training.study(base, train_ds, test_ds, config, lengths)
+    assert [(row["L"], row["table"], row["collision"], row["test_accuracy"].hex())
+            for row in rows] == expected
+    assert [row["collision"] for row in rows] == [False, False, True, False]
+
+
 # ----------------------------------------------------------------------- fit
 
 def toy_fit(scores, epochs=5, patience=2, validation=True, total=None):

@@ -16,10 +16,12 @@ predict_classes, predict_bits and evaluate over 8800 held-out rows, calls
 that run on the row-block threads where the tree has them (see below);
 gradcheck_report at seeds 0-2; load_mnist of a synthetic IDX pair, plain
 and gzipped; the stdout, stderr and written files of the lhc commands
-synth-gen, train-base, train-lh, eval, export-tree, gradcheck, sweep-l and
-ablate (report.json without its wall-clock field); and the exit code and
-stderr of two synth-gen runs it rejects, one with a test fraction of 1.5
-and one of depth 16, past LHF1's class limit. gamma decays every 2
+synth-gen, train-base, train-lh, eval, export-tree, gradcheck and study
+(report.json without its wall-clock field); and the exit code and stderr
+of two synth-gen runs it rejects, one with a test fraction of 1.5 and one
+of depth 16, past LHF1's class limit. study runs L = 2, 3 and 6, the
+config's L: its learned rows at L = 2 and 3 are what sweep-l digested,
+and both rows at L = 6 what ablate did, before study replaced the two. gamma decays every 2
 phase-2 epochs of 4, so the schedule is covered too. Only APIs that have
 not changed in a long while are called, so that a parent tree runs it as
 well.
@@ -221,14 +223,13 @@ def commands(root: Path) -> None:
         run_cli(root, f"export-tree {fmt}", "export-tree", "--checkpoint", checkpoint,
                 "--format", fmt)
     run_cli(root, "gradcheck", "gradcheck", "--seed", "1")
-    run_cli(root, "sweep-l", "sweep-l", *common, *base, "--l-values", "2,3",
-            "--out", str(root / "sweep"))
-    run_cli(root, "ablate", "ablate", *common, *base, "--out", str(root / "ablate"))
+    run_cli(root, "study", "study", *common, *base, "--l-values", "2,3,6",
+            "--out", str(root / "study"))
     for tag, flags in (("test fraction 1.5", ("--depth", "2", "--test-fraction", "1.5")),
                        ("depth 16", ("--depth", "16"))):
         run_cli(root, f"synth-gen rejects {tag}", "synth-gen", *flags, "--feature-dim", "6",
                 "--out", str(root / "rejected"))
-    for sub in ("synth", "base", "lh", "sweep", "ablate"):
+    for sub in ("synth", "base", "lh", "study"):
         for path in sorted((root / sub).iterdir()):
             body = path.read_bytes()
             if path.name == "report.json":
